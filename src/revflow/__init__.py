@@ -9,122 +9,46 @@ hierarchical flows, and verifies and costs the results.
 from .arith import (
     Design,
     DesignSpec,
-    FixedPointValue,
-    default_newton_iterations,
-    design_oracle,
     design_truth_table,
-    design_xmg,
-    fxp_add,
-    fxp_mul_trunc,
-    fxp_sub,
     gen_intdiv_xmg,
     gen_newton_xmg,
-    newton_reciprocal_model,
     newton_trace,
     oracle_reciprocal,
 )
-from .embedding import (
-    Embedding,
-    Permutation,
-    bennett_embed,
-    min_additional_lines,
-    optimum_embed,
-    verify_embedding,
-)
-from .logicnet import (
-    DEFAULT_TT_LIMIT,
-    Cube,
-    EsopForm,
-    NodeKind,
-    ParseError,
-    TableLimitError,
-    TruthTable,
-    Xmg,
-    esop_from_tt,
-    esop_minimize,
-    read_pla,
-    read_xmg,
-    write_pla,
-    write_xmg,
-)
-from .revcirc import (
-    DEFAULT_COST_MODEL,
-    CostModel,
-    CostReport,
-    MctGate,
-    RevCircuit,
-    cnot,
-    cost_report,
-    read_real,
-    simulate,
-    simulate_full,
-    simulate_source_batch,
-    toffoli,
-    verify_circuit,
-    write_real,
-)
-from .synth_esop import esop_share_cubes, esop_synth
-from .synth_functional import tbs, tbs_invariant_check
-from .synth_hier import hier_synth, inplace_xor_opt, reachable_gate_counts
+from .embedding import bennett_embed, min_additional_lines, optimum_embed
+from .logicnet import esop_from_tt, esop_minimize, read_pla, read_xmg, write_pla, write_xmg
+from .revcirc import CostModel, cost_report, read_real, simulate_full, verify_circuit, write_real
+from .synth_esop import esop_synth
+from .synth_functional import tbs
+from .synth_hier import hier_synth
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Design",
     "DesignSpec",
-    "FixedPointValue",
-    "default_newton_iterations",
-    "design_oracle",
     "design_truth_table",
-    "design_xmg",
-    "fxp_add",
-    "fxp_mul_trunc",
-    "fxp_sub",
     "gen_intdiv_xmg",
     "gen_newton_xmg",
-    "newton_reciprocal_model",
     "newton_trace",
     "oracle_reciprocal",
-    "Embedding",
-    "Permutation",
     "bennett_embed",
     "min_additional_lines",
     "optimum_embed",
-    "verify_embedding",
-    "DEFAULT_TT_LIMIT",
-    "Cube",
-    "EsopForm",
-    "NodeKind",
-    "ParseError",
-    "TableLimitError",
-    "TruthTable",
-    "Xmg",
     "esop_from_tt",
     "esop_minimize",
     "read_pla",
     "read_xmg",
     "write_pla",
     "write_xmg",
-    "DEFAULT_COST_MODEL",
     "CostModel",
-    "CostReport",
-    "MctGate",
-    "RevCircuit",
-    "cnot",
     "cost_report",
     "read_real",
-    "simulate",
     "simulate_full",
-    "simulate_source_batch",
-    "toffoli",
     "verify_circuit",
     "write_real",
-    "esop_share_cubes",
     "esop_synth",
     "tbs",
-    "tbs_invariant_check",
     "hier_synth",
-    "inplace_xor_opt",
-    "reachable_gate_counts",
     "__version__",
 ]

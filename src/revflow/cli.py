@@ -24,6 +24,7 @@ from .logicnet import (
     ParseError,
     TableLimitError,
     TruthTable,
+    Xmg,
     _check_limit,
     esop_from_tt,
     esop_minimize,
@@ -35,16 +36,17 @@ from .logicnet import (
 from .revcirc import (
     DEFAULT_COST_MODEL,
     CostModel,
+    RevCircuit,
     cost_report,
     read_real,
     simulate_source_batch,
     write_real,
 )
-from .synth_esop import esop_share_cubes, esop_synth
+from .synth_esop import esop_synth
 from .synth_functional import tbs
-from .synth_hier import hier_synth, inplace_xor_opt
+from .synth_hier import hier_synth
 
-__all__ = ["main", "read_tt_file", "write_tt_file"]
+__all__ = ["main", "run_flow", "read_tt_file", "write_tt_file"]
 
 _STAMP = re.compile(r"#\s*design=(\w+)\s+n=(\d+)")
 
@@ -132,46 +134,70 @@ def _sniff_stamp(path) -> tuple[str | None, int | None]:
     return None, None
 
 
-def _load_esop(path: Path, limit: int) -> EsopForm:
+def _load_source(path: Path, limit: int) -> Xmg | EsopForm | TruthTable:
+    if path.suffix == ".xmg":
+        return read_xmg(path)
     if path.suffix == ".pla":
         return read_pla(path)
-    return esop_from_tt(read_tt_file(path, limit))
+    return read_tt_file(path, limit)
 
 
 def _report(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _synth_circuit(method: str, path: Path, args, limit: int):
-    """Run one synthesis flow on an input file; returns the circuit."""
-    suffix = path.suffix
+def _report_flow(circ, model: CostModel, design, n, method: str, t0: float) -> None:
+    record = cost_report(circ, model).as_dict()
+    record.update(
+        design=design,
+        n=n,
+        method=method,
+        gates=record.pop("gate_count"),
+        runtime_s=round(time.perf_counter() - t0, 6),
+    )
+    _report(record)
+
+
+def run_flow(
+    method: str,
+    source: Xmg | EsopForm | TruthTable,
+    *,
+    embedding: str = "optimum",
+    minimize: bool = True,
+    inplace_xor: bool = False,
+    limit: int | None = None,
+) -> RevCircuit:
+    """Compile an in-memory design with one synthesis flow; returns the circuit.
+
+    ``hier`` takes an Xmg; ``functional`` and ``esop`` take an EsopForm or a
+    TruthTable.  ``embedding`` applies to functional, ``minimize`` to esop
+    and ``inplace_xor`` to hier.  ``limit`` caps the truth-table inputs and
+    the embedding width, as REVFLOW_TT_LIMIT does on the command line.
+    """
     if method == "hier":
-        if suffix != ".xmg":
+        if not isinstance(source, Xmg):
             raise CliError("method hier needs an .xmg input")
-        net = read_xmg(path)
-        circ = hier_synth(net, args.cleanup)
-        if args.inplace_xor:
-            circ = inplace_xor_opt(net, circ)
-        return circ
-    if suffix == ".xmg":
+        return hier_synth(source, inplace_xor=inplace_xor)
+    if isinstance(source, Xmg):
         raise CliError(f"method {method} needs a .pla or truth-table input")
     if method == "functional":
-        if suffix == ".pla":
-            table = read_pla(path).to_truth_table(limit)
-        else:
-            table = read_tt_file(path, limit)
-        embed = optimum_embed if args.embedding == "optimum" else bennett_embed
-        perm, emb = embed(table)
+        table = source.to_truth_table(limit) if isinstance(source, EsopForm) else source
+        embed = optimum_embed if embedding == "optimum" else bennett_embed
+        perm, emb = embed(table, limit)
         return tbs(perm, embedding=emb)
     if method == "esop":
-        esop = _load_esop(path, limit)
-        if not args.no_minimize:
-            esop = esop_minimize(esop)
-        circ = esop_synth(esop)
-        if args.share_cubes:
-            circ = esop_share_cubes(esop, circ)
-        return circ
+        esop = source if isinstance(source, EsopForm) else esop_from_tt(source)
+        return esop_synth(esop_minimize(esop) if minimize else esop)
     raise CliError(f"unknown method {method!r}")
+
+
+def _flow_kwargs(args, limit: int) -> dict:
+    return dict(
+        embedding=args.embedding,
+        minimize=not args.no_minimize,
+        inplace_xor=args.inplace_xor,
+        limit=limit,
+    )
 
 
 # --- subcommands ----------------------------------------------------------
@@ -194,19 +220,11 @@ def cmd_gen(args) -> int:
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     path = Path(args.input)
-    circ = _synth_circuit(args.method, path, args, tt_limit())
+    limit = tt_limit()
+    circ = run_flow(args.method, _load_source(path, limit), **_flow_kwargs(args, limit))
     write_real(circ, args.output)
     design, n = _sniff_stamp(path)
-    rep = cost_report(circ)
-    record = rep.as_dict()
-    record.update(
-        design=design,
-        n=n,
-        method=args.method,
-        gates=record.pop("gate_count"),
-        runtime_s=round(time.perf_counter() - t0, 6),
-    )
-    _report(record)
+    _report_flow(circ, DEFAULT_COST_MODEL, design, n, args.method, t0)
     return 0
 
 
@@ -268,27 +286,25 @@ def cmd_stats(args) -> int:
         t0 = time.perf_counter()
         spec = _make_spec(args.design, n)
         if args.method == "hier":
-            net = design_xmg(spec)
-            circ = hier_synth(net, args.cleanup)
-        elif args.method == "functional":
-            table = design_truth_table(spec, limit)
-            embed = optimum_embed if args.embedding == "optimum" else bennett_embed
-            perm, emb = embed(table)
-            circ = tbs(perm, embedding=emb)
+            source = design_xmg(spec)
         else:
-            esop = esop_minimize(esop_from_tt(design_truth_table(spec, limit)))
-            circ = esop_synth(esop)
-        rep = cost_report(circ, model)
-        record = rep.as_dict()
-        record.update(
-            design=args.design,
-            n=n,
-            method=args.method,
-            gates=record.pop("gate_count"),
-            runtime_s=round(time.perf_counter() - t0, 6),
-        )
-        _report(record)
+            source = design_truth_table(spec, limit)
+        circ = run_flow(args.method, source, **_flow_kwargs(args, limit))
+        _report_flow(circ, model, args.design, n, args.method, t0)
     return 0
+
+
+def _add_flow_options(parser: argparse.ArgumentParser) -> None:
+    """The switches run_flow takes, shared by synth and stats --sweep."""
+    parser.add_argument("--embedding", choices=("optimum", "bennett"), default="optimum",
+                        help="embedding for the functional flow")
+    parser.add_argument("--no-minimize", action="store_true",
+                        help="esop flow: skip cube minimization")
+    # bennett is the only cleanup left; the switch stays for scripts that name it
+    parser.add_argument("--cleanup", choices=("bennett",), default="bennett",
+                        help="hier flow: ancilla cleanup strategy")
+    parser.add_argument("--inplace-xor", action="store_true",
+                        help="hier flow: fuse single-reader xor operands in place")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,16 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("input")
     synth.add_argument("--method", choices=("functional", "esop", "hier"), required=True)
     synth.add_argument("-o", "--output", required=True)
-    synth.add_argument("--embedding", choices=("optimum", "bennett"), default="optimum",
-                       help="embedding for the functional flow")
-    synth.add_argument("--no-minimize", action="store_true",
-                       help="esop flow: skip cube minimization")
-    synth.add_argument("--share-cubes", action="store_true",
-                       help="esop flow: fan multi-output cubes out with CNOTs")
-    synth.add_argument("--cleanup", choices=("bennett", "eager"), default="bennett",
-                       help="hier flow: ancilla cleanup strategy")
-    synth.add_argument("--inplace-xor", action="store_true",
-                       help="hier flow: fuse single-reader xor operands in place")
+    _add_flow_options(synth)
     synth.set_defaults(func=cmd_synth)
 
     verify = sub.add_parser("verify", help="check a REAL circuit against a design oracle")
@@ -333,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--sweep", help="A..B: run gen+synth in memory for each n")
     stats.add_argument("--design", choices=[d.value for d in Design])
     stats.add_argument("--method", choices=("functional", "esop", "hier"))
-    stats.add_argument("--cleanup", choices=("bennett", "eager"), default="bennett")
-    stats.add_argument("--embedding", choices=("optimum", "bennett"), default="optimum")
+    _add_flow_options(stats)
     stats.set_defaults(func=cmd_stats)
     return parser
 

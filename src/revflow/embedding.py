@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .logicnet import TruthTable
+from .logicnet import TruthTable, _check_limit
 
 __all__ = [
     "Permutation",
@@ -93,15 +93,17 @@ def min_additional_lines(tt: TruthTable) -> int:
     return (worst - 1).bit_length()
 
 
-def bennett_embed(tt: TruthTable) -> tuple[Permutation, Embedding]:
+def bennett_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation, Embedding]:
     """Width n+m embedding where line n+j returns its own value xor f_j(x).
 
     Always valid regardless of the function's collision structure; with the
     added lines held at 0 the outputs are exactly f(x) and the inputs pass
-    through unchanged as garbage.
+    through unchanged as garbage.  Raises TableLimitError before building
+    the 2^r images when r exceeds ``limit`` (default DEFAULT_TT_LIMIT).
     """
     n, m = tt.num_inputs, tt.num_outputs
     r = n + m
+    _check_limit(r, limit)
     images = []
     for w in range(1 << r):
         x = w & ((1 << n) - 1)
@@ -117,16 +119,19 @@ def bennett_embed(tt: TruthTable) -> tuple[Permutation, Embedding]:
     return Permutation(r, tuple(images)), emb
 
 
-def optimum_embed(tt: TruthTable) -> tuple[Permutation, Embedding]:
+def optimum_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation, Embedding]:
     """Minimum-width embedding: r = max(n, m + min_additional_lines).
 
     Outputs occupy the top m lines and garbage the rest.  Each output value's
     preimages receive garbage words counting up from 0 in input order, and the
     codomain words left unclaimed are matched to the domain words with nonzero
-    constants in increasing order to complete the bijection.
+    constants in increasing order to complete the bijection.  Raises
+    TableLimitError before building the 2^r images when r exceeds ``limit``
+    (default DEFAULT_TT_LIMIT).
     """
     n, m = tt.num_inputs, tt.num_outputs
     r = max(n, m + min_additional_lines(tt))
+    _check_limit(r, limit)
     g = r - m
     size = 1 << r
     images = [0] * size

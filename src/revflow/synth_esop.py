@@ -8,12 +8,10 @@ form out_j = 0 xor f_j(x) on n + m lines.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .logicnet import Cube, EsopForm
-from .revcirc import MctGate, RevCircuit, cnot
+from .revcirc import MctGate, RevCircuit
 
-__all__ = ["esop_synth", "esop_share_cubes"]
+__all__ = ["esop_synth"]
 
 
 def _cube_controls(cube: Cube) -> tuple[frozenset, frozenset]:
@@ -47,36 +45,3 @@ def esop_synth(esop: EsopForm) -> RevCircuit:
         constants=(None,) * n + (0,) * m,
         outputs=(None,) * n + tuple(range(m)),
     )
-
-
-def esop_share_cubes(esop: EsopForm, circuit: RevCircuit) -> RevCircuit:
-    """Copy multi-output cubes with CNOTs where a safe schedule exists.
-
-    A cube feeding several outputs can be materialized once and fanned out,
-    but only when some target line holds exactly the cube's value at that
-    instant, i.e. no earlier cube fed that line.  Cubes without such a pivot
-    fall back to per-output Toffolis.  Returns the given circuit untouched
-    when no cube qualifies.
-    """
-    n = esop.num_inputs
-    fed = [False] * esop.num_outputs
-    gates: list[MctGate] = []
-    shared_any = False
-    for cube in esop.cubes:
-        pos, neg = _cube_controls(cube)
-        outs = list(_out_bits(cube.output_mask))
-        pivot = next((j for j in outs if not fed[j]), None)
-        if len(outs) >= 2 and pivot is not None:
-            gates.append(MctGate(n + pivot, pos, neg))
-            for j in outs:
-                if j != pivot:
-                    gates.append(cnot(n + pivot, n + j))
-            shared_any = True
-        else:
-            for j in outs:
-                gates.append(MctGate(n + j, pos, neg))
-        for j in outs:
-            fed[j] = True
-    if not shared_any:
-        return circuit
-    return replace(circuit, gates=tuple(gates))

@@ -7,19 +7,20 @@ are pure CNOTs.  Factors normally form in place on the operand lines; when
 an operand is a primary input the factor is built on a scratch line instead
 so inputs are never written, only read.
 
-Cleanup is either bennett (reverse the whole compute phase after copying
-the outputs out) or eager (uncompute every node as soon as its last reader
-is done and recycle the line).  Both leave every ancilla at 0.
+Cleanup is Bennett's: compute every node, copy the outputs out, then run
+the compute phase in reverse, which leaves every ancilla at 0.  With
+in-place XOR, an XOR node whose gate operand has no other reader is
+computed onto that operand's line instead of a fresh one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .logicnet import NodeKind, Xmg, lit_is_neg, lit_node
 from .revcirc import MctGate, RevCircuit, cnot
 
-__all__ = ["hier_synth", "reachable_gate_counts", "inplace_xor_opt"]
-
-STRATEGIES = ("bennett", "eager")
+__all__ = ["hier_synth", "reachable_gate_counts"]
 
 
 def _reachable_gates(net: Xmg) -> set:
@@ -43,21 +44,36 @@ def reachable_gate_counts(net: Xmg) -> tuple[int, int]:
     return maj, len(reach) - maj
 
 
+def _absorbed_operands(net: Xmg, reach: set) -> dict[int, int]:
+    """{xor_node: operand} for reachable XOR nodes with a single-reader gate operand.
+
+    Such an operand's line is free once the XOR has read it, so the XOR can
+    target it directly and cleanup stays a straight reversal.
+    """
+    first_gate = 1 + net.num_inputs
+    uses = Counter(lit_node(e) for v in reach for e in net.fanins(v))
+    uses.update(lit_node(e) for e in net.outputs)
+    absorbed = {}
+    for v in reach:
+        if net.kind(v) is NodeKind.XOR:
+            for edge in net.fanins(v):
+                u = lit_node(edge)
+                if u >= first_gate and uses[u] == 1:
+                    absorbed[v] = u
+                    break
+    return absorbed
+
+
 class _Compiler:
     def __init__(self, net: Xmg):
         self.net = net
         self.n = net.num_inputs
         self.m = net.num_outputs
-        self.gates: list[MctGate] = []
         self.line_of: dict[int, int] = {}
         self.next_line = self.n + self.m
-        self.free: list[int] = []
         self.scratch_pool: list[int] = []
-        self.scratch_used = 0
 
     def alloc(self) -> int:
-        if self.free:
-            return self.free.pop()
         line = self.next_line
         self.next_line += 1
         return line
@@ -65,10 +81,7 @@ class _Compiler:
     def take_scratch(self) -> int:
         if self.scratch_pool:
             return self.scratch_pool.pop()
-        line = self.next_line
-        self.next_line += 1
-        self.scratch_used += 1
-        return line
+        return self.alloc()
 
     def line(self, node: int) -> int:
         if 1 <= node <= self.n:
@@ -83,12 +96,16 @@ class _Compiler:
         self.line_of[node] = target
         if kind is NodeKind.XOR:
             a, b = fanins  # stored phase-free, complement lives on the edge
-            seq = [cnot(self.line(lit_node(a)), target),
-                   cnot(self.line(lit_node(b)), target)]
-        else:
-            seq = self._emit_maj(fanins, target)
-        self.gates.extend(seq)
-        return seq
+            return [cnot(self.line(lit_node(a)), target),
+                    cnot(self.line(lit_node(b)), target)]
+        return self._emit_maj(fanins, target)
+
+    def emit_inplace_xor(self, node: int, absorb: int) -> MctGate:
+        """Compute an XOR node onto its absorbed operand's line."""
+        other = next(e for e in self.net.fanins(node) if lit_node(e) != absorb)
+        target = self.line(absorb)
+        self.line_of[node] = target
+        return cnot(self.line(lit_node(other)), target)
 
     def _emit_maj(self, fanins, target: int) -> list[MctGate]:
         ops = [(lit_node(e), lit_is_neg(e)) for e in fanins]
@@ -138,18 +155,20 @@ class _Compiler:
         self.scratch_pool.extend(reversed(released))
         return seq
 
-    def emit_output_copy(self, j: int) -> None:
+    def output_copy(self, j: int) -> list[MctGate]:
         edge = self.net.outputs[j]
         node, neg = lit_node(edge), lit_is_neg(edge)
         target = self.n + j
+        seq = []
         if node != 0:
-            self.gates.append(cnot(self.line(node), target))
+            seq.append(cnot(self.line(node), target))
         if neg:
-            self.gates.append(MctGate(target))
+            seq.append(MctGate(target))
+        return seq
 
-    def finish(self, input_names, output_names) -> RevCircuit:
+    def finish(self, gates: list[MctGate]) -> RevCircuit:
         width = self.next_line
-        names = list(input_names) + list(output_names)
+        names = list(self.net.input_names) + list(self.net.output_names)
         names += [f"a{k}" for k in range(width - len(names))]
         seen: set = set()
         for i, name in enumerate(names):
@@ -158,135 +177,39 @@ class _Compiler:
             seen.add(names[i])
         return RevCircuit(
             width=width,
-            gates=tuple(self.gates),
+            gates=tuple(gates),
             line_names=tuple(names),
             constants=(None,) * self.n + (0,) * (width - self.n),
             outputs=(None,) * self.n + tuple(range(self.m)) + (None,) * (width - self.n - self.m),
         )
 
 
-def hier_synth(net: Xmg, strategy: str = "bennett") -> RevCircuit:
+def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False) -> RevCircuit:
     """Compile the network to a garbage-free circuit.
 
     Lines are inputs, then one line per primary output, then ancillas (all
     constant 0).  Output j ends as the j-th output function; every other
-    non-input line returns to 0 on every input.
+    non-input line returns to 0 on every input.  With ``inplace_xor``,
+    single-reader XOR operands are overwritten instead of given a new line.
     """
-    if strategy not in STRATEGIES:
+    # Bennett cleanup is the only strategy; the argument stays so that
+    # callers naming it explicitly (as `revflow synth --cleanup` does) keep working.
+    if strategy != "bennett":
         raise ValueError(f"unknown strategy {strategy!r}")
     comp = _Compiler(net)
     reach = _reachable_gates(net)
-    out_uses: dict[int, list[int]] = {}
-    for j, edge in enumerate(net.outputs):
-        out_uses.setdefault(lit_node(edge), []).append(j)
-
-    if strategy == "bennett":
-        compute: list[MctGate] = []
-        for node, _kind, _fi in net.gates():
-            if node in reach:
-                compute.extend(comp.emit_node(node))
-        for j in range(comp.m):
-            comp.emit_output_copy(j)
-        comp.gates.extend(reversed(compute))
-        return comp.finish(net.input_names, net.output_names)
-
-    # eager: a node's remaining reads are two per consumer gate (its compute
-    # and its uncompute) plus one per output copy; at zero the node itself
-    # is uncomputed and its line recycled
-    first_gate = 1 + net.num_inputs
-    rc = {v: len(out_uses.get(v, ())) for v in reach}
-    for v in reach:
-        for edge in net.fanins(v):
-            u = lit_node(edge)
-            if u >= first_gate:
-                rc[u] += 2
-    constr: dict[int, list[MctGate]] = {}
-
-    def settle(seeds) -> None:
-        stack = [v for v in seeds if rc[v] == 0]
-        while stack:
-            v = stack.pop()
-            comp.gates.extend(reversed(constr[v]))
-            comp.free.append(comp.line_of.pop(v))
-            del rc[v]
-            for edge in net.fanins(v):
-                u = lit_node(edge)
-                if u >= first_gate:
-                    rc[u] -= 1
-                    if rc[u] == 0:
-                        stack.append(u)
-
-    for j, edge in enumerate(net.outputs):
-        if lit_node(edge) < first_gate:
-            comp.emit_output_copy(j)
+    absorbed = _absorbed_operands(net, reach) if inplace_xor else {}
+    compute: list[MctGate] = []
     for node, _kind, _fi in net.gates():
         if node not in reach:
             continue
-        constr[node] = comp.emit_node(node)
-        for j in out_uses.get(node, ()):
-            comp.emit_output_copy(j)
-            rc[node] -= 1
-        touched = [node]
-        for edge in net.fanins(node):
-            u = lit_node(edge)
-            if u >= first_gate:
-                rc[u] -= 1
-                touched.append(u)
-        settle(touched)
-    if rc or comp.line_of:
-        raise AssertionError("eager cleanup left live nodes behind")
-    return comp.finish(net.input_names, net.output_names)
-
-
-def inplace_xor_opt(net: Xmg, circuit: RevCircuit) -> RevCircuit:
-    """Fuse single-reader XOR operands onto their operand's line.
-
-    When an XOR node's operand is a gate node read nowhere else, the XOR can
-    target that operand's line directly, saving the fresh ancilla; cleanup
-    stays a straight reversal.  Returns the given circuit unchanged when no
-    node qualifies.
-    """
-    reach = _reachable_gates(net)
-    first_gate = 1 + net.num_inputs
-    uses: dict[int, int] = {v: 0 for v in reach}
-    for v in reach:
-        for edge in net.fanins(v):
-            u = lit_node(edge)
-            if u >= first_gate:
-                uses[u] += 1
-    for edge in net.outputs:
-        u = lit_node(edge)
-        if u >= first_gate:
-            uses[u] += 1
-
-    def fusable(node) -> int | None:
-        if net.kind(node) is not NodeKind.XOR:
-            return None
-        for edge in net.fanins(node):
-            u = lit_node(edge)
-            if u >= first_gate and uses[u] == 1:
-                return u
-        return None
-
-    if not any(fusable(v) is not None for v in reach):
-        return circuit
-
-    comp = _Compiler(net)
-    compute: list[MctGate] = []
-    for node, kind, fanins in net.gates():
-        if node not in reach:
-            continue
-        absorb = fusable(node)
+        absorb = absorbed.get(node)
         if absorb is None:
             compute.extend(comp.emit_node(node))
-            continue
-        other = next(e for e in fanins if lit_node(e) != absorb)
-        target = comp.line(absorb)
-        comp.line_of[node] = target
-        gate = cnot(comp.line(lit_node(other)), target)
-        compute.append(gate)
-        comp.gates.append(gate)
+        else:
+            compute.append(comp.emit_inplace_xor(node, absorb))
+    gates = list(compute)
     for j in range(comp.m):
-        comp.emit_output_copy(j)
-    comp.gates.extend(reversed(compute))
-    return comp.finish(net.input_names, net.output_names)
+        gates.extend(comp.output_copy(j))
+    gates.extend(reversed(compute))
+    return comp.finish(gates)

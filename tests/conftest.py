@@ -5,6 +5,9 @@ import random
 from revflow.logicnet import NodeKind, Xmg, lit_is_neg, lit_node
 from revflow.revcirc import RevCircuit, simulate_source_batch
 
+# the hier flow's variants, by test id: the inplace_xor switch of hier_synth
+HIER_VARIANTS = {"bennett": False, "inplace_xor": True}
+
 
 def random_permutation(rng: random.Random, width: int):
     images = list(range(1 << width))

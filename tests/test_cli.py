@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -138,6 +139,53 @@ def test_stats_sweep(capsys):
     rows = [json.loads(ln) for ln in out.splitlines() if ln.strip()]
     assert [r["n"] for r in rows] == [4, 5, 6]
     assert all(r["qubits"] == 2 * r["n"] for r in rows)
+
+
+# every method with each of its flow switches, as synth and stats --sweep take them
+FLOW_SWITCHES = [
+    ("functional", []), ("functional", ["--embedding", "bennett"]),
+    ("esop", []), ("esop", ["--no-minimize"]),
+    ("hier", []), ("hier", ["--inplace-xor"]),
+]
+
+
+@pytest.mark.parametrize("method,switches", FLOW_SWITCHES,
+                         ids=[" ".join([m, *s]) for m, s in FLOW_SWITCHES])
+def test_sweep_matches_synth(tmp_path, capsys, method, switches):
+    code = main(["stats", "--sweep", "4..6", "--design", "intdiv",
+                 "--method", method, *switches])
+    rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert code == 0 and [r["n"] for r in rows] == [4, 5, 6]
+    for row in rows:
+        src = tmp_path / f"d{row['n']}.{gen_fmt(method)}"
+        run(capsys, "gen", "--design", "intdiv", "-n", str(row["n"]),
+            "--format", gen_fmt(method), "-o", str(src))
+        code, rec, _ = run(capsys, "synth", str(src), "--method", method, *switches,
+                           "-o", str(tmp_path / "d.real"))
+        assert code == 0
+        for key in ("qubits", "gates", "t_count", "control_histogram"):
+            assert rec[key] == row[key], (row["n"], key)
+
+
+def test_eager_cleanup_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", str(tmp_path / "d.xmg"), "--method", "hier",
+              "--cleanup", "eager", "-o", str(tmp_path / "d.real")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("embedding", ["optimum", "bennett"])
+def test_functional_width_limit(tmp_path, capsys, embedding):
+    # INTDIV n=11 embeds on 21 (optimum) or 22 (bennett) lines, past the
+    # default limit of 20, so synth must refuse before building 2^r images
+    src = tmp_path / "d.pla"
+    run(capsys, "gen", "--design", "intdiv", "-n", "11", "--format", "pla",
+        "-o", str(src))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "synth", str(src), "--method", "functional",
+                       "--embedding", embedding, "-o", str(tmp_path / "d.real"))
+    assert code == 2 and "limit" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_sweep_requires_design_and_method(capsys):

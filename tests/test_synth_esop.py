@@ -1,4 +1,4 @@
-"""ESOP-based synthesis and the CNOT fan-out optimization."""
+"""ESOP-based synthesis."""
 
 import random
 
@@ -6,8 +6,8 @@ import pytest
 
 from revflow.arith import Design, DesignSpec, design_truth_table
 from revflow.logicnet import Cube, EsopForm, TruthTable, esop_from_tt, esop_minimize
-from revflow.revcirc import cost_report, verify_circuit
-from revflow.synth_esop import esop_share_cubes, esop_synth
+from revflow.revcirc import verify_circuit
+from revflow.synth_esop import esop_synth
 
 
 def test_single_cube_is_one_toffoli():
@@ -54,51 +54,3 @@ def test_random_tables_exact():
         tt = TruthTable(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n)))
         circ = esop_synth(esop_from_tt(tt))
         assert verify_circuit(circ, tt)
-
-
-def test_share_cubes_uses_cnot_copy():
-    form = EsopForm(3, 2, (Cube.from_literals({0: True, 1: True, 2: True}, 0b11),))
-    base = esop_synth(form)
-    shared = esop_share_cubes(form, base)
-    assert len(base.gates) == 2 and len(shared.gates) == 2
-    kinds = sorted(g.num_controls for g in shared.gates)
-    assert kinds == [1, 3]
-    tt = form.to_truth_table()
-    assert verify_circuit(base, tt) and verify_circuit(shared, tt)
-    assert cost_report(shared).t_count < cost_report(base).t_count
-
-
-def test_share_cubes_fallback_when_pivot_taken():
-    # second cube's outputs are both already fed, so it cannot share
-    form = EsopForm(2, 2, (
-        Cube.from_literals({0: True}, 0b11),
-        Cube.from_literals({1: True}, 0b11),
-    ))
-    shared = esop_share_cubes(form, esop_synth(form))
-    tt = form.to_truth_table()
-    assert verify_circuit(shared, tt)
-    assert cost_report(shared).t_count <= cost_report(esop_synth(form)).t_count
-
-
-def test_share_cubes_no_opportunity_returns_input():
-    form = EsopForm(2, 1, (Cube.from_literals({0: True}, 1),))
-    circ = esop_synth(form)
-    assert esop_share_cubes(form, circ) is circ
-
-
-def test_share_cubes_random_equivalence():
-    rng = random.Random(97)
-    for _ in range(25):
-        n = rng.randrange(2, 5)
-        m = rng.randrange(2, 4)
-        cubes = []
-        for _ in range(rng.randrange(1, 6)):
-            lits = {i: bool(rng.randrange(2)) for i in range(n) if rng.randrange(2)}
-            cubes.append(Cube.from_literals(lits, rng.randrange(1, 1 << m)))
-        form = EsopForm(n, m, tuple(cubes))
-        base = esop_synth(form)
-        shared = esop_share_cubes(form, base)
-        tt = form.to_truth_table()
-        assert verify_circuit(base, tt)
-        assert verify_circuit(shared, tt)
-        assert cost_report(shared).t_count <= cost_report(base).t_count

@@ -1,19 +1,14 @@
-"""Hierarchical synthesis from majority-xor nets, both cleanup strategies."""
+"""Hierarchical synthesis from majority-xor nets, with and without in-place XOR."""
 
 import random
 
 import pytest
 
-from conftest import clean_ancillas, naive_xmg_eval, random_xmg, toffoli_count
+from conftest import HIER_VARIANTS, clean_ancillas, naive_xmg_eval, random_xmg, toffoli_count
 from revflow.arith import Design, DesignSpec, design_truth_table, gen_intdiv_xmg
 from revflow.logicnet import TruthTable, Xmg
 from revflow.revcirc import cost_report, verify_circuit
-from revflow.synth_hier import (
-    STRATEGIES,
-    hier_synth,
-    inplace_xor_opt,
-    reachable_gate_counts,
-)
+from revflow.synth_hier import hier_synth, reachable_gate_counts
 
 
 def _net_table(net: Xmg) -> TruthTable:
@@ -60,13 +55,13 @@ def test_constant_output():
     assert verify_circuit(circ, TruthTable(1, 2, (1, 1)))
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_random_nets(strategy):
-    rng = random.Random(131 + len(strategy))
+@pytest.mark.parametrize("variant", HIER_VARIANTS)
+def test_random_nets(variant):
+    rng = random.Random(131 + len(variant))
     for _ in range(30):
         net = random_xmg(rng, rng.randrange(2, 5), rng.randrange(1, 10),
                          rng.randrange(1, 4))
-        circ = hier_synth(net, strategy=strategy)
+        circ = hier_synth(net, inplace_xor=HIER_VARIANTS[variant])
         assert verify_circuit(circ, _net_table(net))
         assert clean_ancillas(circ)
         inputs = set(circ.input_lines())
@@ -76,20 +71,10 @@ def test_random_nets(strategy):
         assert cost_report(circ).t_count == 7 * toffoli_count(circ)
 
 
-def test_eager_never_wider():
-    rng = random.Random(149)
-    for _ in range(30):
-        net = random_xmg(rng, rng.randrange(2, 5), rng.randrange(2, 12),
-                         rng.randrange(1, 4))
-        wide = hier_synth(net, strategy="bennett").width
-        slim = hier_synth(net, strategy="eager").width
-        assert slim <= wide
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_intdiv_design(strategy):
+@pytest.mark.parametrize("variant", HIER_VARIANTS)
+def test_intdiv_design(variant):
     spec = DesignSpec(Design.INTDIV, 4)
-    circ = hier_synth(gen_intdiv_xmg(spec), strategy=strategy)
+    circ = hier_synth(gen_intdiv_xmg(spec), inplace_xor=HIER_VARIANTS[variant])
     assert verify_circuit(circ, design_truth_table(spec))
     assert clean_ancillas(circ)
 
@@ -97,8 +82,9 @@ def test_intdiv_design(strategy):
 def test_bad_strategy_rejected():
     net = Xmg()
     net.add_output(net.add_input())
-    with pytest.raises(ValueError):
-        hier_synth(net, strategy="lazy")
+    for strategy in ("lazy", "eager"):
+        with pytest.raises(ValueError):
+            hier_synth(net, strategy=strategy)
 
 
 def test_inplace_xor_saves_lines():
@@ -110,7 +96,7 @@ def test_inplace_xor_saves_lines():
         acc = net.add_xor(acc, nxt)
     net.add_output(acc)
     base = hier_synth(net)
-    opt = inplace_xor_opt(net, base)
+    opt = hier_synth(net, inplace_xor=True)
     assert opt.width < base.width
     tt = _net_table(net)
     assert verify_circuit(base, tt) and verify_circuit(opt, tt)
@@ -121,8 +107,7 @@ def test_inplace_xor_noop_returns_input():
     net = Xmg()
     a, b, c = (net.add_input() for _ in range(3))
     net.add_output(net.add_maj(a, b, c))
-    circ = hier_synth(net)
-    assert inplace_xor_opt(net, circ) is circ
+    assert hier_synth(net, inplace_xor=True) == hier_synth(net)
 
 
 def test_inplace_xor_random_equivalence():
@@ -131,7 +116,7 @@ def test_inplace_xor_random_equivalence():
         net = random_xmg(rng, rng.randrange(2, 5), rng.randrange(2, 10),
                          rng.randrange(1, 3))
         base = hier_synth(net)
-        opt = inplace_xor_opt(net, base)
+        opt = hier_synth(net, inplace_xor=True)
         tt = _net_table(net)
         assert verify_circuit(opt, tt)
         assert clean_ancillas(opt)
