@@ -22,7 +22,6 @@ from .logicnet import (
     DEFAULT_TT_LIMIT,
     EsopForm,
     ParseError,
-    TableLimitError,
     TruthTable,
     Xmg,
     _check_limit,
@@ -103,13 +102,9 @@ def read_tt_file(path, limit: int | None = None) -> TruthTable:
 # --- shared plumbing ------------------------------------------------------
 
 
-def _parse_design(name: str) -> Design:
-    return Design(name)
-
-
 def _make_spec(design: str, n: int) -> DesignSpec:
     try:
-        return DesignSpec(_parse_design(design), n)
+        return DesignSpec(Design(design), n)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -349,13 +344,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, TableLimitError) as exc:
-        print(f"revflow: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"revflow: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, OSError, ValueError) as exc:  # ParseError and TableLimitError are ValueErrors
         print(f"revflow: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,12 @@ records which lines are primary inputs versus constants and which lines carry
 function outputs at the end; everything else is garbage.  Simulation works on
 whole input batches at once by keeping one big integer per line whose bit x is
 the line's value under assignment x.
+
+A gate keeps its controls as one tuple of line literals, ``line << 1 | neg``
+(the edge encoding of ``logicnet.Xmg``), strictly ascending by line.  A
+literal with ``neg`` set is a negative control: it holds when its line is 0.
+The ascending form is canonical, so equal gates compare equal and REAL files
+write and read the controls in the same order.
 """
 
 from __future__ import annotations
@@ -37,46 +43,50 @@ __all__ = [
 FULL_SIM_MAX_WIDTH = 24
 
 
+def _bits(word: int):
+    """Positions of the set bits of a non-negative word, ascending."""
+    while word:
+        low = word & -word
+        yield low.bit_length() - 1
+        word ^= low
+
+
 @dataclass(frozen=True)
 class MctGate:
-    """Flip the target iff all positive controls are 1 and negatives are 0."""
+    """Flip the target iff every control literal holds."""
 
     target: int
-    positive_controls: frozenset[int] = frozenset()
-    negative_controls: frozenset[int] = frozenset()
+    controls: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.target < 0:
             raise ValueError("negative target line")
-        if any(c < 0 for c in self.positive_controls | self.negative_controls):
-            raise ValueError("negative control line")
-        if self.positive_controls & self.negative_controls:
-            raise ValueError("a control cannot be both polarities")
-        if self.target in self.positive_controls or self.target in self.negative_controls:
-            raise ValueError("target used as its own control")
+        prev = -1
+        for c in self.controls:
+            line = c >> 1
+            if line <= prev:
+                raise ValueError("control lines must be non-negative and in strictly ascending order")
+            if line == self.target:
+                raise ValueError("target used as its own control")
+            prev = line
 
     @property
     def num_controls(self) -> int:
-        return len(self.positive_controls) + len(self.negative_controls)
-
-    @property
-    def lines(self) -> frozenset:
-        return self.positive_controls | self.negative_controls | {self.target}
+        return len(self.controls)
 
     def apply(self, word: int) -> int:
-        pos = sum(1 << c for c in self.positive_controls)
-        neg = sum(1 << c for c in self.negative_controls)
-        if word & pos == pos and word & neg == 0:
-            word ^= 1 << self.target
-        return word
+        for c in self.controls:
+            if not ((word >> (c >> 1)) ^ c) & 1:
+                return word
+        return word ^ 1 << self.target
 
 
 def cnot(control: int, target: int) -> MctGate:
-    return MctGate(target, frozenset((control,)))
+    return MctGate(target, (control << 1,))
 
 
 def toffoli(c1: int, c2: int, target: int) -> MctGate:
-    return MctGate(target, frozenset((c1, c2)))
+    return MctGate(target, tuple(sorted((c1 << 1, c2 << 1))))
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,7 @@ class RevCircuit:
         if declared != list(range(len(declared))):
             raise ValueError("output indices must be 0..m-1 in line order")
         for gate in self.gates:
-            if max(gate.lines) >= self.width:
+            if gate.target >= self.width or gate.controls and gate.controls[-1] >> 1 >= self.width:
                 raise ValueError("gate uses a line beyond the circuit width")
 
     @classmethod
@@ -126,16 +136,6 @@ class RevCircuit:
             constants=(None,) * width,
             outputs=tuple(range(width)),
         )
-
-    def with_meta(self, *, line_names=None, constants=None, outputs=None) -> "RevCircuit":
-        kw = {}
-        if line_names is not None:
-            kw["line_names"] = tuple(line_names)
-        if constants is not None:
-            kw["constants"] = tuple(constants)
-        if outputs is not None:
-            kw["outputs"] = tuple(outputs)
-        return replace(self, **kw)
 
     def with_embedding(self, emb: Embedding, input_names: Sequence[str] | None = None) -> "RevCircuit":
         """Stamp line roles from an embedding (inputs on the low lines)."""
@@ -152,7 +152,7 @@ class RevCircuit:
         outs: list = [None] * self.width
         for j, line in emb.output_lines.items():
             outs[line] = j
-        return self.with_meta(line_names=names, constants=consts, outputs=outs)
+        return replace(self, line_names=tuple(names), constants=tuple(consts), outputs=tuple(outs))
 
     @property
     def num_inputs(self) -> int:
@@ -190,11 +190,9 @@ def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
     full = (1 << batch) - 1
     for gate in circ.gates:
         fire = full
-        for c in gate.positive_controls:
-            fire &= planes[c]
-        for c in gate.negative_controls:
-            fire &= ~planes[c]
-        planes[gate.target] ^= fire & full
+        for c in gate.controls:
+            fire &= ~planes[c >> 1] if c & 1 else planes[c >> 1]
+        planes[gate.target] ^= fire
     return planes
 
 
@@ -238,46 +236,19 @@ def simulate_full(circ: RevCircuit) -> Permutation:
     return Permutation(r, tuple(images))
 
 
-def _embedding_from_meta(circ: RevCircuit) -> Embedding:
-    inputs = circ.input_lines()
-    if inputs != list(range(len(inputs))):
-        raise ValueError("derived embeddings need the inputs on the low lines")
-    return Embedding(
-        source_inputs=len(inputs),
-        source_outputs=circ.num_outputs,
-        width=circ.width,
-        constant_inputs={i: c for i, c in enumerate(circ.constants) if c is not None},
-        output_lines={o: i for i, o in enumerate(circ.outputs) if o is not None},
-        garbage_lines=tuple(i for i, o in enumerate(circ.outputs) if o is None),
-    )
-
-
-def verify_circuit(circ: RevCircuit, tt: TruthTable, emb: Embedding | None = None) -> bool:
+def verify_circuit(circ: RevCircuit, tt: TruthTable) -> bool:
     """True iff the circuit computes the table on its output lines.
 
-    Constants are driven from the embedding (or the circuit's own metadata
-    when emb is None) and every source assignment is checked at once.
+    Constant lines hold their values and every source assignment is checked
+    at once.
     """
-    if emb is None:
-        emb = _embedding_from_meta(circ)
-    if emb.width != circ.width:
-        raise ValueError("embedding width does not match circuit")
-    if emb.source_inputs != tt.num_inputs or emb.source_outputs != tt.num_outputs:
-        raise ValueError("embedding shape does not match the table")
-    n = tt.num_inputs
-    batch = 1 << n
-    full = (1 << batch) - 1
-    planes = []
-    for line in range(circ.width):
-        if line < n:
-            planes.append(_input_pattern(line, n))
-        else:
-            planes.append(full if emb.constant_inputs[line] else 0)
-    _run_planes(circ, planes, batch)
-    for j, line in emb.output_lines.items():
-        if planes[line] != tt.output_column(j):
-            return False
-    return True
+    if circ.num_inputs != tt.num_inputs or circ.num_outputs != tt.num_outputs:
+        raise ValueError(
+            f"circuit has {circ.num_inputs} inputs / {circ.num_outputs} outputs, "
+            f"table has {tt.num_inputs} / {tt.num_outputs}"
+        )
+    planes = simulate_source_batch(circ)
+    return all(planes[circ.output_line(j)] == tt.output_column(j) for j in range(tt.num_outputs))
 
 
 # --- cost accounting ---------------------------------------------------
@@ -395,12 +366,10 @@ def write_real(circ: RevCircuit, path) -> None:
         garbage = "".join("1" if o is None else "-" for o in circ.outputs)
         fh.write(f".garbage {garbage}\n")
         fh.write(".begin\n")
+        # literal c is written as lit_names[c]: the line name, "-" when negative
+        lit_names = [s for name in circ.line_names for s in (name, "-" + name)]
         for gate in circ.gates:
-            ordered = sorted(gate.positive_controls | gate.negative_controls)
-            parts = []
-            for line in ordered:
-                name = circ.line_names[line]
-                parts.append(f"-{name}" if line in gate.negative_controls else name)
+            parts = [lit_names[c] for c in gate.controls]
             parts.append(circ.line_names[gate.target])
             fh.write(f"t{len(parts)} " + " ".join(parts) + "\n")
         fh.write(".end\n")
@@ -484,19 +453,24 @@ def read_real(path) -> RevCircuit:
             operands = tokens[1:]
             if arity < 1 or len(operands) != arity:
                 fail(f"gate {key} expects {arity} operands", lineno)
-            pos, neg = set(), set()
+            controls = []
             for op in operands[:-1]:
                 negated = op.startswith("-")
                 name = op[1:] if negated else op
                 if name not in index:
                     fail(f"unknown line {name!r}", lineno)
-                (neg if negated else pos).add(index[name])
+                controls.append(index[name] << 1 | negated)
             if operands[-1] not in index:
                 fail(f"unknown line {operands[-1]!r}", lineno)
+            target = index[operands[-1]]
+            controls.sort()
             try:
-                gates.append(MctGate(index[operands[-1]], frozenset(pos), frozenset(neg)))
-            except ValueError as exc:
-                fail(str(exc), lineno)
+                gates.append(MctGate(target, tuple(controls)))
+            except ValueError:
+                # the lines are known and sorted, so only a repeat is left
+                named = [target] + [c >> 1 for c in controls]
+                twice = next(line for line in named if named.count(line) > 1)
+                fail(f"line {names[twice]!r} named twice in one gate", lineno)
 
     if width is None or names is None:
         raise ParseError("missing .numvars/.variables", str(path), 0)

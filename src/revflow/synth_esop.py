@@ -8,26 +8,10 @@ form out_j = 0 xor f_j(x) on n + m lines.
 
 from __future__ import annotations
 
-from .logicnet import Cube, EsopForm
-from .revcirc import MctGate, RevCircuit
+from .logicnet import EsopForm
+from .revcirc import MctGate, RevCircuit, _bits
 
 __all__ = ["esop_synth"]
-
-
-def _cube_controls(cube: Cube) -> tuple[frozenset, frozenset]:
-    pos, neg = set(), set()
-    for line, positive in cube.literals.items():
-        (pos if positive else neg).add(line)
-    return frozenset(pos), frozenset(neg)
-
-
-def _out_bits(mask: int):
-    j = 0
-    while mask:
-        if mask & 1:
-            yield j
-        mask >>= 1
-        j += 1
 
 
 def esop_synth(esop: EsopForm) -> RevCircuit:
@@ -35,9 +19,10 @@ def esop_synth(esop: EsopForm) -> RevCircuit:
     n, m = esop.num_inputs, esop.num_outputs
     gates = []
     for cube in esop.cubes:
-        pos, neg = _cube_controls(cube)
-        for j in _out_bits(cube.output_mask):
-            gates.append(MctGate(n + j, pos, neg))
+        neg = ~cube.polarity
+        controls = tuple(i << 1 | (neg >> i & 1) for i in _bits(cube.mask))
+        for j in _bits(cube.output_mask):
+            gates.append(MctGate(n + j, controls))
     return RevCircuit(
         width=n + m,
         gates=tuple(gates),

@@ -13,16 +13,9 @@ from __future__ import annotations
 
 from .embedding import Embedding, Permutation
 from .logicnet import _input_pattern
-from .revcirc import MctGate, RevCircuit
+from .revcirc import MctGate, RevCircuit, _bits
 
 __all__ = ["tbs", "tbs_invariant_check"]
-
-
-def _bits(word: int):
-    while word:
-        low = word & -word
-        yield low.bit_length() - 1
-        word ^= low
 
 
 def tbs(perm: Permutation, embedding: Embedding | None = None, trace: list | None = None) -> RevCircuit:
@@ -44,10 +37,12 @@ def tbs(perm: Permutation, embedding: Embedding | None = None, trace: list | Non
 
     emitted: list[MctGate] = []
 
-    def apply(ctrl_mask: int, target: int) -> None:
+    def emit(ctrl_mask: int, target: int) -> None:
+        gate = MctGate(target, tuple(c << 1 for c in _bits(ctrl_mask)))
+        emitted.append(gate)
         fire = full
-        for c in _bits(ctrl_mask):
-            fire &= planes[c]
+        for c in gate.controls:
+            fire &= planes[c >> 1]
         planes[target] ^= fire
 
     def image_at(x: int) -> int:
@@ -56,14 +51,10 @@ def tbs(perm: Permutation, embedding: Embedding | None = None, trace: list | Non
     for i in range(size):
         y = image_at(i)
         for b in _bits(i & ~y):
-            gate = MctGate(b, frozenset(_bits(y)))
-            emitted.append(gate)
-            apply(y, b)
+            emit(y, b)
             y |= 1 << b
-        controls = frozenset(_bits(i))
         for b in _bits(y & ~i):
-            emitted.append(MctGate(b, controls))
-            apply(i, b)
+            emit(i, b)
         if trace is not None:
             trace.append(tuple(image_at(x) for x in range(size)))
 

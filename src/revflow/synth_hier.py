@@ -127,7 +127,7 @@ class _Compiler:
         a_line = None if a_const else self.line(a_node)
 
         setup: list[MctGate] = []
-        pos, neg_ctl = set(), set()
+        controls = []
         released: list[int] = []
         for op_node, op_neg in ops:
             invert = a_neg ^ op_neg
@@ -143,10 +143,10 @@ class _Compiler:
             else:
                 setup.append(cnot(a_line, op_line))
                 ctl = op_line
-            (neg_ctl if invert else pos).add(ctl)
+            controls.append(ctl << 1 | invert)
 
         seq = list(setup)
-        seq.append(MctGate(target, frozenset(pos), frozenset(neg_ctl)))
+        seq.append(MctGate(target, tuple(sorted(controls))))
         if not a_const:
             seq.append(cnot(a_line, target))
         if a_neg:

@@ -27,15 +27,15 @@ from revflow.synth_functional import tbs
 
 def test_gate_validation():
     with pytest.raises(ValueError):
-        MctGate(0, frozenset({0}))                      # target as control
+        MctGate(0, (0 << 1,))                           # target as control
     with pytest.raises(ValueError):
-        MctGate(2, frozenset({1}), frozenset({1}))      # both polarities
+        MctGate(2, (1 << 1, 1 << 1 | 1))                # both polarities
     with pytest.raises(ValueError):
         MctGate(-1)
 
 
 def test_gate_apply_and_self_inverse():
-    g = MctGate(2, frozenset({0}), frozenset({1}))
+    g = MctGate(2, (0 << 1, 1 << 1 | 1))
     assert g.apply(0b001) == 0b101
     assert g.apply(0b011) == 0b011              # negative control blocks
     rng = random.Random(2)
@@ -47,7 +47,7 @@ def test_gate_apply_and_self_inverse():
         n_ctl = rng.randrange(0, width - 1)
         pos = frozenset(lines[1 : 1 + n_ctl // 2 + 1]) - {t}
         neg = frozenset(lines[1 + len(pos) : 1 + n_ctl]) - pos - {t}
-        g = MctGate(t, pos, neg)
+        g = MctGate(t, tuple(sorted([c << 1 for c in pos] + [c << 1 | 1 for c in neg])))
         w = rng.randrange(1 << width)
         assert g.apply(g.apply(w)) == w
 
@@ -64,7 +64,7 @@ def test_circuit_metadata_validation():
         RevCircuit(1, g, ("a",), (None,), (0,))                  # gate off the end
 
 
-def test_simulate_agrees_with_full():
+def test_simulate_agrees_with_full(tmp_path):
     rng = random.Random(13)
     for _ in range(10):
         width = rng.randrange(1, 7)
@@ -76,11 +76,14 @@ def test_simulate_agrees_with_full():
             k = rng.randrange(0, len(others) + 1)
             pos = frozenset(others[: k // 2])
             neg = frozenset(others[k // 2 : k])
-            gates.append(MctGate(t, pos, neg))
+            gates.append(MctGate(t, tuple(sorted([c << 1 for c in pos] + [c << 1 | 1 for c in neg]))))
         circ = RevCircuit.generic(width, gates)
         perm = simulate_full(circ)
         for w in range(1 << width):
             assert simulate(circ, w) == perm.images[w]
+        path = tmp_path / "rand.real"
+        write_real(circ, path)
+        assert read_real(path) == circ
 
 
 def test_simulate_full_is_bijective_by_construction():
@@ -110,6 +113,14 @@ def test_verify_circuit_positive_and_negative():
         circ.outputs,
     )
     assert not verify_circuit(broken, tt)
+
+
+def test_verify_circuit_shape_mismatch():
+    circ = RevCircuit(3, (toffoli(0, 1, 2),), ("a", "b", "y"), (None, None, 0), (None, None, 0))
+    with pytest.raises(ValueError):
+        verify_circuit(circ, TruthTable(3, 1, (0,) * 8))        # input count differs
+    with pytest.raises(ValueError):
+        verify_circuit(circ, TruthTable(2, 2, (0, 1, 1, 0)))    # output count differs
 
 
 def test_source_batch_drives_constants():
@@ -169,7 +180,7 @@ def test_real_roundtrip_exact(tmp_path):
 
 
 def test_real_negative_controls_roundtrip(tmp_path):
-    circ = RevCircuit.generic(3, [MctGate(2, frozenset({0}), frozenset({1}))])
+    circ = RevCircuit.generic(3, [MctGate(2, (0 << 1, 1 << 1 | 1))])
     path = tmp_path / "neg.real"
     write_real(circ, path)
     back = read_real(path)
@@ -193,6 +204,12 @@ def test_real_parse_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(ParseError):
             read_real(p)
+    # a control named twice, and a control in both polarities
+    for gate in ("t3 a a b", "t3 a -a b"):
+        p.write_text(f".numvars 3\n.variables a b c\n.begin\n{gate}\n.end\n")
+        with pytest.raises(ParseError, match="'a' named twice") as info:
+            read_real(p)
+        assert info.value.line == 4
 
 
 def test_real_error_location(tmp_path):

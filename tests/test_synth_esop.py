@@ -16,7 +16,7 @@ def test_single_cube_is_one_toffoli():
     assert circ.width == 3
     assert len(circ.gates) == 1
     g = circ.gates[0]
-    assert g.target == 2 and g.positive_controls == frozenset({0, 1})
+    assert g.target == 2 and g.controls == (0 << 1, 1 << 1)
     assert verify_circuit(circ, TruthTable(2, 1, (0, 0, 0, 1)))
 
 
@@ -24,8 +24,7 @@ def test_mixed_polarity_controls():
     form = EsopForm(2, 1, (Cube.from_literals({0: True, 1: False}, 1),))
     circ = esop_synth(form)
     g = circ.gates[0]
-    assert g.positive_controls == frozenset({0})
-    assert g.negative_controls == frozenset({1})
+    assert g.controls == (0 << 1, 1 << 1 | 1)
     assert verify_circuit(circ, TruthTable(2, 1, (0, 1, 0, 0)))
 
 

@@ -81,4 +81,3 @@ def test_intdiv_both_embeddings(embed):
     circ = tbs(perm, embedding=emb)
     assert simulate_full(circ).images == perm.images
     assert verify_circuit(circ, tt)
-    assert verify_circuit(circ, tt, emb)
