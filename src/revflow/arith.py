@@ -155,34 +155,25 @@ def default_newton_iterations(precision: int) -> int:
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """A reciprocal design instance: which datapath, its width, and knobs.
+    """A reciprocal design instance: which datapath and its width.
 
-    newton_precision is the fractional width P carried through normalization
-    and iteration (default 2n); iteration_override pins the Newton iteration
-    count exactly.  Both are ignored by INTDIV.
+    NEWTON carries a fractional width of precision = 2n bits through
+    normalization and iteration; INTDIV ignores it.
     """
 
     design: Design
     bitwidth: int
-    newton_precision: int | None = None
-    iteration_override: int | None = None
 
     def __post_init__(self):
         if self.bitwidth < 2:
             raise ValueError("bitwidth must be at least 2")
-        if self.newton_precision is not None and self.newton_precision < self.bitwidth:
-            raise ValueError("precision below the input width loses normalization bits")
-        if self.iteration_override is not None and self.iteration_override < 0:
-            raise ValueError("negative iteration count")
 
     @property
     def precision(self) -> int:
-        return self.newton_precision if self.newton_precision is not None else 2 * self.bitwidth
+        return 2 * self.bitwidth
 
     @property
     def iterations(self) -> int:
-        if self.iteration_override is not None:
-            return self.iteration_override
         return default_newton_iterations(self.precision)
 
 

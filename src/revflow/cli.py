@@ -37,8 +37,8 @@ from .revcirc import (
     CostModel,
     RevCircuit,
     cost_report,
+    first_mismatch,
     read_real,
-    simulate_source_batch,
     write_real,
 )
 from .synth_esop import esop_synth
@@ -227,24 +227,8 @@ def cmd_verify(args) -> int:
     circ = read_real(args.circuit)
     spec = _make_spec(args.design, args.bits)
     table = design_truth_table(spec, tt_limit())
-    if circ.num_inputs != table.num_inputs or circ.num_outputs != table.num_outputs:
-        raise CliError(
-            f"circuit has {circ.num_inputs} inputs / {circ.num_outputs} outputs, "
-            f"design needs {table.num_inputs} / {table.num_outputs}"
-        )
-    planes = simulate_source_batch(circ)
-    counterexample = None
-    for j in range(table.num_outputs):
-        diff = planes[circ.output_line(j)] ^ table.output_column(j)
-        if diff:
-            x = (diff & -diff).bit_length() - 1
-            if counterexample is None or x < counterexample["x"]:
-                counterexample = {
-                    "x": x,
-                    "output": j,
-                    "got": planes[circ.output_line(j)] >> x & 1,
-                    "want": table.output_column(j) >> x & 1,
-                }
+    mismatch = first_mismatch(circ, table)
+    counterexample = None if mismatch is None else dict(zip(("x", "output", "got", "want"), mismatch))
     _report(
         {
             "design": args.design,

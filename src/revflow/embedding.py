@@ -2,9 +2,12 @@
 
 An embedding widens an n-input, m-output function to r lines by adding
 constant inputs and garbage outputs until some permutation of r-bit words
-agrees with the function on the designated output lines whenever the
-constant lines hold their fixed values.  Source inputs always sit on the
-low n lines and added constants (always 0 here) on the lines above them.
+agrees with the function on the output lines whenever the constant lines
+hold 0.  Both embeddings here use one layout: source inputs on lines
+0..n-1, a constant 0 on every line above them, and output j on line
+r - m + j (the top m lines); every other line ends as garbage.  So an
+embedding word is just the input assignment x, and its image carries f(x)
+in its top m bits.
 """
 
 from __future__ import annotations
@@ -53,34 +56,14 @@ class Permutation:
 
 @dataclass(frozen=True)
 class Embedding:
-    """How source inputs, constants, outputs and garbage map onto r lines."""
+    """Shape of an embedding: n source inputs and m outputs on r lines.
+
+    The line roles follow from the shape (see the module docstring).
+    """
 
     source_inputs: int
     source_outputs: int
     width: int
-    constant_inputs: dict[int, int]  # line -> fixed input bit
-    output_lines: dict[int, int]     # source output j -> line carrying it
-    garbage_lines: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.source_inputs + len(self.constant_inputs) != self.width:
-            raise ValueError("constants must fill all lines beyond the source inputs")
-        if len(self.output_lines) != self.source_outputs:
-            raise ValueError("every source output needs a line")
-        lines = sorted(self.output_lines.values())
-        if len(set(lines)) != len(lines):
-            raise ValueError("output lines collide")
-        if set(self.garbage_lines) & set(self.output_lines.values()):
-            raise ValueError("garbage overlaps output lines")
-        if len(self.garbage_lines) + self.source_outputs != self.width:
-            raise ValueError("output roles must cover every line exactly once")
-
-    def domain_word(self, x: int) -> int:
-        """Pack a source assignment with the constant inputs into an r-bit word."""
-        w = x
-        for line, bit in self.constant_inputs.items():
-            w |= bit << line
-        return w
 
 
 def min_additional_lines(tt: TruthTable) -> int:
@@ -108,15 +91,7 @@ def bennett_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation
     for w in range(1 << r):
         x = w & ((1 << n) - 1)
         images.append(w ^ (tt.rows[x] << n))
-    emb = Embedding(
-        source_inputs=n,
-        source_outputs=m,
-        width=r,
-        constant_inputs={n + j: 0 for j in range(m)},
-        output_lines={j: n + j for j in range(m)},
-        garbage_lines=tuple(range(n)),
-    )
-    return Permutation(r, tuple(images)), emb
+    return Permutation(r, tuple(images)), Embedding(n, m, r)
 
 
 def optimum_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation, Embedding]:
@@ -147,15 +122,7 @@ def optimum_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation
     free = (w for w in range(size) if not claimed[w])
     for w in range(1 << n, size):
         images[w] = next(free)
-    emb = Embedding(
-        source_inputs=n,
-        source_outputs=m,
-        width=r,
-        constant_inputs={line: 0 for line in range(n, r)},
-        output_lines={j: g + j for j in range(m)},
-        garbage_lines=tuple(range(g)),
-    )
-    return Permutation(r, tuple(images)), emb
+    return Permutation(r, tuple(images)), Embedding(n, m, r)
 
 
 def verify_embedding(perm: Permutation, emb: Embedding, tt: TruthTable) -> bool:
@@ -164,10 +131,5 @@ def verify_embedding(perm: Permutation, emb: Embedding, tt: TruthTable) -> bool:
         raise ValueError("permutation and embedding widths differ")
     if emb.source_inputs != tt.num_inputs or emb.source_outputs != tt.num_outputs:
         raise ValueError("embedding shape does not match the table")
-    for x in range(1 << tt.num_inputs):
-        image = perm.images[emb.domain_word(x)]
-        want = tt.rows[x]
-        for j, line in emb.output_lines.items():
-            if (image >> line) & 1 != (want >> j) & 1:
-                return False
-    return True
+    g = emb.width - emb.source_outputs
+    return all(perm.images[x] >> g == tt.rows[x] for x in range(1 << tt.num_inputs))

@@ -551,26 +551,6 @@ class Xmg:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, x: int) -> int:
-        """Output word for one input assignment (bit i of x is input i)."""
-        values = [0] * len(self._kinds)
-        for i in range(self.num_inputs):
-            values[1 + i] = x >> i & 1
-        for node, kind, fi in self.gates():
-            if kind is NodeKind.XOR:
-                a, b = fi
-                values[node] = (values[a >> 1] ^ (a & 1)) ^ (values[b >> 1] ^ (b & 1))
-            else:
-                a, b, c = fi
-                va = values[a >> 1] ^ (a & 1)
-                vb = values[b >> 1] ^ (b & 1)
-                vc = values[c >> 1] ^ (c & 1)
-                values[node] = (va & vb) | (va & vc) | (vb & vc)
-        word = 0
-        for j, out in enumerate(self._outputs):
-            word |= (values[out >> 1] ^ (out & 1)) << j
-        return word
-
     def to_truth_table(self, limit: int | None = None) -> TruthTable:
         """Tabulate all assignments at once, one bit-parallel pass per node."""
         n = self.num_inputs

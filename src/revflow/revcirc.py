@@ -2,9 +2,12 @@
 
 A circuit is a fixed set of lines and an ordered gate cascade.  Line metadata
 records which lines are primary inputs versus constants and which lines carry
-function outputs at the end; everything else is garbage.  Simulation works on
-whole input batches at once by keeping one big integer per line whose bit x is
-the line's value under assignment x.
+function outputs at the end; everything else is garbage.  Every flow lays its
+lines out the same way, through ``RevCircuit.layout``: inputs on the low
+lines, a constant 0 on every other line, and the outputs on consecutive
+lines.  ``read_real`` accepts any roles a REAL file declares.  Simulation
+works on whole input batches at once by keeping one big integer per line
+whose bit x is the line's value under assignment x.
 
 A gate keeps its controls as one tuple of line literals, ``line << 1 | neg``
 (the edge encoding of ``logicnet.Xmg``), strictly ascending by line.  A
@@ -16,9 +19,9 @@ write and read the controls in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .embedding import Embedding, Permutation
+from .embedding import Permutation
 from .logicnet import ParseError, TruthTable, _input_pattern
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "simulate_source_batch",
     "simulate_full",
     "verify_circuit",
+    "first_mismatch",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "CostReport",
@@ -127,32 +131,26 @@ class RevCircuit:
                 raise ValueError("gate uses a line beyond the circuit width")
 
     @classmethod
-    def generic(cls, width: int, gates: Iterable[MctGate]) -> "RevCircuit":
-        """All lines primary inputs, all lines outputs in place."""
+    def layout(cls, width: int, gates: Iterable[MctGate], names: Iterable[str],
+               num_inputs: int, num_outputs: int, first_output: int) -> "RevCircuit":
+        """The one line layout of every flow.
+
+        Inputs sit on lines 0..num_inputs-1, every other line is a constant 0,
+        and output j sits on line first_output + j; the rest is garbage.
+        """
+        tail = width - first_output - num_outputs
         return cls(
             width=width,
             gates=tuple(gates),
-            line_names=tuple(f"l{i}" for i in range(width)),
-            constants=(None,) * width,
-            outputs=tuple(range(width)),
+            line_names=tuple(names),
+            constants=(None,) * num_inputs + (0,) * (width - num_inputs),
+            outputs=(None,) * first_output + tuple(range(num_outputs)) + (None,) * tail,
         )
 
-    def with_embedding(self, emb: Embedding, input_names: Sequence[str] | None = None) -> "RevCircuit":
-        """Stamp line roles from an embedding (inputs on the low lines)."""
-        if emb.width != self.width:
-            raise ValueError("embedding width does not match circuit")
-        n = emb.source_inputs
-        names = list(input_names) if input_names is not None else [f"x{i}" for i in range(n)]
-        if len(names) != n:
-            raise ValueError("need one name per source input")
-        consts: list = [None] * self.width
-        for line, bit in emb.constant_inputs.items():
-            consts[line] = bit
-            names.append(f"c{line}")
-        outs: list = [None] * self.width
-        for j, line in emb.output_lines.items():
-            outs[line] = j
-        return replace(self, line_names=tuple(names), constants=tuple(consts), outputs=tuple(outs))
+    @classmethod
+    def generic(cls, width: int, gates: Iterable[MctGate]) -> "RevCircuit":
+        """All lines primary inputs, all lines outputs in place."""
+        return cls.layout(width, gates, (f"l{i}" for i in range(width)), width, width, 0)
 
     @property
     def num_inputs(self) -> int:
@@ -196,16 +194,13 @@ def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
     return planes
 
 
-def simulate_source_batch(circ: RevCircuit, num_inputs: int | None = None) -> list:
+def simulate_source_batch(circ: RevCircuit) -> list:
     """Final value of every line across all source-input assignments.
 
     Bit x of entry L is line L's final value when the primary inputs (taken
     in ascending line order) spell x and constant lines hold their values.
     """
-    inputs = circ.input_lines()
-    n = len(inputs) if num_inputs is None else num_inputs
-    if n != len(inputs):
-        raise ValueError("num_inputs does not match the circuit's input lines")
+    n = circ.num_inputs
     batch = 1 << n
     full = (1 << batch) - 1
     planes = []
@@ -236,11 +231,13 @@ def simulate_full(circ: RevCircuit) -> Permutation:
     return Permutation(r, tuple(images))
 
 
-def verify_circuit(circ: RevCircuit, tt: TruthTable) -> bool:
-    """True iff the circuit computes the table on its output lines.
+def first_mismatch(circ: RevCircuit, tt: TruthTable) -> "tuple[int, int, int, int] | None":
+    """(x, output, got, want) where the circuit first departs from the table.
 
     Constant lines hold their values and every source assignment is checked
-    at once.
+    at once.  The smallest failing assignment x wins, then the smallest
+    output index; None means the circuit computes the table.  Raises
+    ValueError when the input or output counts differ.
     """
     if circ.num_inputs != tt.num_inputs or circ.num_outputs != tt.num_outputs:
         raise ValueError(
@@ -248,7 +245,20 @@ def verify_circuit(circ: RevCircuit, tt: TruthTable) -> bool:
             f"table has {tt.num_inputs} / {tt.num_outputs}"
         )
     planes = simulate_source_batch(circ)
-    return all(planes[circ.output_line(j)] == tt.output_column(j) for j in range(tt.num_outputs))
+    first = None
+    for j in range(tt.num_outputs):
+        got, want = planes[circ.output_line(j)], tt.output_column(j)
+        diff = got ^ want
+        if diff:
+            x = (diff & -diff).bit_length() - 1
+            if first is None or x < first[0]:
+                first = (x, j, got >> x & 1, want >> x & 1)
+    return first
+
+
+def verify_circuit(circ: RevCircuit, tt: TruthTable) -> bool:
+    """True iff the circuit computes the table on its output lines."""
+    return first_mismatch(circ, tt) is None
 
 
 # --- cost accounting ---------------------------------------------------

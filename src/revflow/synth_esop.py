@@ -23,10 +23,5 @@ def esop_synth(esop: EsopForm) -> RevCircuit:
         controls = tuple(i << 1 | (neg >> i & 1) for i in _bits(cube.mask))
         for j in _bits(cube.output_mask):
             gates.append(MctGate(n + j, controls))
-    return RevCircuit(
-        width=n + m,
-        gates=tuple(gates),
-        line_names=tuple(f"x{i}" for i in range(n)) + tuple(f"y{j}" for j in range(m)),
-        constants=(None,) * n + (0,) * m,
-        outputs=(None,) * n + tuple(range(m)),
-    )
+    names = [f"x{i}" for i in range(n)] + [f"y{j}" for j in range(m)]
+    return RevCircuit.layout(n + m, gates, names, n, m, n)

@@ -12,7 +12,6 @@ that computes the original permutation is the reversal of the emitted list.
 from __future__ import annotations
 
 from .embedding import Embedding, Permutation
-from .logicnet import _input_pattern
 from .revcirc import MctGate, RevCircuit, _bits
 
 __all__ = ["tbs", "tbs_invariant_check"]
@@ -21,7 +20,9 @@ __all__ = ["tbs", "tbs_invariant_check"]
 def tbs(perm: Permutation, embedding: Embedding | None = None, trace: list | None = None) -> RevCircuit:
     """Synthesize an exact circuit for the permutation.
 
-    When an embedding is given its line roles are stamped onto the result.
+    When an embedding is given the result takes its line layout: inputs
+    x0.. on the low lines, constants c<line> above them, outputs on the top
+    m lines.  Without one every line is an input and an output.
     Passing a list as trace collects the working permutation after every
     row, which tbs_invariant_check can audit.
     """
@@ -58,10 +59,11 @@ def tbs(perm: Permutation, embedding: Embedding | None = None, trace: list | Non
         if trace is not None:
             trace.append(tuple(image_at(x) for x in range(size)))
 
-    circ = RevCircuit.generic(r, reversed(emitted))
-    if embedding is not None:
-        circ = circ.with_embedding(embedding)
-    return circ
+    if embedding is None:
+        return RevCircuit.generic(r, reversed(emitted))
+    n, m = embedding.source_inputs, embedding.source_outputs
+    names = [f"x{i}" for i in range(n)] + [f"c{line}" for line in range(n, r)]
+    return RevCircuit.layout(r, reversed(emitted), names, n, m, r - m)
 
 
 def tbs_invariant_check(perm: Permutation, trace: list) -> bool:

@@ -175,13 +175,7 @@ class _Compiler:
             if name in seen:
                 names[i] = f"{name}_{i}"
             seen.add(names[i])
-        return RevCircuit(
-            width=width,
-            gates=tuple(gates),
-            line_names=tuple(names),
-            constants=(None,) * self.n + (0,) * (width - self.n),
-            outputs=(None,) * self.n + tuple(range(self.m)) + (None,) * (width - self.n - self.m),
-        )
+        return RevCircuit.layout(width, gates, names, self.n, self.m, self.n)
 
 
 def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False) -> RevCircuit:

@@ -80,11 +80,8 @@ def test_iteration_count_grows_with_precision():
 def test_design_spec_validation():
     with pytest.raises(ValueError):
         DesignSpec(Design.INTDIV, 1)
-    with pytest.raises(ValueError):
-        DesignSpec(Design.NEWTON, 4, newton_precision=2)
     spec = DesignSpec(Design.NEWTON, 4)
     assert spec.precision == 8
-    assert DesignSpec(Design.NEWTON, 4, iteration_override=3).iterations == 3
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

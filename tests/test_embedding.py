@@ -7,7 +7,6 @@ import pytest
 
 from conftest import random_permutation
 from revflow.embedding import (
-    Embedding,
     Permutation,
     bennett_embed,
     min_additional_lines,
@@ -15,6 +14,8 @@ from revflow.embedding import (
     verify_embedding,
 )
 from revflow.logicnet import TruthTable
+from revflow.revcirc import simulate
+from revflow.synth_functional import tbs
 
 
 def test_permutation_validation():
@@ -59,11 +60,14 @@ def test_min_additional_lines_boundaries():
 def test_bennett_embed_shape_and_identity():
     tt = TruthTable(2, 2, (1, 3, 0, 2))
     perm, emb = bennett_embed(tt)
-    assert perm.width == 4
-    assert emb.constant_inputs == {2: 0, 3: 0}
-    assert emb.output_lines == {0: 2, 1: 3}
-    assert emb.garbage_lines == (0, 1)
+    assert perm.width == emb.width == 4
     assert verify_embedding(perm, emb, tt)
+    # inputs on lines 0-1, constant 0 on lines 2-3, outputs on lines 2-3
+    circ = tbs(perm, embedding=emb)
+    assert circ.constants == (None, None, 0, 0)
+    assert [circ.output_line(j) for j in range(2)] == [2, 3]
+    for x in range(4):
+        assert simulate(circ, x) >> 2 == tt.rows[x]
     # inputs pass through on the low lines for any constant block
     for w in range(16):
         assert perm.images[w] & 0b11 == w & 0b11
@@ -97,7 +101,10 @@ def test_optimum_embed_output_lines_on_top():
     tt = TruthTable(3, 2, tuple(x & 3 for x in range(8)))
     perm, emb = optimum_embed(tt)
     r = perm.width
-    assert emb.output_lines == {0: r - 2, 1: r - 1}
+    circ = tbs(perm, embedding=emb)
+    assert [circ.output_line(j) for j in range(2)] == [r - 2, r - 1]
+    for x in range(8):
+        assert simulate(circ, x) >> (r - 2) == tt.rows[x]
 
 
 def test_wrong_permutation_detected():
@@ -114,10 +121,3 @@ def test_verify_embedding_shape_checks():
     other = TruthTable(3, 2, tuple(x & 3 for x in range(8)))
     with pytest.raises(ValueError):
         verify_embedding(perm, emb, other)
-
-
-def test_embedding_validation():
-    with pytest.raises(ValueError):
-        Embedding(2, 1, 3, {2: 0}, {0: 2}, (0, 1, 2))  # garbage overlaps output
-    with pytest.raises(ValueError):
-        Embedding(2, 1, 4, {2: 0}, {0: 3}, (0, 1, 2))  # constants do not fill width

@@ -1,0 +1,76 @@
+"""Golden outputs: the REAL text of every flow, pinned by sha256.
+
+A change meant to leave circuits alone (a refactor, a speed-up) must keep
+every hash.  A change that alters a circuit on purpose updates the table
+below and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
+from revflow.cli import run_flow
+from revflow.revcirc import write_real
+
+# every combination of method and flow switch that run_flow offers
+FLOWS = {
+    "functional-optimum": ("functional", {"embedding": "optimum"}),
+    "functional-bennett": ("functional", {"embedding": "bennett"}),
+    "esop": ("esop", {}),
+    "esop-no-minimize": ("esop", {"minimize": False}),
+    "hier-bennett": ("hier", {}),
+    "hier-inplace_xor": ("hier", {"inplace_xor": True}),
+}
+
+GOLDEN = {
+    ("intdiv", "functional-optimum", 4): "52acbe3877532346065fb9ea93a4663eaa04c1aecd7336cc8ab394f6b8255ede",
+    ("intdiv", "functional-optimum", 5): "05a9491a1579d30f95b51bc499d5db025982f881afe636ed791188d64a73519a",
+    ("intdiv", "functional-optimum", 6): "bdd533a7459cb3e81d4a25546e9efb17200b166d51cd2d4ab066ae2ebf432b6a",
+    ("intdiv", "functional-bennett", 4): "becdbd391b666d40282fe761ded314eb7e4f8a95d1a494454631da50202e92c4",
+    ("intdiv", "functional-bennett", 5): "d4245c840fa1b3813eaf8ee963398ad892f82d28059cc41cf04fd5f13bb67beb",
+    ("intdiv", "functional-bennett", 6): "69dffc29b02ba6c25b1cd1518c11fc8fbc8557554bf227563b5c9f551e309a75",
+    ("intdiv", "esop", 4): "de8ed99b7278763699c743bfc19fedacb9b7d42cfdef0293840aa1ebe4d47901",
+    ("intdiv", "esop", 5): "95b0981e718652a010026c6568fab7e322fb743acf6620b01fedb3ef83ff0fae",
+    ("intdiv", "esop", 6): "6034918006a3fc7cf50ec082aac2867581f2b3ae8a083df505a02d5ad14001ca",
+    ("intdiv", "esop-no-minimize", 4): "19c960e17ccf6d9a79e673ad088f61a4020ffea3493c3097862485d3f297ce98",
+    ("intdiv", "esop-no-minimize", 5): "6417ce93a9e00e921a23cfe8a7d48fd58211879a217da8d3577d745340e7f94f",
+    ("intdiv", "esop-no-minimize", 6): "1162bef89ed970953f0423bc70016057ac97e2b5daf45d4172332d67dde150bc",
+    ("intdiv", "hier-bennett", 4): "74e7a0ce94f2a60429b5d14f94449be370b78bc34867a448938838be07c6b06d",
+    ("intdiv", "hier-bennett", 5): "87d26287c69511bf35c999179aad0709673d2b34b57a22d0ab6e67c0f2b5ef4d",
+    ("intdiv", "hier-bennett", 6): "c84448b1e274e71442078faca6ac3d05e30a4bade2b4e3de9a9f2776ae288a47",
+    ("intdiv", "hier-inplace_xor", 4): "935eac8b81da1147bbee0075406033589627019aef1017690b58af38550a03d8",
+    ("intdiv", "hier-inplace_xor", 5): "99833a30e235d1dbfa51baae8c043094f8760ee3fc87cf15efdd4316beda760a",
+    ("intdiv", "hier-inplace_xor", 6): "a164f5cdebe836bf4fa4b77e0a9ef5daafd0afa51fc80a796a38e703df6662ae",
+    ("newton", "functional-optimum", 4): "52acbe3877532346065fb9ea93a4663eaa04c1aecd7336cc8ab394f6b8255ede",
+    ("newton", "functional-optimum", 5): "05a9491a1579d30f95b51bc499d5db025982f881afe636ed791188d64a73519a",
+    ("newton", "functional-optimum", 6): "bdd533a7459cb3e81d4a25546e9efb17200b166d51cd2d4ab066ae2ebf432b6a",
+    ("newton", "functional-bennett", 4): "becdbd391b666d40282fe761ded314eb7e4f8a95d1a494454631da50202e92c4",
+    ("newton", "functional-bennett", 5): "d4245c840fa1b3813eaf8ee963398ad892f82d28059cc41cf04fd5f13bb67beb",
+    ("newton", "functional-bennett", 6): "69dffc29b02ba6c25b1cd1518c11fc8fbc8557554bf227563b5c9f551e309a75",
+    ("newton", "esop", 4): "de8ed99b7278763699c743bfc19fedacb9b7d42cfdef0293840aa1ebe4d47901",
+    ("newton", "esop", 5): "95b0981e718652a010026c6568fab7e322fb743acf6620b01fedb3ef83ff0fae",
+    ("newton", "esop", 6): "6034918006a3fc7cf50ec082aac2867581f2b3ae8a083df505a02d5ad14001ca",
+    ("newton", "esop-no-minimize", 4): "19c960e17ccf6d9a79e673ad088f61a4020ffea3493c3097862485d3f297ce98",
+    ("newton", "esop-no-minimize", 5): "6417ce93a9e00e921a23cfe8a7d48fd58211879a217da8d3577d745340e7f94f",
+    ("newton", "esop-no-minimize", 6): "1162bef89ed970953f0423bc70016057ac97e2b5daf45d4172332d67dde150bc",
+    ("newton", "hier-bennett", 4): "41b0ca2759e14762fa4e334eb0757759c7f1ed3f18ec9a3bd7e1297ac4d72c93",
+    ("newton", "hier-bennett", 5): "86a8ed6297bd50ca2e507bf848e1c2de463abcefdaa08199c6a89100ae966094",
+    ("newton", "hier-bennett", 6): "425abd1ce82e9d5b1c9f49be70496a5a0d0ac2eb2d324dbd978425fc25ace947",
+    ("newton", "hier-inplace_xor", 4): "33e670b4fc8be35b9e17376209edaface450d74200a3cb98c88b79f767858ad1",
+    ("newton", "hier-inplace_xor", 5): "0fc0e34352cb6c82d76c0e063fa565bd05548e3ba3ced6d198e0606acca56625",
+    ("newton", "hier-inplace_xor", 6): "eb682982eaa8d843702703ac96391f501c0f02a93b7368a1efd49005fd9f0f16",
+}
+
+
+@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+@pytest.mark.parametrize("flow", FLOWS)
+def test_real_output_unchanged(design, flow, tmp_path):
+    method, options = FLOWS[flow]
+    path = tmp_path / "circuit.real"
+    for n in range(4, 7):
+        spec = DesignSpec(design, n)
+        source = design_xmg(spec) if method == "hier" else design_truth_table(spec)
+        write_real(run_flow(method, source, **options), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN[design.value, flow, n], n

@@ -14,6 +14,7 @@ from revflow.revcirc import (
     RevCircuit,
     cnot,
     cost_report,
+    first_mismatch,
     read_real,
     simulate,
     simulate_full,
@@ -113,6 +114,21 @@ def test_verify_circuit_positive_and_negative():
         circ.outputs,
     )
     assert not verify_circuit(broken, tt)
+
+
+def test_first_mismatch_smallest_input_then_output():
+    zero = TruthTable(2, 2, (0,) * 4)
+
+    def circ(*gates):
+        return RevCircuit.layout(4, gates, ("a", "b", "y0", "y1"), 2, 2, 2)
+
+    assert first_mismatch(circ(), zero) is None
+    # y1 = a fails first at x=1; y0 = b only from x=2
+    assert first_mismatch(circ(cnot(1, 2), cnot(0, 3)), zero) == (1, 1, 1, 0)
+    # both outputs fail at x=1: the lower output index wins
+    assert first_mismatch(circ(cnot(0, 2), cnot(0, 3)), zero) == (1, 0, 1, 0)
+    # y0 = not b fails at x=0
+    assert first_mismatch(circ(cnot(0, 3), MctGate(2, (1 << 1 | 1,))), zero) == (0, 0, 1, 0)
 
 
 def test_verify_circuit_shape_mismatch():

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_permutation
 from revflow.arith import Design, DesignSpec, design_truth_table
 from revflow.embedding import Permutation, bennett_embed, optimum_embed
-from revflow.revcirc import simulate_full, verify_circuit
+from revflow.revcirc import simulate, simulate_full, verify_circuit
 from revflow.synth_functional import tbs, tbs_invariant_check
 
 
@@ -67,10 +67,12 @@ def test_embedding_roles_stamped():
     circ = tbs(perm, embedding=emb)
     assert circ.num_inputs == 3
     assert circ.num_outputs == 3
-    assert circ.constants[:3] == (None, None, None)
-    assert all(c == 0 for c in circ.constants[3:])
-    for j, line in emb.output_lines.items():
-        assert circ.outputs[line] == j
+    assert circ.constants == (None,) * 3 + (0,) * (emb.width - 3)
+    r, m = emb.width, emb.source_outputs
+    for j in range(m):
+        assert circ.output_line(j) == r - m + j
+    for x in range(8):
+        assert simulate(circ, x) >> (r - m) == tt.rows[x]
     assert verify_circuit(circ, tt)
 
 
