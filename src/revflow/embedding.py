@@ -44,15 +44,6 @@ class Permutation:
                 raise ValueError("images do not form a permutation")
             seen[y] = 1
 
-    def apply(self, x: int) -> int:
-        return self.images[x]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(self.width, tuple(inv))
-
 
 @dataclass(frozen=True)
 class Embedding:

@@ -4,9 +4,9 @@ majority/xor networks, plus the text formats used to move them between tools."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 __all__ = [
     "DEFAULT_TT_LIMIT",

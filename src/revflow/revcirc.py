@@ -18,7 +18,8 @@ write and read the controls in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable
 
 from .embedding import Permutation
@@ -53,6 +54,11 @@ def _bits(word: int):
         low = word & -word
         yield low.bit_length() - 1
         word ^= low
+
+
+def _bad_name(name: str) -> bool:
+    """A line name must be one non-empty whitespace-free token not led by '-'."""
+    return name.split() != [name] or name.startswith("-")
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ class RevCircuit:
         if len(set(self.line_names)) != self.width:
             raise ValueError("line names must be unique")
         for name in self.line_names:
-            if not name or any(ch.isspace() for ch in name) or name.startswith("-"):
+            if _bad_name(name):
                 raise ValueError(f"bad line name {name!r}")
         for c in self.constants:
             if c not in (None, 0, 1):
@@ -160,18 +166,11 @@ class RevCircuit:
     def num_outputs(self) -> int:
         return sum(1 for o in self.outputs if o is not None)
 
-    def input_lines(self) -> list:
-        return [i for i, c in enumerate(self.constants) if c is None]
-
     def output_line(self, j: int) -> int:
         for line, o in enumerate(self.outputs):
             if o == j:
                 return line
         raise IndexError(f"no line carries output {j}")
-
-    def reversed_gates(self) -> "RevCircuit":
-        """The inverse cascade; every gate is its own inverse."""
-        return replace(self, gates=tuple(reversed(self.gates)))
 
 
 def simulate(circ: RevCircuit, word: int) -> int:
@@ -349,16 +348,11 @@ class CostReport:
 
 
 def cost_report(circ: RevCircuit, model: CostModel = DEFAULT_COST_MODEL) -> CostReport:
-    hist: dict[int, int] = {}
-    t_total = 0
-    for gate in circ.gates:
-        c = gate.num_controls
-        hist[c] = hist.get(c, 0) + 1
-        t_total += model.t_of_controls(c)
+    hist = Counter(len(gate.controls) for gate in circ.gates)
     return CostReport(
         qubits=circ.width,
         gate_count=len(circ.gates),
-        t_count=t_total,
+        t_count=sum(model.t_of_controls(c) * k for c, k in hist.items()),
         control_histogram=tuple(sorted(hist.items())),
     )
 
@@ -386,6 +380,22 @@ def write_real(circ: RevCircuit, path) -> None:
 
 
 def read_real(path) -> RevCircuit:
+    """Read a circuit in the subset of RevLib's REAL format revflow uses.
+
+    Accepted: ``#`` comments and blank lines; the directives ``.version``
+    (ignored), ``.numvars``, ``.variables`` (distinct names, none led by
+    ``-``), ``.constants`` (``0``, ``1`` or ``-`` per line), ``.garbage``
+    (``1`` or ``-`` per line), ``.begin`` and ``.end``; and in the body
+    only Toffoli gates ``tK c1 .. cK-1 target``, each control a line name,
+    negative when led by ``-``, in any order, operands separated by any
+    whitespace.  Anything else raises ``ParseError`` with its line number.
+
+    Gates that repeat a control set are cheap: for a gate line in canonical
+    form (single spaces), the text up to its last space maps to its sorted
+    literal tuple, so a later line with the same controls text needs one
+    dict hit and one target lookup, and every such gate shares one
+    ``controls`` tuple.  Any other line is parsed in full.
+    """
     width = None
     names: list | None = None
     constants = None
@@ -397,6 +407,37 @@ def read_real(path) -> RevCircuit:
     def fail(msg, lineno):
         raise ParseError(msg, str(path), lineno)
 
+    def parse_gate(line, lineno) -> MctGate:
+        tokens = line.split()
+        key = tokens[0]
+        if not (key[0] == "t" and key[1:].isdigit()):
+            fail(f"unknown gate kind {key!r}", lineno)
+        arity = int(key[1:])
+        operands = tokens[1:]
+        if arity < 1 or len(operands) != arity:
+            fail(f"gate {key} expects {arity} operands", lineno)
+        controls = []
+        for op in operands[:-1]:
+            lit = literals.get(op)
+            if lit is None:
+                name = op[1:] if op.startswith("-") else op
+                fail(f"unknown line {name!r}", lineno)
+            controls.append(lit)
+        target = index.get(operands[-1])
+        if target is None:
+            fail(f"unknown line {operands[-1]!r}", lineno)
+        controls = tuple(sorted(controls))
+        try:
+            gate = MctGate(target, controls)
+        except ValueError:
+            # the lines are known and sorted, so only a repeat is left
+            named = [target] + [c >> 1 for c in controls]
+            twice = next(x for x in named if named.count(x) > 1)
+            fail(f"line {names[twice]!r} named twice in one gate", lineno)
+        if " ".join(tokens) == line:
+            cache[line.rpartition(" ")[0]] = controls
+        return gate
+
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -404,6 +445,18 @@ def read_real(path) -> RevCircuit:
                 continue
             if ended:
                 fail("content after .end", lineno)
+            if in_body and line[0] != ".":
+                head, _, last = line.rpartition(" ")
+                controls = cache.get(head)
+                target = index.get(last)
+                if controls is not None and target is not None:
+                    try:
+                        gates.append(MctGate(target, controls))
+                        continue
+                    except ValueError:
+                        pass  # the full parse names the fault
+                gates.append(parse_gate(line, lineno))
+                continue
             tokens = line.split()
             key = tokens[0]
             if key == ".version":
@@ -419,6 +472,9 @@ def read_real(path) -> RevCircuit:
                 names = tokens[1:]
                 if len(names) != width or len(set(names)) != width:
                     fail(f"expected {width} distinct variable names", lineno)
+                for name in names:
+                    if _bad_name(name):
+                        fail(f"bad line name {name!r}", lineno)
                 continue
             if key == ".constants":
                 if width is None or len(tokens) != 2 or len(tokens[1]) != width:
@@ -446,6 +502,11 @@ def read_real(path) -> RevCircuit:
                 if names is None:
                     fail(".begin before .variables", lineno)
                 index = {name: i for i, name in enumerate(names)}
+                literals = {}
+                for name, i in index.items():
+                    literals[name] = i << 1
+                    literals["-" + name] = i << 1 | 1
+                cache = {}
                 in_body = True
                 continue
             if key == ".end":
@@ -455,32 +516,7 @@ def read_real(path) -> RevCircuit:
                 continue
             if key.startswith("."):
                 fail(f"unknown directive {key}", lineno)
-            if not in_body:
-                fail("gate outside .begin/.end", lineno)
-            if not (key[0] == "t" and key[1:].isdigit()):
-                fail(f"unknown gate kind {key!r}", lineno)
-            arity = int(key[1:])
-            operands = tokens[1:]
-            if arity < 1 or len(operands) != arity:
-                fail(f"gate {key} expects {arity} operands", lineno)
-            controls = []
-            for op in operands[:-1]:
-                negated = op.startswith("-")
-                name = op[1:] if negated else op
-                if name not in index:
-                    fail(f"unknown line {name!r}", lineno)
-                controls.append(index[name] << 1 | negated)
-            if operands[-1] not in index:
-                fail(f"unknown line {operands[-1]!r}", lineno)
-            target = index[operands[-1]]
-            controls.sort()
-            try:
-                gates.append(MctGate(target, tuple(controls)))
-            except ValueError:
-                # the lines are known and sorted, so only a repeat is left
-                named = [target] + [c >> 1 for c in controls]
-                twice = next(line for line in named if named.count(line) > 1)
-                fail(f"line {names[twice]!r} named twice in one gate", lineno)
+            fail("gate outside .begin/.end", lineno)
 
     if width is None or names is None:
         raise ParseError("missing .numvars/.variables", str(path), 0)

@@ -9,7 +9,6 @@ import pytest
 
 from revflow.cli import main, read_tt_file, write_tt_file
 from revflow.logicnet import TruthTable, read_pla, read_xmg
-from revflow.revcirc import read_real
 
 DESIGNS = ("intdiv", "newton")
 METHODS = ("functional", "esop", "hier")

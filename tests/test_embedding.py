@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_permutation
 from revflow.embedding import (
     Permutation,
     bennett_embed,
@@ -25,14 +24,6 @@ def test_permutation_validation():
         Permutation(1, (0, 0))               # not injective
     with pytest.raises(ValueError):
         Permutation(1, (0, 2))               # out of range
-
-
-def test_permutation_inverse():
-    rng = random.Random(3)
-    p = Permutation(4, random_permutation(rng, 4))
-    q = p.inverse()
-    for x in range(16):
-        assert q.apply(p.apply(x)) == x
 
 
 def test_min_additional_lines_matches_counting():

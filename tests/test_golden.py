@@ -11,7 +11,7 @@ import pytest
 
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
 from revflow.cli import run_flow
-from revflow.revcirc import write_real
+from revflow.revcirc import read_real, write_real
 
 # every combination of method and flow switch that run_flow offers
 FLOWS = {
@@ -71,6 +71,8 @@ def test_real_output_unchanged(design, flow, tmp_path):
     for n in range(4, 7):
         spec = DesignSpec(design, n)
         source = design_xmg(spec) if method == "hier" else design_truth_table(spec)
-        write_real(run_flow(method, source, **options), path)
+        circ = run_flow(method, source, **options)
+        write_real(circ, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == GOLDEN[design.value, flow, n], n
+        assert read_real(path) == circ, n

@@ -1,5 +1,6 @@
-"""The top-level package exports exactly the API the README documents."""
+"""The package exports the README's API and imports nothing it does not use."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -22,3 +23,34 @@ def test_all_matches_readme():
 
 def test_all_names_resolve():
     assert all(hasattr(revflow, name) for name in revflow.__all__)
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports and never references, outside its __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+        # a string annotation such as "tuple[int | None, ...]" names what it uses
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            expr = ast.parse(annotation.value, mode="eval")
+            used |= {sub.id for sub in ast.walk(expr) if isinstance(sub, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "revflow").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert [hit for path in files for hit in _unused_imports(path)] == []

@@ -175,6 +175,24 @@ def test_cost_model_overrides_and_validation():
         CostModel.parse("2: 100\n3: 1\n")       # decreasing in controls
 
 
+def test_cost_report_matches_per_gate_sum():
+    rng = random.Random(7)
+    model = CostModel(((2, 4), (3, 9), (5, 35)))
+    width = 8
+    gates = []
+    for _ in range(300):
+        t = rng.randrange(width)
+        others = [l for l in range(width) if l != t]
+        ctl = rng.sample(others, rng.randrange(len(others) + 1))
+        gates.append(MctGate(t, tuple(sorted(c << 1 | rng.randrange(2) for c in ctl))))
+    circ = RevCircuit.generic(width, gates)
+    rep = cost_report(circ, model)
+    assert rep.t_count == sum(model.t_of_controls(len(g.controls)) for g in gates)
+    assert sum(k for _, k in rep.control_histogram) == rep.gate_count == len(gates)
+    for c, k in rep.control_histogram:
+        assert k == sum(1 for g in gates if len(g.controls) == c)
+
+
 def test_cost_report_counts():
     circ = RevCircuit.generic(3, [MctGate(0), cnot(1, 0), toffoli(0, 1, 2), toffoli(1, 2, 0)])
     rep = cost_report(circ)
@@ -228,6 +246,50 @@ def test_real_parse_errors(tmp_path):
         assert info.value.line == 4
 
 
+def test_real_reader_edge_cases(tmp_path):
+    p = tmp_path / "edge.real"
+    head = ".numvars 3\n.variables a b c\n.begin\n"
+
+    def read(body):
+        p.write_text(head + body)
+        return read_real(p)
+
+    # a repeat of a cached gate line after .end is still content after .end
+    with pytest.raises(ParseError, match="content after .end") as info:
+        read("t3 a b c\n.end\nt3 a b c\n")
+    assert info.value.line == 6
+    # a cached controls text whose target is one of its controls
+    with pytest.raises(ParseError, match="'a' named twice") as info:
+        read("t3 a b c\nt3 a b a\n.end\n")
+    assert info.value.line == 5
+    # any whitespace separates operands
+    assert read("t2\ta  b\n.end\n").gates == read("t2 a b\n.end\n").gates
+    # only a single-spaced line is cached: "t3 a b\tc" must not cache "t3 a" as controls a, b
+    with pytest.raises(ParseError, match="expects 3 operands") as info:
+        read("t3 a b\tc\nt3 a c\n.end\n")
+    assert info.value.line == 5
+    p.write_text(".numvars 2\n.variables a b\n.begin\nt2 -c a\n.end\n")
+    with pytest.raises(ParseError, match="unknown line 'c'"):
+        read_real(p)
+    # a name led by '-' would read as a negative control
+    p.write_text(".numvars 2\n.variables a -a\n.begin\n.end\n")
+    with pytest.raises(ParseError, match="bad line name") as info:
+        read_real(p)
+    assert info.value.line == 2
+
+
+def test_real_equal_controls_share_one_tuple(tmp_path):
+    circ = RevCircuit.generic(4, [toffoli(0, 1, 2), toffoli(0, 1, 3), MctGate(3, (0 << 1 | 1,)),
+                                  toffoli(0, 1, 2)])
+    p = tmp_path / "shared.real"
+    write_real(circ, p)
+    back = read_real(p)
+    assert back == circ
+    g = back.gates
+    assert g[0].controls is g[1].controls is g[3].controls
+    assert g[0].controls is not g[2].controls
+
+
 def test_real_error_location(tmp_path):
     p = tmp_path / "bad.real"
     p.write_text(".numvars 2\n.variables a b\n.begin\nt2 a a\n.end\n")
@@ -240,6 +302,6 @@ def test_reversed_gates_inverts():
     rng = random.Random(41)
     perm = Permutation(4, random_permutation(rng, 4))
     circ = tbs(perm)
-    inv = circ.reversed_gates()
+    inv = RevCircuit.generic(circ.width, reversed(circ.gates))
     for w in range(16):
         assert simulate(inv, simulate(circ, w)) == w
