@@ -81,21 +81,15 @@ class FixedPointValue:
             raise ValueError(f"raw {self.raw} outside [{-bound}, {bound})")
 
     @classmethod
-    def from_ratio(cls, num: int, den: int, frac_bits: int,
-                   rounding: str = "nearest") -> "FixedPointValue":
-        """Quantize num/den.  rounding is 'nearest' (half away from zero) or 'floor'."""
+    def from_ratio(cls, num: int, den: int, frac_bits: int) -> "FixedPointValue":
+        """Quantize num/den to the nearest raw value, halves away from zero."""
         if den <= 0:
             raise ValueError("denominator must be positive")
         scaled = num * (1 << frac_bits)
-        if rounding == "nearest":
-            if scaled >= 0:
-                raw = (2 * scaled + den) // (2 * den)
-            else:
-                raw = -((-2 * scaled + den) // (2 * den))
-        elif rounding == "floor":
-            raw = scaled // den
+        if scaled >= 0:
+            raw = (2 * scaled + den) // (2 * den)
         else:
-            raise ValueError(f"unknown rounding {rounding!r}")
+            raw = -((-2 * scaled + den) // (2 * den))
         return cls(frac_bits, _wrap(raw, frac_bits))
 
     @property
@@ -288,7 +282,7 @@ def _one_hot_msb(net: Xmg, xs: list[int]) -> list[int]:
     return hs
 
 
-def gen_intdiv_xmg(spec: DesignSpec | int) -> Xmg:
+def gen_intdiv_xmg(spec: DesignSpec) -> Xmg:
     """Unrolled restoring divider computing the reciprocal table.
 
     Divides 2^n by x over n+1 steps of shift, compare-subtract, select; the
@@ -296,9 +290,7 @@ def gen_intdiv_xmg(spec: DesignSpec | int) -> Xmg:
     top quotient bit is dropped, which makes x = 1 wrap to 0 and x = 0
     saturate to all ones (a zero divisor never borrows).
     """
-    n = spec if isinstance(spec, int) else spec.bitwidth
-    if n < 2:
-        raise ValueError("bitwidth must be at least 2")
+    n = spec.bitwidth
     net = Xmg()
     xs = [net.add_input() for _ in range(n)]
     width = n + 1
@@ -330,8 +322,6 @@ def gen_newton_xmg(spec: DesignSpec) -> Xmg:
     fabric.  All arithmetic runs in two's complement at P fractional bits.
     A zero input bypasses the datapath and forces the all-ones output.
     """
-    if isinstance(spec, int):
-        spec = DesignSpec(Design.NEWTON, spec)
     n = spec.bitwidth
     p = spec.precision
     w = p + _INT_BITS

@@ -23,7 +23,6 @@ __all__ = [
     "min_additional_lines",
     "bennett_embed",
     "optimum_embed",
-    "verify_embedding",
 ]
 
 
@@ -114,13 +113,3 @@ def optimum_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation
     for w in range(1 << n, size):
         images[w] = next(free)
     return Permutation(r, tuple(images)), Embedding(n, m, r)
-
-
-def verify_embedding(perm: Permutation, emb: Embedding, tt: TruthTable) -> bool:
-    """Check that the permutation realizes the function under the embedding."""
-    if perm.width != emb.width:
-        raise ValueError("permutation and embedding widths differ")
-    if emb.source_inputs != tt.num_inputs or emb.source_outputs != tt.num_outputs:
-        raise ValueError("embedding shape does not match the table")
-    g = emb.width - emb.source_outputs
-    return all(perm.images[x] >> g == tt.rows[x] for x in range(1 << tt.num_inputs))

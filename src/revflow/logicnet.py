@@ -127,33 +127,6 @@ class Cube:
         if self.output_mask <= 0:
             raise ValueError("cube must drive at least one output")
 
-    @classmethod
-    def from_literals(cls, literals: dict[int, bool], output_mask: int) -> "Cube":
-        mask = 0
-        polarity = 0
-        for i, positive in literals.items():
-            if i < 0:
-                raise ValueError("negative input index")
-            mask |= 1 << i
-            if positive:
-                polarity |= 1 << i
-        return cls(mask, polarity, output_mask)
-
-    @property
-    def literals(self) -> dict[int, bool]:
-        out: dict[int, bool] = {}
-        m = self.mask
-        i = 0
-        while m:
-            if m & 1:
-                out[i] = bool((self.polarity >> i) & 1)
-            m >>= 1
-            i += 1
-        return out
-
-    def matches(self, x: int) -> bool:
-        return (x & self.mask) == self.polarity
-
 
 @dataclass(frozen=True)
 class EsopForm:
@@ -172,17 +145,20 @@ class EsopForm:
             if c.output_mask >= top_out:
                 raise ValueError(f"cube {k} drives outputs beyond {self.num_outputs}")
 
-    def evaluate(self, x: int) -> int:
-        word = 0
-        for c in self.cubes:
-            if (x & c.mask) == c.polarity:
-                word ^= c.output_mask
-        return word
-
     def to_truth_table(self, limit: int | None = None) -> TruthTable:
-        _check_limit(self.num_inputs, limit)
-        rows = tuple(self.evaluate(x) for x in range(1 << self.num_inputs))
-        return TruthTable(self.num_inputs, self.num_outputs, rows)
+        """Tabulate all assignments at once, one bit-parallel product per cube."""
+        n = self.num_inputs
+        _check_limit(n, limit)
+        ones = (1 << (1 << n)) - 1
+        inputs = [_input_pattern(i, n) for i in range(n)]
+        cols = [0] * self.num_outputs
+        for c in self.cubes:
+            product = ones
+            for i in _bits(c.mask):
+                product &= inputs[i] if c.polarity >> i & 1 else ~inputs[i]
+            for j in _bits(c.output_mask):
+                cols[j] ^= product
+        return TruthTable(n, self.num_outputs, _rows_from_columns(cols, n))
 
 
 def esop_from_tt(tt: TruthTable) -> EsopForm:
@@ -415,8 +391,6 @@ class Xmg:
         self.input_names: list[str] = []
         self.output_names: list[str] = []
         self._outputs: list[int] = []
-        self._maj_count = 0
-        self._xor_count = 0
 
     # -- construction ------------------------------------------------------
 
@@ -428,11 +402,11 @@ class Xmg:
     def const1(self) -> int:
         return lit(0, True)
 
-    def add_input(self, name: str | None = None) -> int:
+    def add_input(self) -> int:
         index = len(self._kinds)
         self._kinds.append(NodeKind.INPUT)
         self._fanins.append(())
-        self.input_names.append(name if name is not None else f"x{len(self.input_names)}")
+        self.input_names.append(f"x{len(self.input_names)}")
         return lit(index)
 
     def _check_lit(self, literal: int) -> None:
@@ -460,7 +434,6 @@ class Xmg:
             self._kinds.append(NodeKind.XOR)
             self._fanins.append((a, b))
             self._strash[key] = node
-            self._xor_count += 1
         return lit(node, bool(neg))
 
     def add_maj(self, a: int, b: int, c: int) -> int:
@@ -494,7 +467,6 @@ class Xmg:
             self._kinds.append(NodeKind.MAJ)
             self._fanins.append(tuple(ops))
             self._strash[key] = node
-            self._maj_count += 1
         return lit(node, out_neg)
 
     def add_and(self, a: int, b: int) -> int:
@@ -524,14 +496,6 @@ class Xmg:
         return len(self._kinds)
 
     @property
-    def maj_count(self) -> int:
-        return self._maj_count
-
-    @property
-    def xor_count(self) -> int:
-        return self._xor_count
-
-    @property
     def outputs(self) -> tuple[int, ...]:
         return tuple(self._outputs)
 
@@ -540,9 +504,6 @@ class Xmg:
 
     def fanins(self, node: int) -> tuple[int, ...]:
         return self._fanins[node]
-
-    def input_literal(self, i: int) -> int:
-        return lit(1 + i)
 
     def gates(self) -> Iterator[tuple[int, NodeKind, tuple[int, ...]]]:
         """Gate nodes in topological order as (node, kind, fanins)."""
@@ -555,8 +516,7 @@ class Xmg:
         """Tabulate all assignments at once, one bit-parallel pass per node."""
         n = self.num_inputs
         _check_limit(n, limit)
-        size = 1 << n
-        ones = (1 << size) - 1
+        ones = (1 << (1 << n)) - 1
         values = [0] * len(self._kinds)
         for i in range(n):
             values[1 + i] = _input_pattern(i, n)
@@ -572,13 +532,26 @@ class Xmg:
                 va, vb, vc = (edge(f) for f in fi)
                 values[node] = (va & vb) | (va & vc) | (vb & vc)
         cols = [edge(out) for out in self._outputs]
-        rows = []
-        for x in range(size):
-            word = 0
-            for j, col in enumerate(cols):
-                word |= (col >> x & 1) << j
-            rows.append(word)
-        return TruthTable(n, self.num_outputs, tuple(rows))
+        return TruthTable(n, self.num_outputs, _rows_from_columns(cols, n))
+
+
+def _bits(word: int):
+    """Positions of the set bits of a non-negative word, ascending."""
+    while word:
+        low = word & -word
+        yield low.bit_length() - 1
+        word ^= low
+
+
+def _rows_from_columns(cols: list[int], n: int) -> tuple[int, ...]:
+    """Row words of a table held as columns: bit x of cols[j] is output j of row x."""
+    rows = []
+    for x in range(1 << n):
+        word = 0
+        for j, col in enumerate(cols):
+            word |= (col >> x & 1) << j
+        rows.append(word)
+    return tuple(rows)
 
 
 def _input_pattern(i: int, n: int) -> int:

@@ -28,9 +28,7 @@ from .logicnet import ParseError, TruthTable, _input_pattern
 __all__ = [
     "MctGate",
     "cnot",
-    "toffoli",
     "RevCircuit",
-    "simulate",
     "simulate_source_batch",
     "simulate_full",
     "verify_circuit",
@@ -48,20 +46,12 @@ __all__ = [
 FULL_SIM_MAX_WIDTH = 24
 
 
-def _bits(word: int):
-    """Positions of the set bits of a non-negative word, ascending."""
-    while word:
-        low = word & -word
-        yield low.bit_length() - 1
-        word ^= low
-
-
 def _bad_name(name: str) -> bool:
     """A line name must be one non-empty whitespace-free token not led by '-'."""
     return name.split() != [name] or name.startswith("-")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MctGate:
     """Flip the target iff every control literal holds."""
 
@@ -80,23 +70,9 @@ class MctGate:
                 raise ValueError("target used as its own control")
             prev = line
 
-    @property
-    def num_controls(self) -> int:
-        return len(self.controls)
-
-    def apply(self, word: int) -> int:
-        for c in self.controls:
-            if not ((word >> (c >> 1)) ^ c) & 1:
-                return word
-        return word ^ 1 << self.target
-
 
 def cnot(control: int, target: int) -> MctGate:
     return MctGate(target, (control << 1,))
-
-
-def toffoli(c1: int, c2: int, target: int) -> MctGate:
-    return MctGate(target, tuple(sorted((c1 << 1, c2 << 1))))
 
 
 @dataclass(frozen=True)
@@ -171,15 +147,6 @@ class RevCircuit:
             if o == j:
                 return line
         raise IndexError(f"no line carries output {j}")
-
-
-def simulate(circ: RevCircuit, word: int) -> int:
-    """Run one r-bit word through the cascade."""
-    if not 0 <= word < 1 << circ.width:
-        raise ValueError("word out of range for circuit width")
-    for gate in circ.gates:
-        word = gate.apply(word)
-    return word
 
 
 def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:

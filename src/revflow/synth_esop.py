@@ -8,8 +8,8 @@ form out_j = 0 xor f_j(x) on n + m lines.
 
 from __future__ import annotations
 
-from .logicnet import EsopForm
-from .revcirc import MctGate, RevCircuit, _bits
+from .logicnet import EsopForm, _bits
+from .revcirc import MctGate, RevCircuit
 
 __all__ = ["esop_synth"]
 

@@ -12,19 +12,18 @@ that computes the original permutation is the reversal of the emitted list.
 from __future__ import annotations
 
 from .embedding import Embedding, Permutation
-from .revcirc import MctGate, RevCircuit, _bits
+from .logicnet import _bits
+from .revcirc import MctGate, RevCircuit
 
-__all__ = ["tbs", "tbs_invariant_check"]
+__all__ = ["tbs"]
 
 
-def tbs(perm: Permutation, embedding: Embedding | None = None, trace: list | None = None) -> RevCircuit:
+def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     """Synthesize an exact circuit for the permutation.
 
     When an embedding is given the result takes its line layout: inputs
     x0.. on the low lines, constants c<line> above them, outputs on the top
     m lines.  Without one every line is an input and an output.
-    Passing a list as trace collects the working permutation after every
-    row, which tbs_invariant_check can audit.
     """
     r = perm.width
     size = 1 << r
@@ -56,25 +55,9 @@ def tbs(perm: Permutation, embedding: Embedding | None = None, trace: list | Non
             y |= 1 << b
         for b in _bits(y & ~i):
             emit(i, b)
-        if trace is not None:
-            trace.append(tuple(image_at(x) for x in range(size)))
 
     if embedding is None:
         return RevCircuit.generic(r, reversed(emitted))
     n, m = embedding.source_inputs, embedding.source_outputs
     names = [f"x{i}" for i in range(n)] + [f"c{line}" for line in range(n, r)]
     return RevCircuit.layout(r, reversed(emitted), names, n, m, r - m)
-
-
-def tbs_invariant_check(perm: Permutation, trace: list) -> bool:
-    """True iff each snapshot fixes every row up to and including its own."""
-    size = 1 << perm.width
-    if len(trace) != size:
-        return False
-    for i, snap in enumerate(trace):
-        if len(snap) != size:
-            return False
-        for j in range(i + 1):
-            if snap[j] != j:
-                return False
-    return trace[-1] == tuple(range(size))

@@ -20,7 +20,7 @@ from collections import Counter
 from .logicnet import NodeKind, Xmg, lit_is_neg, lit_node
 from .revcirc import MctGate, RevCircuit, cnot
 
-__all__ = ["hier_synth", "reachable_gate_counts"]
+__all__ = ["hier_synth"]
 
 
 def _reachable_gates(net: Xmg) -> set:
@@ -35,13 +35,6 @@ def _reachable_gates(net: Xmg) -> set:
         seen.add(node)
         todo.extend(lit_node(e) for e in net.fanins(node))
     return seen
-
-
-def reachable_gate_counts(net: Xmg) -> tuple[int, int]:
-    """(MAJ, XOR) node counts restricted to output-reachable gates."""
-    reach = _reachable_gates(net)
-    maj = sum(1 for v in reach if net.kind(v) is NodeKind.MAJ)
-    return maj, len(reach) - maj
 
 
 def _absorbed_operands(net: Xmg, reach: set) -> dict[int, int]:

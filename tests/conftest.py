@@ -1,9 +1,12 @@
-"""Shared test helpers: random nets and permutations, independent evaluators."""
+"""Shared test helpers: random nets and permutations, and the independent
+references the library is checked against (scalar simulator, naive XMG and
+ESOP evaluators, reachable gate counts)."""
 
 import random
 
-from revflow.logicnet import NodeKind, Xmg, lit_is_neg, lit_node
-from revflow.revcirc import RevCircuit, simulate_source_batch
+from revflow.embedding import Permutation
+from revflow.logicnet import EsopForm, NodeKind, Xmg, lit_is_neg, lit_node
+from revflow.revcirc import MctGate, RevCircuit, simulate_source_batch
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
 HIER_VARIANTS = {"bennett": False, "inplace_xor": True}
@@ -60,8 +63,69 @@ def naive_xmg_eval(net: Xmg, x: int) -> int:
     return word
 
 
+def naive_esop_eval(esop: EsopForm, x: int) -> int:
+    """Output word at one assignment: the XOR of every cube whose literals all hold."""
+    word = 0
+    for cube in esop.cubes:
+        literals = [i for i in range(esop.num_inputs) if cube.mask >> i & 1]
+        if all(x >> i & 1 == cube.polarity >> i & 1 for i in literals):
+            word ^= cube.output_mask
+    return word
+
+
+def reachable_gate_counts(net: Xmg) -> tuple:
+    """(MAJ, XOR) counts of the gate nodes some output reaches, by a fanin walk."""
+    todo = [lit_node(e) for e in net.outputs]
+    reached = set()
+    while todo:
+        node = todo.pop()
+        if node not in reached and net.kind(node) in (NodeKind.MAJ, NodeKind.XOR):
+            reached.add(node)
+            todo.extend(lit_node(e) for e in net.fanins(node))
+    maj = sum(1 for node in reached if net.kind(node) is NodeKind.MAJ)
+    return maj, len(reached) - maj
+
+
+def apply_gate(gate: MctGate, word: int) -> int:
+    """Flip the gate's target in one r-bit word iff every control literal holds."""
+    for c in gate.controls:
+        if not ((word >> (c >> 1)) ^ c) & 1:
+            return word
+    return word ^ 1 << gate.target
+
+
+def simulate(circ: RevCircuit, word: int) -> int:
+    """Scalar reference simulator: one r-bit word through the cascade, gate by gate."""
+    assert 0 <= word < 1 << circ.width
+    for gate in circ.gates:
+        word = apply_gate(gate, word)
+    return word
+
+
+def assert_tbs_settles_rows(perm: Permutation, emitted) -> None:
+    """Step TBS's gates in emission order over the permutation's images.
+
+    emitted is tbs(perm).gates reversed.  The settled prefix, the rows j
+    whose working image is j, never shrinks and ends covering all 2^r rows.
+    """
+
+    def settled_from(images, j):
+        while j < len(images) and images[j] == j:
+            j += 1
+        return j
+
+    images = list(perm.images)
+    identity = list(range(len(images)))
+    settled = settled_from(images, 0)
+    for gate in emitted:
+        images = [apply_gate(gate, y) for y in images]
+        assert images[:settled] == identity[:settled], "a settled row moved"
+        settled = settled_from(images, settled)
+    assert settled == len(images), "rows left unsettled"
+
+
 def toffoli_count(circ: RevCircuit) -> int:
-    return sum(1 for g in circ.gates if g.num_controls == 2)
+    return sum(1 for g in circ.gates if len(g.controls) == 2)
 
 
 def clean_ancillas(circ: RevCircuit) -> bool:

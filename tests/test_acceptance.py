@@ -12,7 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import HIER_VARIANTS, clean_ancillas, random_permutation, toffoli_count
+from conftest import (
+    HIER_VARIANTS,
+    apply_gate,
+    assert_tbs_settles_rows,
+    clean_ancillas,
+    random_permutation,
+    reachable_gate_counts,
+    simulate,
+    toffoli_count,
+)
 from revflow.arith import (
     Design,
     DesignSpec,
@@ -23,17 +32,10 @@ from revflow.arith import (
 )
 from revflow.embedding import Permutation, optimum_embed
 from revflow.logicnet import esop_from_tt, esop_minimize, read_pla, write_pla
-from revflow.revcirc import (
-    cost_report,
-    read_real,
-    simulate,
-    simulate_full,
-    verify_circuit,
-    write_real,
-)
+from revflow.revcirc import cost_report, read_real, simulate_full, verify_circuit, write_real
 from revflow.synth_esop import esop_synth
-from revflow.synth_functional import tbs, tbs_invariant_check
-from revflow.synth_hier import hier_synth, reachable_gate_counts
+from revflow.synth_functional import tbs
+from revflow.synth_hier import hier_synth
 
 
 class Budget:
@@ -103,7 +105,7 @@ def test_esop_flow_exact():
     for n in range(4, 9):
         tt = design_truth_table(DesignSpec(Design.INTDIV, n))
         circ = esop_synth(esop_minimize(esop_from_tt(tt)))
-        assert all(g.num_controls <= n for g in circ.gates)
+        assert all(len(g.controls) <= n for g in circ.gates)
         assert verify_circuit(circ, tt)
     budget.check()
 
@@ -153,15 +155,13 @@ def test_property_suites(tmp_path):
         circ = tbs(Permutation(3, random_permutation(rng, 3)))
         word = rng.randrange(8)
         for g in circ.gates:
-            assert g.apply(g.apply(word)) == word
+            assert apply_gate(g, apply_gate(g, word)) == word
 
     # row-by-row synthesis never disturbs already-settled rows
     for _ in range(100):
         r = rng.randrange(1, 9)
         perm = Permutation(r, random_permutation(rng, r))
-        trace = []
-        tbs(perm, trace=trace)
-        assert tbs_invariant_check(perm, trace)
+        assert_tbs_settles_rows(perm, reversed(tbs(perm).gates))
 
     # circuit and cube-list files survive a write/read cycle unchanged
     for design in (Design.INTDIV, Design.NEWTON):

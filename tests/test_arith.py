@@ -122,7 +122,7 @@ def test_newton_error_never_grows_past_an_ulp(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_intdiv_xmg_equals_oracle(n):
-    tt = gen_intdiv_xmg(n).to_truth_table()
+    tt = gen_intdiv_xmg(DesignSpec(Design.INTDIV, n)).to_truth_table()
     for x in range(1 << n):
         assert tt.rows[x] == oracle_reciprocal(n, x), x
 

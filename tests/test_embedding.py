@@ -5,15 +5,10 @@ from collections import Counter
 
 import pytest
 
-from revflow.embedding import (
-    Permutation,
-    bennett_embed,
-    min_additional_lines,
-    optimum_embed,
-    verify_embedding,
-)
+from conftest import simulate
+from revflow.embedding import Permutation, bennett_embed, min_additional_lines, optimum_embed
 from revflow.logicnet import TruthTable
-from revflow.revcirc import simulate
+from revflow.revcirc import verify_circuit
 from revflow.synth_functional import tbs
 
 
@@ -52,7 +47,7 @@ def test_bennett_embed_shape_and_identity():
     tt = TruthTable(2, 2, (1, 3, 0, 2))
     perm, emb = bennett_embed(tt)
     assert perm.width == emb.width == 4
-    assert verify_embedding(perm, emb, tt)
+    assert all(perm.images[x] >> 2 == tt.rows[x] for x in range(4))
     # inputs on lines 0-1, constant 0 on lines 2-3, outputs on lines 2-3
     circ = tbs(perm, embedding=emb)
     assert circ.constants == (None, None, 0, 0)
@@ -75,8 +70,9 @@ def test_optimum_embed_properties():
         tt = TruthTable(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n)))
         perm, emb = optimum_embed(tt)
         assert perm.width == max(n, m + min_additional_lines(tt))
-        assert verify_embedding(perm, emb, tt)
-        # garbage words count up from zero per output value, in input order
+        assert (emb.source_inputs, emb.source_outputs, emb.width) == (n, m, perm.width)
+        # output value on the top m lines, garbage words counting up from
+        # zero per output value, in input order
         g = perm.width - m
         seen: dict[int, int] = {}
         for x in range(1 << n):
@@ -101,14 +97,7 @@ def test_optimum_embed_output_lines_on_top():
 def test_wrong_permutation_detected():
     tt = TruthTable(2, 2, (1, 3, 0, 2))
     perm, emb = optimum_embed(tt)
+    assert verify_circuit(tbs(perm, embedding=emb), tt)
     bad = list(perm.images)
     bad[0], bad[1] = bad[1], bad[0]
-    assert not verify_embedding(Permutation(perm.width, tuple(bad)), emb, tt)
-
-
-def test_verify_embedding_shape_checks():
-    tt = TruthTable(2, 2, (1, 3, 0, 2))
-    perm, emb = optimum_embed(tt)
-    other = TruthTable(3, 2, tuple(x & 3 for x in range(8)))
-    with pytest.raises(ValueError):
-        verify_embedding(perm, emb, other)
+    assert not verify_circuit(tbs(Permutation(perm.width, tuple(bad)), embedding=emb), tt)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import naive_xmg_eval, random_xmg
+from conftest import naive_esop_eval, naive_xmg_eval, random_xmg
 from revflow.logicnet import (
     Cube,
     EsopForm,
@@ -40,12 +40,9 @@ def test_table_limit_guard():
 
 
 def test_cube_matching():
-    c = Cube.from_literals({0: True, 2: False}, 1)
-    assert c.matches(0b001)
-    assert c.matches(0b011)
-    assert not c.matches(0b101)
-    assert not c.matches(0b000)
-    assert c.literals == {0: True, 2: False}
+    # x0 and not x2 holds at x = 0b001 and 0b011 only
+    c = Cube(mask=0b101, polarity=0b001, output_mask=1)
+    assert EsopForm(3, 1, (c,)).to_truth_table().rows == (0, 1, 0, 1, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         Cube(mask=0b01, polarity=0b10, output_mask=1)  # polarity outside mask
     with pytest.raises(ValueError):
@@ -78,28 +75,26 @@ def test_pprm_known_forms():
 def test_minimize_merges_distance_one():
     # x0 xor x0x1 == x0 and-not x1
     form = EsopForm(2, 1, (
-        Cube.from_literals({0: True}, 1),
-        Cube.from_literals({0: True, 1: True}, 1),
+        Cube(mask=0b01, polarity=0b01, output_mask=1),
+        Cube(mask=0b11, polarity=0b11, output_mask=1),
     ))
     out = esop_minimize(form)
-    assert len(out.cubes) == 1
-    assert out.cubes[0].literals == {0: True, 1: False}
+    assert out.cubes == (Cube(mask=0b11, polarity=0b01, output_mask=1),)
     assert out.to_truth_table().rows == form.to_truth_table().rows
 
 
 def test_minimize_opposite_polarities_drop_literal():
     # x0x1 xor x0'x1 == x1
     form = EsopForm(2, 1, (
-        Cube.from_literals({0: True, 1: True}, 1),
-        Cube.from_literals({0: False, 1: True}, 1),
+        Cube(mask=0b11, polarity=0b11, output_mask=1),
+        Cube(mask=0b11, polarity=0b10, output_mask=1),
     ))
     out = esop_minimize(form)
-    assert len(out.cubes) == 1
-    assert out.cubes[0].literals == {1: True}
+    assert out.cubes == (Cube(mask=0b10, polarity=0b10, output_mask=1),)
 
 
 def test_minimize_cancels_identical_cubes():
-    c = Cube.from_literals({0: True}, 1)
+    c = Cube(mask=1, polarity=1, output_mask=1)
     out = esop_minimize(EsopForm(1, 1, (c, c)))
     assert out.cubes == ()
     assert out.to_truth_table().rows == (0, 0)
@@ -184,6 +179,20 @@ def test_xmg_eval_agrees_with_naive():
             assert tt.rows[x] == naive_xmg_eval(net, x)
 
 
+def test_esop_table_agrees_with_naive():
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randrange(0, 7)
+        m = rng.randrange(1, 4)
+        cubes = []
+        for _ in range(rng.randrange(0, 12)):
+            mask = rng.randrange(1 << n)
+            cubes.append(Cube(mask, rng.randrange(1 << n) & mask, rng.randrange(1, 1 << m)))
+        esop = EsopForm(n, m, tuple(cubes))
+        tt = esop.to_truth_table()
+        assert tt.rows == tuple(naive_esop_eval(esop, x) for x in range(1 << n))
+
+
 def test_xmg_file_roundtrip_functional(tmp_path):
     rng = random.Random(9)
     for k in range(10):
@@ -209,7 +218,5 @@ def test_xmg_counts():
     a, b, c = (net.add_input() for _ in range(3))
     net.add_output(net.add_maj(a, b, c))
     net.add_output(net.add_xor(a, b))
-    assert net.maj_count == 1
-    assert net.xor_count == 1
     kinds = [k for _, k, _ in net.gates()]
     assert kinds == [NodeKind.MAJ, NodeKind.XOR]

@@ -1,4 +1,5 @@
-"""The package exports the README's API and imports nothing it does not use."""
+"""The package exports the README's API, imports nothing it does not use, and
+defines nothing that only tests use."""
 
 import ast
 import re
@@ -54,3 +55,42 @@ def test_no_unused_imports():
     root = Path(__file__).resolve().parents[1]
     files = sorted((root / "src" / "revflow").glob("*.py")) + sorted((root / "tests").glob("*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def _definitions(scope, prefix: str):
+    """(qualified name, name) of every non-dunder def/class at module or class level."""
+    for node in scope.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield prefix + node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node, prefix + node.name + ".")
+
+
+def _references(tree) -> set:
+    """Names used as a Name, Attribute or keyword; strings (say in __all__) do not count."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            used.add(node.arg)
+    return used
+
+
+def test_no_test_only_api():
+    """Every library definition is used by the library, the benchmark or the README's API."""
+    root = Path(__file__).resolve().parents[1]
+    library = sorted((root / "src" / "revflow").glob("*.py"))
+    bench = [p for p in sorted((root / "perfbench").glob("*.py")) if p.name != "test_bench.py"]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in library + bench}
+    used = _documented_names().union(*(_references(tree) for tree in trees.values()))
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path in library
+        for qualified, name in _definitions(trees[path], "")
+        if name not in used
+    ]
+    assert unused == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_permutation
+from conftest import apply_gate, random_permutation, simulate
 from revflow.embedding import Permutation, optimum_embed
 from revflow.logicnet import ParseError, TruthTable
 from revflow.revcirc import (
@@ -16,10 +16,8 @@ from revflow.revcirc import (
     cost_report,
     first_mismatch,
     read_real,
-    simulate,
     simulate_full,
     simulate_source_batch,
-    toffoli,
     verify_circuit,
     write_real,
 )
@@ -37,8 +35,8 @@ def test_gate_validation():
 
 def test_gate_apply_and_self_inverse():
     g = MctGate(2, (0 << 1, 1 << 1 | 1))
-    assert g.apply(0b001) == 0b101
-    assert g.apply(0b011) == 0b011              # negative control blocks
+    assert apply_gate(g, 0b001) == 0b101
+    assert apply_gate(g, 0b011) == 0b011        # negative control blocks
     rng = random.Random(2)
     for _ in range(40):
         width = rng.randrange(2, 8)
@@ -50,7 +48,7 @@ def test_gate_apply_and_self_inverse():
         neg = frozenset(lines[1 + len(pos) : 1 + n_ctl]) - pos - {t}
         g = MctGate(t, tuple(sorted([c << 1 for c in pos] + [c << 1 | 1 for c in neg])))
         w = rng.randrange(1 << width)
-        assert g.apply(g.apply(w)) == w
+        assert apply_gate(g, apply_gate(g, w)) == w
 
 
 def test_circuit_metadata_validation():
@@ -132,7 +130,7 @@ def test_first_mismatch_smallest_input_then_output():
 
 
 def test_verify_circuit_shape_mismatch():
-    circ = RevCircuit(3, (toffoli(0, 1, 2),), ("a", "b", "y"), (None, None, 0), (None, None, 0))
+    circ = RevCircuit(3, (MctGate(2, (0 << 1, 1 << 1)),), ("a", "b", "y"), (None, None, 0), (None, None, 0))
     with pytest.raises(ValueError):
         verify_circuit(circ, TruthTable(3, 1, (0,) * 8))        # input count differs
     with pytest.raises(ValueError):
@@ -194,7 +192,8 @@ def test_cost_report_matches_per_gate_sum():
 
 
 def test_cost_report_counts():
-    circ = RevCircuit.generic(3, [MctGate(0), cnot(1, 0), toffoli(0, 1, 2), toffoli(1, 2, 0)])
+    circ = RevCircuit.generic(3, [MctGate(0), cnot(1, 0), MctGate(2, (0 << 1, 1 << 1)),
+                                  MctGate(0, (1 << 1, 2 << 1))])
     rep = cost_report(circ)
     assert rep.qubits == 3
     assert rep.gate_count == 4
@@ -279,8 +278,8 @@ def test_real_reader_edge_cases(tmp_path):
 
 
 def test_real_equal_controls_share_one_tuple(tmp_path):
-    circ = RevCircuit.generic(4, [toffoli(0, 1, 2), toffoli(0, 1, 3), MctGate(3, (0 << 1 | 1,)),
-                                  toffoli(0, 1, 2)])
+    ab = (0 << 1, 1 << 1)
+    circ = RevCircuit.generic(4, [MctGate(2, ab), MctGate(3, ab), MctGate(3, (0 << 1 | 1,)), MctGate(2, ab)])
     p = tmp_path / "shared.real"
     write_real(circ, p)
     back = read_real(p)

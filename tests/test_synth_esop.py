@@ -11,7 +11,7 @@ from revflow.synth_esop import esop_synth
 
 
 def test_single_cube_is_one_toffoli():
-    form = EsopForm(2, 1, (Cube.from_literals({0: True, 1: True}, 1),))
+    form = EsopForm(2, 1, (Cube(mask=0b11, polarity=0b11, output_mask=1),))
     circ = esop_synth(form)
     assert circ.width == 3
     assert len(circ.gates) == 1
@@ -21,7 +21,7 @@ def test_single_cube_is_one_toffoli():
 
 
 def test_mixed_polarity_controls():
-    form = EsopForm(2, 1, (Cube.from_literals({0: True, 1: False}, 1),))
+    form = EsopForm(2, 1, (Cube(mask=0b11, polarity=0b01, output_mask=1),))
     circ = esop_synth(form)
     g = circ.gates[0]
     assert g.controls == (0 << 1, 1 << 1 | 1)
@@ -40,7 +40,7 @@ def test_intdiv_flow(n):
     esop = esop_minimize(esop_from_tt(tt))
     circ = esop_synth(esop)
     assert circ.width == 2 * n
-    assert all(g.num_controls <= n for g in circ.gates)
+    assert all(len(g.controls) <= n for g in circ.gates)
     assert all(g.target >= n for g in circ.gates)     # inputs never targeted
     assert verify_circuit(circ, tt)
 

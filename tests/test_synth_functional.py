@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from conftest import random_permutation
+from conftest import assert_tbs_settles_rows, random_permutation, simulate
 from revflow.arith import Design, DesignSpec, design_truth_table
 from revflow.embedding import Permutation, bennett_embed, optimum_embed
-from revflow.revcirc import simulate, simulate_full, verify_circuit
-from revflow.synth_functional import tbs, tbs_invariant_check
+from revflow.revcirc import MctGate, simulate_full, verify_circuit
+from revflow.synth_functional import tbs
 
 
 def test_identity_needs_no_gates():
@@ -20,7 +20,7 @@ def test_single_not():
     perm = Permutation(1, (1, 0))
     circ = tbs(perm)
     assert len(circ.gates) == 1
-    assert circ.gates[0].num_controls == 0
+    assert circ.gates[0].controls == ()
     assert simulate_full(circ).images == (1, 0)
 
 
@@ -45,20 +45,17 @@ def test_trace_monotone_prefix_invariant():
     for _ in range(20):
         width = rng.randrange(1, 7)
         perm = Permutation(width, random_permutation(rng, width))
-        trace = []
-        tbs(perm, trace=trace)
-        assert tbs_invariant_check(perm, trace)
+        assert_tbs_settles_rows(perm, reversed(tbs(perm).gates))
 
 
 def test_invariant_check_rejects_bad_trace():
     perm = Permutation(2, (0, 1, 3, 2))
-    trace = []
-    tbs(perm, trace=trace)
-    assert tbs_invariant_check(perm, trace)
-    broken = [tuple(snap) for snap in trace]
-    broken[-1] = (1, 0, 2, 3)
-    assert not tbs_invariant_check(perm, broken)
-    assert not tbs_invariant_check(perm, trace[:-1])
+    emitted = list(reversed(tbs(perm).gates))
+    assert_tbs_settles_rows(perm, emitted)
+    with pytest.raises(AssertionError, match="unsettled"):
+        assert_tbs_settles_rows(perm, emitted[:-1])
+    with pytest.raises(AssertionError, match="settled row moved"):
+        assert_tbs_settles_rows(perm, emitted + [MctGate(0)])
 
 
 def test_embedding_roles_stamped():

@@ -4,11 +4,18 @@ import random
 
 import pytest
 
-from conftest import HIER_VARIANTS, clean_ancillas, naive_xmg_eval, random_xmg, toffoli_count
+from conftest import (
+    HIER_VARIANTS,
+    clean_ancillas,
+    naive_xmg_eval,
+    random_xmg,
+    reachable_gate_counts,
+    toffoli_count,
+)
 from revflow.arith import Design, DesignSpec, design_truth_table, gen_intdiv_xmg
 from revflow.logicnet import TruthTable, Xmg
 from revflow.revcirc import cost_report, verify_circuit
-from revflow.synth_hier import hier_synth, reachable_gate_counts
+from revflow.synth_hier import hier_synth
 
 
 def _net_table(net: Xmg) -> TruthTable:
