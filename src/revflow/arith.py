@@ -309,7 +309,7 @@ def gen_intdiv_xmg(spec: DesignSpec) -> Xmg:
         # rem = q ? diff : shifted, via shifted XOR (q AND (diff XOR shifted))
         rem = [net.add_xor(shifted[i], net.add_and(q, sel[i])) for i in range(width)]
     for j in range(n):
-        net.add_output(qbits[j], f"y{j}")
+        net.add_output(qbits[j])
     return net
 
 
@@ -370,7 +370,7 @@ def gen_newton_xmg(spec: DesignSpec) -> Xmg:
         any_input = net.add_or(any_input, x)
     is_zero = lit_not(any_input)
     for j in range(n):
-        net.add_output(net.add_or(ybits[j], is_zero), f"y{j}")
+        net.add_output(net.add_or(ybits[j], is_zero))
     return net
 
 

@@ -1,5 +1,11 @@
 """Combinational logic representations: truth tables, ESOP cube lists, and
-majority/xor networks, plus the text formats used to move them between tools."""
+majority/xor networks, plus the text formats used to move them between tools.
+
+A table is held either as row words (bit j of row x is output j under input
+assignment x) or as bit-planes, one big integer per output or line whose bit
+x is its value under row or assignment x.  ``_transpose`` is the one
+conversion between the two layouts, in both directions.
+"""
 
 from __future__ import annotations
 
@@ -98,12 +104,9 @@ class TruthTable:
         rows = tuple(fn(x) for x in range(1 << num_inputs))
         return cls(num_inputs, num_outputs, rows)
 
-    def output_column(self, j: int) -> int:
-        """Output j across all rows, packed into a 2^n-bit integer (bit x = row x)."""
-        col = 0
-        for x, row in enumerate(self.rows):
-            col |= ((row >> j) & 1) << x
-        return col
+    def columns(self) -> list[int]:
+        """One bit-plane per output: bit x of columns()[j] is output j of row x."""
+        return _transpose(self.rows, self.num_outputs)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ class EsopForm:
                 product &= inputs[i] if c.polarity >> i & 1 else ~inputs[i]
             for j in _bits(c.output_mask):
                 cols[j] ^= product
-        return TruthTable(n, self.num_outputs, _rows_from_columns(cols, n))
+        return TruthTable(n, self.num_outputs, tuple(_transpose(cols, 1 << n)))
 
 
 def esop_from_tt(tt: TruthTable) -> EsopForm:
@@ -291,6 +294,8 @@ def read_pla(path: str | Path) -> EsopForm:
             fields = text.split()
             directive = fields[0]
             if directive == ".i" or directive == ".o":
+                if cubes:
+                    raise ParseError(f"{directive} header after the first cube", name, lineno)
                 if len(fields) != 2 or not fields[1].isdigit():
                     raise ParseError(f"malformed {directive} header", name, lineno)
                 if directive == ".i":
@@ -388,8 +393,7 @@ class Xmg:
         self._kinds: list[NodeKind] = [NodeKind.CONST0]
         self._fanins: list[tuple[int, ...]] = [()]
         self._strash: dict[tuple, int] = {}
-        self.input_names: list[str] = []
-        self.output_names: list[str] = []
+        self._num_inputs = 0
         self._outputs: list[int] = []
 
     # -- construction ------------------------------------------------------
@@ -406,7 +410,7 @@ class Xmg:
         index = len(self._kinds)
         self._kinds.append(NodeKind.INPUT)
         self._fanins.append(())
-        self.input_names.append(f"x{len(self.input_names)}")
+        self._num_inputs += 1
         return lit(index)
 
     def _check_lit(self, literal: int) -> None:
@@ -475,17 +479,16 @@ class Xmg:
     def add_or(self, a: int, b: int) -> int:
         return self.add_maj(a, b, self.const1)
 
-    def add_output(self, literal: int, name: str | None = None) -> int:
+    def add_output(self, literal: int) -> int:
         self._check_lit(literal)
         self._outputs.append(literal)
-        self.output_names.append(name if name is not None else f"y{len(self.output_names)}")
         return len(self._outputs) - 1
 
     # -- introspection -----------------------------------------------------
 
     @property
     def num_inputs(self) -> int:
-        return len(self.input_names)
+        return self._num_inputs
 
     @property
     def num_outputs(self) -> int:
@@ -532,7 +535,7 @@ class Xmg:
                 va, vb, vc = (edge(f) for f in fi)
                 values[node] = (va & vb) | (va & vc) | (vb & vc)
         cols = [edge(out) for out in self._outputs]
-        return TruthTable(n, self.num_outputs, _rows_from_columns(cols, n))
+        return TruthTable(n, self.num_outputs, tuple(_transpose(cols, 1 << n)))
 
 
 def _bits(word: int):
@@ -543,15 +546,16 @@ def _bits(word: int):
         word ^= low
 
 
-def _rows_from_columns(cols: list[int], n: int) -> tuple[int, ...]:
-    """Row words of a table held as columns: bit x of cols[j] is output j of row x."""
-    rows = []
-    for x in range(1 << n):
-        word = 0
-        for j, col in enumerate(cols):
-            word |= (col >> x & 1) << j
-        rows.append(word)
-    return tuple(rows)
+def _transpose(words, width: int) -> list[int]:
+    """Transpose a bit matrix: bit k of result[i] is bit i of words[k].
+
+    Every word must be below 2^width; the result has width entries, each
+    below 2^len(words).  Applied to rows it gives the bit-planes, applied to
+    planes (with width 2^n) it gives the rows back.
+    """
+    # the last word leads the text, so each column reads off most significant bit first
+    text = "".join(format(w, f"0{width}b") for w in reversed(words))
+    return [int(text[p::width] or "0", 2) for p in range(width - 1, -1, -1)]
 
 
 def _input_pattern(i: int, n: int) -> int:

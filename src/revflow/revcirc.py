@@ -6,8 +6,9 @@ function outputs at the end; everything else is garbage.  Every flow lays its
 lines out the same way, through ``RevCircuit.layout``: inputs on the low
 lines, a constant 0 on every other line, and the outputs on consecutive
 lines.  ``read_real`` accepts any roles a REAL file declares.  Simulation
-works on whole input batches at once by keeping one big integer per line
-whose bit x is the line's value under assignment x.
+works on whole input batches at once by keeping one bit-plane per line, in
+the convention of ``logicnet`` (bit x is the line's value under assignment
+x); ``logicnet._transpose`` turns planes into words and back.
 
 A gate keeps its controls as one tuple of line literals, ``line << 1 | neg``
 (the edge encoding of ``logicnet.Xmg``), strictly ascending by line.  A
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .embedding import Permutation
-from .logicnet import ParseError, TruthTable, _input_pattern
+from .logicnet import ParseError, TruthTable, _input_pattern, _transpose
 
 __all__ = [
     "MctGate",
@@ -142,12 +143,6 @@ class RevCircuit:
     def num_outputs(self) -> int:
         return sum(1 for o in self.outputs if o is not None)
 
-    def output_line(self, j: int) -> int:
-        for line, o in enumerate(self.outputs):
-            if o == j:
-                return line
-        raise IndexError(f"no line carries output {j}")
-
 
 def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
     """Apply the cascade to per-line bit planes over `batch` assignments."""
@@ -188,13 +183,7 @@ def simulate_full(circ: RevCircuit) -> Permutation:
         raise ValueError(f"width {r} too large for full simulation")
     planes = [_input_pattern(i, r) for i in range(r)]
     _run_planes(circ, planes, 1 << r)
-    images = [0] * (1 << r)
-    for line, plane in enumerate(planes):
-        while plane:
-            low = plane & -plane
-            images[low.bit_length() - 1] |= 1 << line
-            plane ^= low
-    return Permutation(r, tuple(images))
+    return Permutation(r, tuple(_transpose(planes, 1 << r)))
 
 
 def first_mismatch(circ: RevCircuit, tt: TruthTable) -> "tuple[int, int, int, int] | None":
@@ -211,9 +200,10 @@ def first_mismatch(circ: RevCircuit, tt: TruthTable) -> "tuple[int, int, int, in
             f"table has {tt.num_inputs} / {tt.num_outputs}"
         )
     planes = simulate_source_batch(circ)
+    # outputs sit in ascending line order, which RevCircuit validates
+    outs = [plane for plane, o in zip(planes, circ.outputs) if o is not None]
     first = None
-    for j in range(tt.num_outputs):
-        got, want = planes[circ.output_line(j)], tt.output_column(j)
+    for j, (got, want) in enumerate(zip(outs, tt.columns())):
         diff = got ^ want
         if diff:
             x = (diff & -diff).bit_length() - 1
@@ -352,10 +342,11 @@ def read_real(path) -> RevCircuit:
     Accepted: ``#`` comments and blank lines; the directives ``.version``
     (ignored), ``.numvars``, ``.variables`` (distinct names, none led by
     ``-``), ``.constants`` (``0``, ``1`` or ``-`` per line), ``.garbage``
-    (``1`` or ``-`` per line), ``.begin`` and ``.end``; and in the body
-    only Toffoli gates ``tK c1 .. cK-1 target``, each control a line name,
-    negative when led by ``-``, in any order, operands separated by any
-    whitespace.  Anything else raises ``ParseError`` with its line number.
+    (``1`` or ``-`` per line), ``.begin`` and ``.end``; and in the body,
+    where the only directive is ``.end``, only Toffoli gates
+    ``tK c1 .. cK-1 target``, each control a line name, negative when led
+    by ``-``, in any order, operands separated by any whitespace.  Anything
+    else raises ``ParseError`` with its line number.
 
     Gates that repeat a control set are cheap: for a gate line in canonical
     form (single spaces), the text up to its last space maps to its sorted
@@ -426,6 +417,9 @@ def read_real(path) -> RevCircuit:
                 continue
             tokens = line.split()
             key = tokens[0]
+            if in_body and key != ".end":
+                # a header directive here would reinterpret the gates already read
+                fail(f"{key} after .begin", lineno)
             if key == ".version":
                 continue
             if key == ".numvars":

@@ -12,7 +12,7 @@ that computes the original permutation is the reversal of the emitted list.
 from __future__ import annotations
 
 from .embedding import Embedding, Permutation
-from .logicnet import _bits
+from .logicnet import _bits, _transpose
 from .revcirc import MctGate, RevCircuit
 
 __all__ = ["tbs"]
@@ -28,12 +28,7 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     r = perm.width
     size = 1 << r
     full = (1 << size) - 1
-    planes = []
-    for b in range(r):
-        col = 0
-        for x in range(size):
-            col |= ((perm.images[x] >> b) & 1) << x
-        planes.append(col)
+    planes = _transpose(perm.images, r)
 
     emitted: list[MctGate] = []
 

@@ -161,13 +161,8 @@ class _Compiler:
 
     def finish(self, gates: list[MctGate]) -> RevCircuit:
         width = self.next_line
-        names = list(self.net.input_names) + list(self.net.output_names)
-        names += [f"a{k}" for k in range(width - len(names))]
-        seen: set = set()
-        for i, name in enumerate(names):
-            if name in seen:
-                names[i] = f"{name}_{i}"
-            seen.add(names[i])
+        names = [f"x{i}" for i in range(self.n)] + [f"y{j}" for j in range(self.m)]
+        names += [f"a{k}" for k in range(width - self.n - self.m)]
         return RevCircuit.layout(width, gates, names, self.n, self.m, self.n)
 
 

@@ -1,6 +1,6 @@
 """Shared test helpers: random nets and permutations, and the independent
 references the library is checked against (scalar simulator, naive XMG and
-ESOP evaluators, reachable gate counts)."""
+ESOP evaluators, reachable gate counts, per-bit transpose)."""
 
 import random
 
@@ -61,6 +61,15 @@ def naive_xmg_eval(net: Xmg, x: int) -> int:
     for j, edge in enumerate(net.outputs):
         word |= (val(lit_node(edge)) ^ lit_is_neg(edge)) << j
     return word
+
+
+def naive_transpose(words, width: int) -> list:
+    """Bit k of result[i] is bit i of words[k], one bit at a time."""
+    result = [0] * width
+    for k, word in enumerate(words):
+        for i in range(width):
+            result[i] |= (word >> i & 1) << k
+    return result
 
 
 def naive_esop_eval(esop: EsopForm, x: int) -> int:
@@ -133,10 +142,9 @@ def clean_ancillas(circ: RevCircuit) -> bool:
     planes = simulate_source_batch(circ)
     batch = 1 << circ.num_inputs
     full = (1 << batch) - 1
-    out_lines = {circ.output_line(j) for j in range(circ.num_outputs)}
     for line in range(circ.width):
         c = circ.constants[line]
-        if c is None or line in out_lines:
+        if c is None or circ.outputs[line] is not None:
             continue
         if planes[line] != (full if c else 0):
             return False

@@ -92,10 +92,10 @@ def test_functional_flow_exact():
         assert verify_circuit(circ, tt)
         for x in (0, 1, (1 << n) - 1):
             word = simulate(circ, x)
-            assert word >> circ.output_line(0) & ((1 << n) - 1) == tt.rows[x]
+            assert word >> circ.outputs.index(0) & ((1 << n) - 1) == tt.rows[x]
             got = 0
             for j in range(tt.num_outputs):
-                got |= (word >> circ.output_line(j) & 1) << j
+                got |= (word >> circ.outputs.index(j) & 1) << j
             assert got == oracle_reciprocal(n, x) if x else got == (1 << n) - 1
     budget.check()
 

@@ -51,7 +51,7 @@ def test_bennett_embed_shape_and_identity():
     # inputs on lines 0-1, constant 0 on lines 2-3, outputs on lines 2-3
     circ = tbs(perm, embedding=emb)
     assert circ.constants == (None, None, 0, 0)
-    assert [circ.output_line(j) for j in range(2)] == [2, 3]
+    assert [circ.outputs.index(j) for j in range(2)] == [2, 3]
     for x in range(4):
         assert simulate(circ, x) >> 2 == tt.rows[x]
     # inputs pass through on the low lines for any constant block
@@ -89,7 +89,7 @@ def test_optimum_embed_output_lines_on_top():
     perm, emb = optimum_embed(tt)
     r = perm.width
     circ = tbs(perm, embedding=emb)
-    assert [circ.output_line(j) for j in range(2)] == [r - 2, r - 1]
+    assert [circ.outputs.index(j) for j in range(2)] == [r - 2, r - 1]
     for x in range(8):
         assert simulate(circ, x) >> (r - 2) == tt.rows[x]
 

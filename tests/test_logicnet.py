@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import naive_esop_eval, naive_xmg_eval, random_xmg
+from conftest import naive_esop_eval, naive_transpose, naive_xmg_eval, random_xmg
 from revflow.logicnet import (
     Cube,
     EsopForm,
@@ -13,6 +13,7 @@ from revflow.logicnet import (
     TableLimitError,
     TruthTable,
     Xmg,
+    _transpose,
     esop_from_tt,
     esop_minimize,
     lit_is_neg,
@@ -30,8 +31,17 @@ def test_truth_table_validation():
     with pytest.raises(ValueError):
         TruthTable(1, 1, (0, 2))             # row out of range
     tt = TruthTable.from_function(2, 2, lambda x: x)
-    assert tt.output_column(0) == 0b1010
-    assert tt.output_column(1) == 0b1100
+    assert tt.columns() == [0b1010, 0b1100]
+
+
+def test_transpose_agrees_with_naive():
+    rng = random.Random(23)
+    for width in range(10):
+        for count in range(71):
+            words = [rng.getrandbits(width) for _ in range(count)]
+            planes = _transpose(words, width)
+            assert planes == naive_transpose(words, width), (width, count)
+            assert _transpose(planes, count) == words, (width, count)
 
 
 def test_table_limit_guard():
@@ -133,6 +143,13 @@ def test_pla_parse_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(ParseError):
             read_pla(p)
+    # a header after the first cube would reshape the cubes already read
+    for text in (".i 2\n.o 1\n.type esop\n11 1\n.i 3\n111 1\n.e\n",
+                 ".i 2\n.o 1\n.type esop\n11 1\n.o 2\n11 11\n.e\n"):
+        p.write_text(text)
+        with pytest.raises(ParseError, match="header after the first cube") as info:
+            read_pla(p)
+        assert info.value.line == 5
 
 
 def test_pla_error_carries_location(tmp_path):

@@ -106,7 +106,7 @@ def test_verify_circuit_positive_and_negative():
     assert verify_circuit(circ, tt)
     broken = RevCircuit(
         circ.width,
-        circ.gates + (MctGate(circ.output_line(0)),),
+        circ.gates + (MctGate(circ.outputs.index(0)),),
         circ.line_names,
         circ.constants,
         circ.outputs,
@@ -243,6 +243,12 @@ def test_real_parse_errors(tmp_path):
         with pytest.raises(ParseError, match="'a' named twice") as info:
             read_real(p)
         assert info.value.line == 4
+    # a header directive after .begin would rename the lines under the gates already read
+    for directive in (".variables b a", ".numvars 2", ".begin"):
+        p.write_text(f".numvars 2\n.variables a b\n.begin\nt2 a b\n{directive}\n.end\n")
+        with pytest.raises(ParseError, match=f"{directive.split()[0]} after .begin") as info:
+            read_real(p)
+        assert info.value.line == 5
 
 
 def test_real_reader_edge_cases(tmp_path):

@@ -67,7 +67,7 @@ def test_embedding_roles_stamped():
     assert circ.constants == (None,) * 3 + (0,) * (emb.width - 3)
     r, m = emb.width, emb.source_outputs
     for j in range(m):
-        assert circ.output_line(j) == r - m + j
+        assert circ.outputs.index(j) == r - m + j
     for x in range(8):
         assert simulate(circ, x) >> (r - m) == tt.rows[x]
     assert verify_circuit(circ, tt)
