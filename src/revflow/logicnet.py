@@ -296,6 +296,8 @@ def read_pla(path: str | Path) -> EsopForm:
             if directive == ".i" or directive == ".o":
                 if cubes:
                     raise ParseError(f"{directive} header after the first cube", name, lineno)
+                if (num_inputs if directive == ".i" else num_outputs) is not None:
+                    raise ParseError(f"{directive} header given twice", name, lineno)
                 if len(fields) != 2 or not fields[1].isdigit():
                     raise ParseError(f"malformed {directive} header", name, lineno)
                 if directive == ".i":
@@ -479,10 +481,9 @@ class Xmg:
     def add_or(self, a: int, b: int) -> int:
         return self.add_maj(a, b, self.const1)
 
-    def add_output(self, literal: int) -> int:
+    def add_output(self, literal: int) -> None:
         self._check_lit(literal)
         self._outputs.append(literal)
-        return len(self._outputs) - 1
 
     # -- introspection -----------------------------------------------------
 

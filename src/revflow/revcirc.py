@@ -145,12 +145,20 @@ class RevCircuit:
 
 
 def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
-    """Apply the cascade to per-line bit planes over `batch` assignments."""
+    """Apply the cascade to per-line bit planes over `batch` assignments.
+
+    A gate whose controls equal the previous gate's reuses its fire: that
+    gate's target is not among those controls (``MctGate`` rejects it), so
+    it left their planes unchanged.
+    """
     full = (1 << batch) - 1
+    controls = fire = None
     for gate in circ.gates:
-        fire = full
-        for c in gate.controls:
-            fire &= ~planes[c >> 1] if c & 1 else planes[c >> 1]
+        if gate.controls != controls:
+            controls = gate.controls
+            fire = full
+            for c in controls:
+                fire &= ~planes[c >> 1] if c & 1 else planes[c >> 1]
         planes[gate.target] ^= fire
     return planes
 
@@ -342,7 +350,8 @@ def read_real(path) -> RevCircuit:
     Accepted: ``#`` comments and blank lines; the directives ``.version``
     (ignored), ``.numvars``, ``.variables`` (distinct names, none led by
     ``-``), ``.constants`` (``0``, ``1`` or ``-`` per line), ``.garbage``
-    (``1`` or ``-`` per line), ``.begin`` and ``.end``; and in the body,
+    (``1`` or ``-`` per line), each of these four at most once, ``.begin``
+    and ``.end``; and in the body,
     where the only directive is ``.end``, only Toffoli gates
     ``tK c1 .. cK-1 target``, each control a line name, negative when led
     by ``-``, in any order, operands separated by any whitespace.  Anything
@@ -359,6 +368,7 @@ def read_real(path) -> RevCircuit:
     constants = None
     outputs = None
     gates: list[MctGate] = []
+    declared: set[str] = set()
     in_body = False
     ended = False
 
@@ -422,6 +432,10 @@ def read_real(path) -> RevCircuit:
                 fail(f"{key} after .begin", lineno)
             if key == ".version":
                 continue
+            if key in (".numvars", ".variables", ".constants", ".garbage"):
+                if key in declared:
+                    fail(f"{key} declared twice", lineno)
+                declared.add(key)
             if key == ".numvars":
                 if len(tokens) != 2 or not tokens[1].isdigit():
                     fail("bad .numvars", lineno)

@@ -7,6 +7,15 @@ evolving y), then gates that clear the bits present in y but not in i
 (controls on the ones of i).  Earlier rows stay fixed because their images
 are smaller than i and can never satisfy those control sets.  The circuit
 that computes the original permutation is the reversal of the emitted list.
+
+The kernel keeps one bit-plane per line over the rows.  A gate's fire, the
+AND of its control planes, is computed once and reused: the set step ANDs
+its controls for the first gate, and each later set gate, whose controls
+grow by the bit just set, costs one AND with that bit's plane; the clear
+step's gates all share the controls i and none targets one, so the step
+costs one AND of its controls.  Every 64 rows the settled rows, on which no
+later gate fires, are shifted out of the planes, so reading row i's image
+is a test of one low bit per plane.
 """
 
 from __future__ import annotations
@@ -26,30 +35,50 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     m lines.  Without one every line is an input and an output.
     """
     r = perm.width
-    size = 1 << r
-    full = (1 << size) - 1
+    # bit k of planes[b] is bit b of row base + k's image
     planes = _transpose(perm.images, r)
-
+    full = (1 << (1 << r)) - 1
+    base = 0
+    literals: dict[int, tuple[int, ...]] = {}
     emitted: list[MctGate] = []
 
-    def emit(ctrl_mask: int, target: int) -> None:
-        gate = MctGate(target, tuple(c << 1 for c in _bits(ctrl_mask)))
-        emitted.append(gate)
+    def controls_of(mask: int) -> tuple[int, ...]:
+        lits = literals.get(mask)
+        if lits is None:
+            lits = literals[mask] = tuple(c << 1 for c in _bits(mask))
+        return lits
+
+    def fire_of(lits: tuple[int, ...]) -> int:
         fire = full
-        for c in gate.controls:
+        for c in lits:
             fire &= planes[c >> 1]
-        planes[target] ^= fire
+        return fire
 
-    def image_at(x: int) -> int:
-        return sum(((planes[b] >> x) & 1) << b for b in range(r))
-
-    for i in range(size):
-        y = image_at(i)
-        for b in _bits(i & ~y):
-            emit(y, b)
-            y |= 1 << b
-        for b in _bits(y & ~i):
-            emit(i, b)
+    for i in range(1 << r):
+        if i - base == 64:
+            planes = [p >> 64 for p in planes]
+            full >>= 64
+            base = i
+        row = 1 << (i - base)
+        y = 0
+        for b in range(r):
+            if planes[b] & row:
+                y |= 1 << b
+        up = i & ~y
+        if up:
+            fire = fire_of(controls_of(y))
+            for b in _bits(up):
+                emitted.append(MctGate(b, controls_of(y)))
+                planes[b] ^= fire
+                fire &= planes[b]
+                y |= 1 << b
+        down = y & ~i
+        if down:
+            controls = controls_of(i)
+            fire = fire_of(controls)
+            for b in _bits(down):
+                emitted.append(MctGate(b, controls))
+                planes[b] ^= fire
 
     if embedding is None:
         return RevCircuit.generic(r, reversed(emitted))

@@ -1,6 +1,6 @@
 """Shared test helpers: random nets and permutations, and the independent
-references the library is checked against (scalar simulator, naive XMG and
-ESOP evaluators, reachable gate counts, per-bit transpose)."""
+references the library is checked against (scalar simulator, scalar TBS,
+naive XMG and ESOP evaluators, reachable gate counts, per-bit transpose)."""
 
 import random
 
@@ -131,6 +131,33 @@ def assert_tbs_settles_rows(perm: Permutation, emitted) -> None:
         assert images[:settled] == identity[:settled], "a settled row moved"
         settled = settled_from(images, settled)
     assert settled == len(images), "rows left unsettled"
+
+
+def reference_tbs(perm: Permutation) -> tuple:
+    """TBS by the rule of the synth_functional docstring, in circuit order.
+
+    The images are a plain list.  Rows are fixed in ascending order; row i
+    first sets, then clears, its differing bits in ascending bit order, and
+    every emitted gate is applied to every row.  The circuit is the reversal
+    of the emitted list.
+    """
+    r = perm.width
+    images = list(perm.images)
+    emitted = []
+
+    def emit(mask, target):
+        emitted.append(MctGate(target, tuple(c << 1 for c in range(r) if mask >> c & 1)))
+        images[:] = [y ^ 1 << target if y & mask == mask else y for y in images]
+
+    for i in range(len(images)):
+        for b in range(r):
+            if i >> b & 1 and not images[i] >> b & 1:
+                emit(images[i], b)
+        for b in range(r):
+            if images[i] >> b & 1 and not i >> b & 1:
+                emit(i, b)
+        assert images[i] == i
+    return tuple(reversed(emitted))
 
 
 def toffoli_count(circ: RevCircuit) -> int:

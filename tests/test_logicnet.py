@@ -150,6 +150,13 @@ def test_pla_parse_errors(tmp_path):
         with pytest.raises(ParseError, match="header after the first cube") as info:
             read_pla(p)
         assert info.value.line == 5
+    # a repeated header before the first cube would silently replace the first
+    for text, line in ((".i 2\n.i 3\n.o 1\n.type esop\n111 1\n.e\n", 2),
+                       (".i 2\n.o 1\n.o 2\n.type esop\n11 11\n.e\n", 3)):
+        p.write_text(text)
+        with pytest.raises(ParseError, match="header given twice") as info:
+            read_pla(p)
+        assert info.value.line == line
 
 
 def test_pla_error_carries_location(tmp_path):

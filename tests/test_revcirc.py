@@ -85,6 +85,61 @@ def test_simulate_agrees_with_full(tmp_path):
         assert read_real(path) == circ
 
 
+def random_control_runs(rng: random.Random, width: int, length: int) -> list:
+    """Mixed-polarity gates in runs that share their controls.
+
+    Half the runs share one controls tuple, the others repeat it by value.
+    Some runs add the previous run's target to its controls, and some go
+    back to the controls of two runs before, so equal controls also recur
+    after a gate that changed one of their planes.
+    """
+    gates = []
+    runs = [()]
+    while len(gates) < length:
+        pick = rng.randrange(3)
+        if pick == 0 and gates:
+            t = gates[-1].target
+            controls = tuple(sorted(runs[-1] + (t << 1 | rng.randrange(2),)))
+        elif pick == 1 and len(runs) > 2:
+            controls = runs[-2]
+        else:
+            lines = rng.sample(range(width), rng.randrange(width))
+            controls = tuple(sorted(line << 1 | rng.randrange(2) for line in lines))
+        used = {c >> 1 for c in controls}
+        free = [line for line in range(width) if line not in used]
+        if not free:
+            continue
+        share = rng.randrange(2)
+        for _ in range(rng.randrange(1, 5)):
+            gates.append(MctGate(rng.choice(free), controls if share else tuple(list(controls))))
+        runs.append(controls)
+    return gates
+
+
+def test_run_planes_reuses_fire_exactly():
+    rng = random.Random(17)
+    for _ in range(30):
+        width = rng.randrange(1, 8)
+        gates = random_control_runs(rng, width, 40)
+        perm = simulate_full(RevCircuit.generic(width, gates))
+        assert perm.images == tuple(simulate(RevCircuit.generic(width, gates), w) for w in range(1 << width))
+        n = rng.randrange(1, width + 1)
+        m = rng.randrange(1, width + 1)
+        first = rng.randrange(width - m + 1)
+        circ = RevCircuit.layout(width, gates, (f"l{i}" for i in range(width)), n, m, first)
+        low = (1 << m) - 1
+        rows = [simulate(circ, x) >> first & low for x in range(1 << n)]
+        assert first_mismatch(circ, TruthTable(n, m, tuple(rows))) is None
+        # flip a few table bits: the smallest x, then the smallest output, is reported
+        want = list(rows)
+        flips = {(rng.randrange(1 << n), rng.randrange(m)) for _ in range(3)}
+        for x, j in flips:
+            want[x] ^= 1 << j
+        x, j = min(flips)
+        got = rows[x] >> j & 1
+        assert first_mismatch(circ, TruthTable(n, m, tuple(want))) == (x, j, got, got ^ 1)
+
+
 def test_simulate_full_is_bijective_by_construction():
     rng = random.Random(31)
     perm = Permutation(5, random_permutation(rng, 5))
@@ -249,6 +304,19 @@ def test_real_parse_errors(tmp_path):
         with pytest.raises(ParseError, match=f"{directive.split()[0]} after .begin") as info:
             read_real(p)
         assert info.value.line == 5
+    # each header directive at most once: a repeat fails at its own line
+    p.write_text(".numvars 2\n.variables a b\n.constants --\n.numvars 3\n"
+                 ".variables a b c\n.begin\nt2 a c\n.end\n")
+    with pytest.raises(ParseError, match=r"\.numvars declared twice") as info:
+        read_real(p)
+    assert info.value.line == 4
+    head = [".numvars 2", ".variables a b", ".constants --", ".garbage --"]
+    for k, repeat in enumerate((".variables b a", ".constants 00", ".garbage 11")):
+        lines = head[: k + 2] + [repeat] + head[k + 2 :]
+        p.write_text("\n".join(lines + [".begin", "t2 a b", ".end"]) + "\n")
+        with pytest.raises(ParseError, match=f"\\{repeat.split()[0]} declared twice") as info:
+            read_real(p)
+        assert info.value.line == k + 3
 
 
 def test_real_reader_edge_cases(tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import assert_tbs_settles_rows, random_permutation, simulate
+from conftest import assert_tbs_settles_rows, random_permutation, reference_tbs, simulate
 from revflow.arith import Design, DesignSpec, design_truth_table
 from revflow.embedding import Permutation, bennett_embed, optimum_embed
 from revflow.revcirc import MctGate, simulate_full, verify_circuit
@@ -31,13 +31,15 @@ def test_swap_of_two_lines():
     assert simulate_full(circ).images == perm.images
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+# widths past 6 cross the 64-row steps at which tbs shifts settled rows out
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_random_permutations_exact(width):
     rng = random.Random(100 + width)
     for _ in range(6):
         perm = Permutation(width, random_permutation(rng, width))
         circ = tbs(perm)
         assert simulate_full(circ).images == perm.images
+        assert circ.gates == reference_tbs(perm)
 
 
 def test_trace_monotone_prefix_invariant():
@@ -75,8 +77,10 @@ def test_embedding_roles_stamped():
 
 @pytest.mark.parametrize("embed", [optimum_embed, bennett_embed])
 def test_intdiv_both_embeddings(embed):
-    tt = design_truth_table(DesignSpec(Design.INTDIV, 4))
-    perm, emb = embed(tt)
-    circ = tbs(perm, embedding=emb)
-    assert simulate_full(circ).images == perm.images
-    assert verify_circuit(circ, tt)
+    for n in (4, 5, 6):
+        tt = design_truth_table(DesignSpec(Design.INTDIV, n))
+        perm, emb = embed(tt)
+        circ = tbs(perm, embedding=emb)
+        assert simulate_full(circ).images == perm.images
+        assert verify_circuit(circ, tt)
+        assert circ.gates == reference_tbs(perm)
