@@ -28,8 +28,6 @@ __all__ = [
     "NodeKind",
     "Xmg",
     "lit",
-    "lit_node",
-    "lit_is_neg",
     "lit_not",
     "read_xmg",
     "write_xmg",
@@ -298,7 +296,7 @@ def read_pla(path: str | Path) -> EsopForm:
                     raise ParseError(f"{directive} header after the first cube", name, lineno)
                 if (num_inputs if directive == ".i" else num_outputs) is not None:
                     raise ParseError(f"{directive} header given twice", name, lineno)
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
                     raise ParseError(f"malformed {directive} header", name, lineno)
                 if directive == ".i":
                     num_inputs = int(fields[1])
@@ -369,14 +367,6 @@ def lit(node: int, neg: bool = False) -> int:
     return node << 1 | int(neg)
 
 
-def lit_node(literal: int) -> int:
-    return literal >> 1
-
-
-def lit_is_neg(literal: int) -> bool:
-    return bool(literal & 1)
-
-
 def lit_not(literal: int) -> int:
     return literal ^ 1
 
@@ -388,13 +378,17 @@ class Xmg:
     (operands always reference earlier nodes).  AND and OR have no node kind
     of their own, they are majorities with a constant operand.  Construction
     folds trivial gates and hashes structurally, so equivalent add_* calls
-    return the same literal.
+    return the same literal.  The structural-hash key of a gate is its
+    operand tuple after phase normalisation, which is also what ``fanins``
+    returns: ``(a, b)`` with both phases stripped and a < b for an XOR, and
+    the ascending ``(a, b, c)`` with at most one complemented operand for a
+    MAJ.  The tuple's length, 2 or 3, keeps the two kinds apart.
     """
 
     def __init__(self):
         self._kinds: list[NodeKind] = [NodeKind.CONST0]
         self._fanins: list[tuple[int, ...]] = [()]
-        self._strash: dict[tuple, int] = {}
+        self._strash: dict[tuple[int, ...], int] = {}
         self._num_inputs = 0
         self._outputs: list[int] = []
 
@@ -416,70 +410,80 @@ class Xmg:
         return lit(index)
 
     def _check_lit(self, literal: int) -> None:
-        if literal < 0 or lit_node(literal) >= len(self._kinds):
+        if not 0 <= literal < len(self._kinds) << 1:
             raise ValueError(f"literal {literal} references an unknown node")
 
+    # add_xor and add_maj run once per generated or read gate, so they work
+    # on the literals directly: x >> 1 is the node, x & 1 the phase.
+
     def add_xor(self, a: int, b: int) -> int:
-        self._check_lit(a)
-        self._check_lit(b)
-        neg = lit_is_neg(a) ^ lit_is_neg(b)
+        bound = len(self._kinds) << 1
+        if not 0 <= a < bound:
+            raise ValueError(f"literal {a} references an unknown node")
+        if not 0 <= b < bound:
+            raise ValueError(f"literal {b} references an unknown node")
+        neg = (a ^ b) & 1
         a &= ~1
         b &= ~1
         if a == b:
-            return lit(0, neg)
-        if lit_node(a) == 0:
-            return b | int(neg)  # a is const0 once phases are stripped
-        if lit_node(b) == 0:
-            return a | int(neg)
-        if a > b:
-            a, b = b, a
-        key = (NodeKind.XOR, a, b)
+            return neg
+        if a == 0:
+            return b | neg  # a is const0 once phases are stripped
+        if b == 0:
+            return a | neg
+        key = (a, b) if a < b else (b, a)
         node = self._strash.get(key)
         if node is None:
-            node = len(self._kinds)
+            node = bound >> 1
             self._kinds.append(NodeKind.XOR)
-            self._fanins.append((a, b))
+            self._fanins.append(key)
             self._strash[key] = node
-        return lit(node, bool(neg))
+        return node << 1 | neg
 
     def add_maj(self, a: int, b: int, c: int) -> int:
-        for x in (a, b, c):
-            self._check_lit(x)
+        bound = len(self._kinds) << 1
+        if not (0 <= a < bound and 0 <= b < bound and 0 <= c < bound):
+            for x in (a, b, c):
+                self._check_lit(x)
         # equal or complementary operand pairs collapse the gate
         if a == b:
             return a
-        if a == lit_not(b):
+        if a == b ^ 1:
             return c
         if a == c:
             return a
-        if a == lit_not(c):
+        if a == c ^ 1:
             return b
         if b == c:
             return b
-        if b == lit_not(c):
+        if b == c ^ 1:
             return a
-        ops = [a, b, c]
         # majority is self-dual; keep at most one complemented operand
-        if sum(lit_is_neg(x) for x in ops) >= 2:
-            ops = [lit_not(x) for x in ops]
-            out_neg = True
-        else:
-            out_neg = False
-        ops.sort()
-        key = (NodeKind.MAJ, *ops)
+        neg = 1 if (a & 1) + (b & 1) + (c & 1) >= 2 else 0
+        if neg:
+            a ^= 1
+            b ^= 1
+            c ^= 1
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        key = (a, b, c)
         node = self._strash.get(key)
         if node is None:
-            node = len(self._kinds)
+            node = bound >> 1
             self._kinds.append(NodeKind.MAJ)
-            self._fanins.append(tuple(ops))
+            self._fanins.append(key)
             self._strash[key] = node
-        return lit(node, out_neg)
+        return node << 1 | neg
 
     def add_and(self, a: int, b: int) -> int:
-        return self.add_maj(a, b, self.const0)
+        return self.add_maj(a, b, 0)  # const0
 
     def add_or(self, a: int, b: int) -> int:
-        return self.add_maj(a, b, self.const1)
+        return self.add_maj(a, b, 1)  # const1
 
     def add_output(self, literal: int) -> None:
         self._check_lit(literal)
@@ -588,33 +592,25 @@ def write_xmg(net: Xmg, path: str | Path) -> None:
 def read_xmg(path: str | Path) -> Xmg:
     name = str(path)
     net = Xmg()
+    add_maj, add_xor = net.add_maj, net.add_xor
     header: tuple[int, int, int] | None = None
     # translate file node ids through folding: id -> literal in the new net
     by_id: list[int] = [0]
     gates_seen = 0
     outputs_seen = 0
     ended = False
-
-    def translate(token: str, lineno: int) -> int:
-        if not token.isdigit():
-            raise ParseError(f"bad literal {token!r}", name, lineno)
-        value = int(token)
-        node = value >> 1
-        if node >= len(by_id):
-            raise ParseError(f"literal {value} references a later node", name, lineno)
-        return by_id[node] ^ (value & 1)
-
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         text = raw.strip()
-        if not text or text.startswith("#"):
+        if not text or text[0] == "#":
             continue
         if ended:
             raise ParseError("content after .end", name, lineno)
         fields = text.split()
-        if fields[0] == ".xmg":
+        kind = fields[0]
+        if kind == ".xmg":
             if header is not None:
                 raise ParseError("duplicate header", name, lineno)
-            if len(fields) != 4 or not all(f.isdigit() for f in fields[1:]):
+            if len(fields) != 4 or not all(f.isascii() and f.isdigit() for f in fields[1:]):
                 raise ParseError("malformed .xmg header", name, lineno)
             header = (int(fields[1]), int(fields[2]), int(fields[3]))
             for _ in range(header[0]):
@@ -622,26 +618,34 @@ def read_xmg(path: str | Path) -> Xmg:
             continue
         if header is None:
             raise ParseError("missing .xmg header", name, lineno)
-        if fields[0] == ".end":
+        if kind == ".end":
             ended = True
             continue
-        if fields[0] in ("maj", "xor"):
+        if kind == "maj" or kind == "xor":
             if outputs_seen:
                 raise ParseError("gate after outputs", name, lineno)
-            arity = 3 if fields[0] == "maj" else 2
+            arity = 3 if kind == "maj" else 2
             if len(fields) != 1 + arity:
-                raise ParseError(f"{fields[0]} gate needs {arity} operands", name, lineno)
-            ops = [translate(tok, lineno) for tok in fields[1:]]
-            made = net.add_maj(*ops) if fields[0] == "maj" else net.add_xor(*ops)
-            by_id.append(made)
-            gates_seen += 1
-        elif fields[0] == "out":
+                raise ParseError(f"{kind} gate needs {arity} operands", name, lineno)
+        elif kind == "out":
             if len(fields) != 2:
                 raise ParseError("out line needs one literal", name, lineno)
-            net.add_output(translate(fields[1], lineno))
+        else:
+            raise ParseError(f"unknown line kind {kind!r}", name, lineno)
+        ops = []
+        for token in fields[1:]:
+            if not (token.isdigit() and token.isascii()):
+                raise ParseError(f"bad literal {token!r}", name, lineno)
+            value = int(token)
+            if value >> 1 >= len(by_id):
+                raise ParseError(f"literal {value} references a later node", name, lineno)
+            ops.append(by_id[value >> 1] ^ (value & 1))
+        if kind == "out":
+            net.add_output(ops[0])
             outputs_seen += 1
         else:
-            raise ParseError(f"unknown line kind {fields[0]!r}", name, lineno)
+            by_id.append(add_maj(*ops) if kind == "maj" else add_xor(*ops))
+            gates_seen += 1
     if header is None:
         raise ParseError("missing .xmg header", name)
     if not ended:

@@ -336,11 +336,18 @@ def write_real(circ: RevCircuit, path) -> None:
         fh.write(f".garbage {garbage}\n")
         fh.write(".begin\n")
         # literal c is written as lit_names[c]: the line name, "-" when negative
-        lit_names = [s for name in circ.line_names for s in (name, "-" + name)]
+        names = circ.line_names
+        lit_names = [s for name in names for s in (name, "-" + name)]
+        # each distinct control set is formatted once, as "tK c1 .. cK-1 "
+        heads: dict[tuple[int, ...], str] = {}
         for gate in circ.gates:
-            parts = [lit_names[c] for c in gate.controls]
-            parts.append(circ.line_names[gate.target])
-            fh.write(f"t{len(parts)} " + " ".join(parts) + "\n")
+            head = heads.get(gate.controls)
+            if head is None:
+                controls = gate.controls
+                head = heads[controls] = f"t{len(controls) + 1} " + "".join(
+                    lit_names[c] + " " for c in controls
+                )
+            fh.write(head + names[gate.target] + "\n")
         fh.write(".end\n")
 
 
@@ -378,7 +385,7 @@ def read_real(path) -> RevCircuit:
     def parse_gate(line, lineno) -> MctGate:
         tokens = line.split()
         key = tokens[0]
-        if not (key[0] == "t" and key[1:].isdigit()):
+        if not (key[0] == "t" and key.isascii() and key[1:].isdigit()):
             fail(f"unknown gate kind {key!r}", lineno)
         arity = int(key[1:])
         operands = tokens[1:]
@@ -437,7 +444,7 @@ def read_real(path) -> RevCircuit:
                     fail(f"{key} declared twice", lineno)
                 declared.add(key)
             if key == ".numvars":
-                if len(tokens) != 2 or not tokens[1].isdigit():
+                if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                     fail("bad .numvars", lineno)
                 width = int(tokens[1])
                 continue

@@ -1,11 +1,12 @@
 """Shared test helpers: random nets and permutations, and the independent
 references the library is checked against (scalar simulator, scalar TBS,
-naive XMG and ESOP evaluators, reachable gate counts, per-bit transpose)."""
+naive XMG and ESOP evaluators, a plain strash builder, reachable gate
+counts, per-bit transpose)."""
 
 import random
 
 from revflow.embedding import Permutation
-from revflow.logicnet import EsopForm, NodeKind, Xmg, lit_is_neg, lit_node
+from revflow.logicnet import EsopForm, NodeKind, Xmg
 from revflow.revcirc import MctGate, RevCircuit, simulate_source_batch
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
@@ -52,15 +53,85 @@ def naive_xmg_eval(net: Xmg, x: int) -> int:
             return 0
         if kind is NodeKind.INPUT:
             return x >> (node - 1) & 1
-        ops = [val(lit_node(e)) ^ lit_is_neg(e) for e in net.fanins(node)]
+        ops = [val(e >> 1) ^ (e & 1) for e in net.fanins(node)]
         if kind is NodeKind.XOR:
             return ops[0] ^ ops[1]
         return int(sum(ops) >= 2)
 
     word = 0
     for j, edge in enumerate(net.outputs):
-        word |= (val(lit_node(edge)) ^ lit_is_neg(edge)) << j
+        word |= (val(edge >> 1) ^ (edge & 1)) << j
     return word
+
+
+def _complement(literal: int) -> int:
+    return literal + 1 if literal % 2 == 0 else literal - 1
+
+
+class ReferenceXmg:
+    """Strash builder written plainly, to check Xmg's add_* kernels against.
+
+    Keys carry the NodeKind, each literal is checked on its own, and a MAJ's
+    operands are complemented as a list and sorted with sorted().  The
+    folding rules, their order, the self-dual rule and the error message are
+    the ones Xmg documents.
+    """
+
+    def __init__(self):
+        self.kinds = [NodeKind.CONST0]
+        self.fanins = [()]
+        self.strash = {}
+
+    def add_input(self) -> int:
+        self.kinds.append(NodeKind.INPUT)
+        self.fanins.append(())
+        return 2 * (len(self.kinds) - 1)
+
+    def _check(self, literal: int) -> None:
+        if literal < 0 or literal // 2 >= len(self.kinds):
+            raise ValueError(f"literal {literal} references an unknown node")
+
+    def _node(self, kind: NodeKind, ops: tuple) -> int:
+        key = (kind, *ops)
+        if key not in self.strash:
+            self.strash[key] = len(self.kinds)
+            self.kinds.append(kind)
+            self.fanins.append(ops)
+        return self.strash[key]
+
+    def add_xor(self, a: int, b: int) -> int:
+        self._check(a)
+        self._check(b)
+        neg = a % 2 != b % 2
+        a -= a % 2
+        b -= b % 2
+        if a == b:
+            return int(neg)
+        if a == 0:
+            return b + neg
+        if b == 0:
+            return a + neg
+        return 2 * self._node(NodeKind.XOR, (min(a, b), max(a, b))) + neg
+
+    def add_maj(self, a: int, b: int, c: int) -> int:
+        for x in (a, b, c):
+            self._check(x)
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if x == y:
+                return x
+            if x == _complement(y):
+                return z
+        ops = [a, b, c]
+        neg = sum(x % 2 for x in ops) >= 2
+        if neg:
+            ops = [_complement(x) for x in ops]
+        return 2 * self._node(NodeKind.MAJ, tuple(sorted(ops))) + neg
+
+    def add_and(self, a: int, b: int) -> int:
+        return self.add_maj(a, b, 0)
+
+    def add_or(self, a: int, b: int) -> int:
+        return self.add_maj(a, b, 1)
 
 
 def naive_transpose(words, width: int) -> list:
@@ -84,13 +155,13 @@ def naive_esop_eval(esop: EsopForm, x: int) -> int:
 
 def reachable_gate_counts(net: Xmg) -> tuple:
     """(MAJ, XOR) counts of the gate nodes some output reaches, by a fanin walk."""
-    todo = [lit_node(e) for e in net.outputs]
+    todo = [e >> 1 for e in net.outputs]
     reached = set()
     while todo:
         node = todo.pop()
         if node not in reached and net.kind(node) in (NodeKind.MAJ, NodeKind.XOR):
             reached.add(node)
-            todo.extend(lit_node(e) for e in net.fanins(node))
+            todo.extend(e >> 1 for e in net.fanins(node))
     maj = sum(1 for node in reached if net.kind(node) is NodeKind.MAJ)
     return maj, len(reached) - maj
 

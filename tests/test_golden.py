@@ -1,4 +1,5 @@
-"""Golden outputs: the REAL text of every flow, pinned by sha256.
+"""Golden outputs: the REAL text of every flow and the generated XMG text,
+pinned by sha256.
 
 A change meant to leave circuits alone (a refactor, a speed-up) must keep
 every hash.  A change that alters a circuit on purpose updates the table
@@ -11,6 +12,7 @@ import pytest
 
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
 from revflow.cli import run_flow
+from revflow.logicnet import write_xmg
 from revflow.revcirc import read_real, write_real
 
 # every combination of method and flow switch that run_flow offers
@@ -76,3 +78,27 @@ def test_real_output_unchanged(design, flow, tmp_path):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == GOLDEN[design.value, flow, n], n
         assert read_real(path) == circ, n
+
+
+# write_xmg(design_xmg(DesignSpec(design, n))): the node numbering and every
+# fanin of the generated networks
+GOLDEN_XMG = {
+    ("intdiv", 4): "0a89960301c62e62e23a1b86c35804df56d5be888a81ca82037ffb40f0855736",
+    ("intdiv", 5): "94d2f7da52b6e66c1cd3a15cb3f32dc90c5956573953412a547f03f3a84d08ab",
+    ("intdiv", 6): "4fc8a6e46569f523288d5262f884d846730c8acbfeeebfedd614c8bca93f1d57",
+    ("intdiv", 7): "272c632230134b7a17f99dfbea78b217dac274b61176ca7066978ce0c8edf8ec",
+    ("intdiv", 8): "4f3f4391514357e10a1b090b5047ff8313aad847ae4085ba143ae4e366836c12",
+    ("newton", 4): "d4580c70408613ba83d09a26696bfe5d03d41be622f549223947fa73b90d087a",
+    ("newton", 5): "a77861c0dd5c027ed3c6ae6c2e9dff4b4513dd3ae0343802bc46a8b34c226366",
+    ("newton", 6): "6c71533b1e4dba4826e2dafc6e191bf8883e3113af4ed5836e6addf183d3b43b",
+    ("newton", 7): "80cb012af6ac3a4cb540c6ccf529319ca03e9e2128785ab4c84b8d0613322c4a",
+    ("newton", 8): "884c07bed49505777b22490c27550aace1262bc41be15809cca373f54b849baa",
+}
+
+
+@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+def test_xmg_output_unchanged(design, tmp_path):
+    path = tmp_path / "net.xmg"
+    for n in range(4, 9):
+        write_xmg(design_xmg(DesignSpec(design, n)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_XMG[design.value, n], n

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import naive_esop_eval, naive_transpose, naive_xmg_eval, random_xmg
+from conftest import ReferenceXmg, naive_esop_eval, naive_transpose, naive_xmg_eval, random_xmg
 from revflow.logicnet import (
     Cube,
     EsopForm,
@@ -16,8 +16,6 @@ from revflow.logicnet import (
     _transpose,
     esop_from_tt,
     esop_minimize,
-    lit_is_neg,
-    lit_node,
     read_pla,
     read_xmg,
     write_pla,
@@ -143,6 +141,11 @@ def test_pla_parse_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(ParseError):
             read_pla(p)
+    # "²" passes str.isdigit but not int()
+    p.write_text(".i \u00b2\n.o 1\n.type esop\n.e\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="malformed .i header") as info:
+        read_pla(p)
+    assert info.value.line == 1
     # a header after the first cube would reshape the cubes already read
     for text in (".i 2\n.o 1\n.type esop\n11 1\n.i 3\n111 1\n.e\n",
                  ".i 2\n.o 1\n.type esop\n11 1\n.o 2\n11 11\n.e\n"):
@@ -188,9 +191,58 @@ def test_xmg_self_dual_normalization():
     a, b, c = net.add_input(), net.add_input(), net.add_input()
     lit = net.add_maj(a ^ 1, b ^ 1, c)
     # two complements flip into one complemented output edge
-    assert lit_is_neg(lit)
-    fanins = net.fanins(lit_node(lit))
-    assert sum(lit_is_neg(e) for e in fanins) <= 1
+    assert lit & 1
+    fanins = net.fanins(lit >> 1)
+    assert sum(e & 1 for e in fanins) <= 1
+
+
+def test_xmg_kernels_match_reference():
+    """add_xor/add_maj/add_and/add_or agree with the plain builder call for
+    call: same literal or same ValueError message, same kinds and fanins."""
+
+    def outcome(builder, op, args):
+        try:
+            return getattr(builder, "add_" + op)(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(41)
+    errors = 0
+    for _ in range(300):
+        net, ref = Xmg(), ReferenceXmg()
+        lits = [0, 1]
+        for _ in range(rng.randrange(1, 5)):
+            lit = net.add_input()
+            assert ref.add_input() == lit
+            lits.append(lit)
+        for _ in range(rng.randrange(1, 60)):
+            op = rng.choice(("xor", "maj", "and", "or"))
+            args = []
+            for _ in range(3 if op == "maj" else 2):
+                roll = rng.random()
+                if args and roll < 0.15:
+                    args.append(rng.choice(args))            # equal operands
+                elif args and roll < 0.3:
+                    args.append(rng.choice(args) ^ 1)        # complementary operands
+                elif roll < 0.38:
+                    args.append(rng.randrange(2))            # a constant
+                elif roll < 0.41:
+                    args.append(2 * net.num_nodes + rng.randrange(4))  # unknown node
+                elif roll < 0.43:
+                    args.append(-rng.randrange(1, 4))        # negative
+                else:
+                    args.append(rng.choice(lits) ^ rng.randrange(2))
+            got = outcome(net, op, args)
+            assert got == outcome(ref, op, args), (op, args)
+            if isinstance(got, int):
+                lits.append(got)
+            else:
+                assert got.endswith("references an unknown node")
+                errors += 1
+        assert net.num_nodes == len(ref.kinds)
+        assert [net.kind(v) for v in range(net.num_nodes)] == ref.kinds
+        assert [net.fanins(v) for v in range(net.num_nodes)] == ref.fanins
+    assert errors > 100
 
 
 def test_xmg_eval_agrees_with_naive():
@@ -235,6 +287,18 @@ def test_xmg_read_rejects_forward_references(tmp_path):
     p.write_text(".xmg 1 1 1\nxor 2 6\nout 4\n.end\n")
     with pytest.raises(ParseError):
         read_xmg(p)
+
+
+def test_xmg_read_rejects_non_ascii_digits(tmp_path):
+    # "²" passes str.isdigit but not int(); each file fails at its own line
+    p = tmp_path / "bad.xmg"
+    for text, line, why in ((".xmg \u00b2 1 0\nout 0\n.end\n", 1, "malformed .xmg header"),
+                            (".xmg 1 1 0\nout \u00b2\n.end\n", 2, "bad literal"),
+                            (".xmg 1 1 1\nmaj 2 \u00b2 0\nout 4\n.end\n", 2, "bad literal")):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=why) as info:
+            read_xmg(p)
+        assert info.value.line == line
 
 
 def test_xmg_counts():

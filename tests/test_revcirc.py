@@ -292,6 +292,14 @@ def test_real_parse_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(ParseError):
             read_real(p)
+    # "²" passes str.isdigit but not int()
+    for text, line, why in ((".numvars \u00b2\n.variables a b\n.begin\n.end\n", 1, "bad .numvars"),
+                            (".numvars 2\n.variables a b\n.begin\nt\u00b2 a b\n.end\n", 4,
+                             "unknown gate kind")):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=why) as info:
+            read_real(p)
+        assert info.value.line == line
     # a control named twice, and a control in both polarities
     for gate in ("t3 a a b", "t3 a -a b"):
         p.write_text(f".numvars 3\n.variables a b c\n.begin\n{gate}\n.end\n")
