@@ -48,8 +48,9 @@ FULL_SIM_MAX_WIDTH = 24
 
 
 def _bad_name(name: str) -> bool:
-    """A line name must be one non-empty whitespace-free token not led by '-'."""
-    return name.split() != [name] or name.startswith("-")
+    """A line name must be one non-empty whitespace-free token, not led by '-'
+    and free of '#', which starts a comment in a REAL file."""
+    return name.split() != [name] or name.startswith("-") or "#" in name
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,79 +365,41 @@ def read_real(path) -> RevCircuit:
     by ``-``, in any order, operands separated by any whitespace.  Anything
     else raises ``ParseError`` with its line number.
 
-    Gates that repeat a control set are cheap: for a gate line in canonical
-    form (single spaces), the text up to its last space maps to its sorted
-    literal tuple, so a later line with the same controls text needs one
-    dict hit and one target lookup, and every such gate shares one
-    ``controls`` tuple.  Any other line is parsed in full.
+    The body has its own loop, cheap for lines in the form ``write_real``
+    writes them: ``tK c1 .. cK-1 target``, single spaces, a newline.  The
+    text up to such a line's last space is its head, and a dict maps each
+    head to the last gate built from it.  A line whose head is there and
+    whose last word and newline, ``target + "\\n"``, name a line takes two
+    dict hits: the same target appends that very gate again (Bennett
+    cleanup repeats the compute phase's lines), another target builds one
+    gate on the same ``controls`` tuple and takes the head's place.  A
+    written-form line with a new head goes to ``parse_gate`` as it is, with
+    that head and target.  Every other line (a comment or blank line, tabs
+    or runs of spaces, leading whitespace, no final newline, ``.end``) is
+    cut at its comment and stripped first, and a gate line then goes to
+    ``parse_gate``.  There a single-spaced line gets its gate in one step
+    (``split(" ")``, sorted literals, one ``MctGate``) and its head is
+    cached; any other line is parsed in full.  ``parse_gate`` is the only
+    code that names a fault, so a fault after a cached head still fails at
+    its own line.
     """
     width = None
     names: list | None = None
     constants = None
     outputs = None
-    gates: list[MctGate] = []
     declared: set[str] = set()
-    in_body = False
-    ended = False
 
     def fail(msg, lineno):
         raise ParseError(msg, str(path), lineno)
 
-    def parse_gate(line, lineno) -> MctGate:
-        tokens = line.split()
-        key = tokens[0]
-        if not (key[0] == "t" and key.isascii() and key[1:].isdigit()):
-            fail(f"unknown gate kind {key!r}", lineno)
-        arity = int(key[1:])
-        operands = tokens[1:]
-        if arity < 1 or len(operands) != arity:
-            fail(f"gate {key} expects {arity} operands", lineno)
-        controls = []
-        for op in operands[:-1]:
-            lit = literals.get(op)
-            if lit is None:
-                name = op[1:] if op.startswith("-") else op
-                fail(f"unknown line {name!r}", lineno)
-            controls.append(lit)
-        target = index.get(operands[-1])
-        if target is None:
-            fail(f"unknown line {operands[-1]!r}", lineno)
-        controls = tuple(sorted(controls))
-        try:
-            gate = MctGate(target, controls)
-        except ValueError:
-            # the lines are known and sorted, so only a repeat is left
-            named = [target] + [c >> 1 for c in controls]
-            twice = next(x for x in named if named.count(x) > 1)
-            fail(f"line {names[twice]!r} named twice in one gate", lineno)
-        if " ".join(tokens) == line:
-            cache[line.rpartition(" ")[0]] = controls
-        return gate
-
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = enumerate(fh, start=1)
+        for lineno, raw in lines:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if ended:
-                fail("content after .end", lineno)
-            if in_body and line[0] != ".":
-                head, _, last = line.rpartition(" ")
-                controls = cache.get(head)
-                target = index.get(last)
-                if controls is not None and target is not None:
-                    try:
-                        gates.append(MctGate(target, controls))
-                        continue
-                    except ValueError:
-                        pass  # the full parse names the fault
-                gates.append(parse_gate(line, lineno))
-                continue
             tokens = line.split()
             key = tokens[0]
-            if in_body and key != ".end":
-                # a header directive here would reinterpret the gates already read
-                fail(f"{key} after .begin", lineno)
             if key == ".version":
                 continue
             if key in (".numvars", ".variables", ".constants", ".garbage"):
@@ -483,27 +446,21 @@ def read_real(path) -> RevCircuit:
             if key == ".begin":
                 if names is None:
                     fail(".begin before .variables", lineno)
-                index = {name: i for i, name in enumerate(names)}
-                literals = {}
-                for name, i in index.items():
-                    literals[name] = i << 1
-                    literals["-" + name] = i << 1 | 1
-                cache = {}
-                in_body = True
-                continue
+                break
             if key == ".end":
-                if not in_body:
-                    fail(".end before .begin", lineno)
-                ended = True
-                continue
+                fail(".end before .begin", lineno)
             if key.startswith("."):
                 fail(f"unknown directive {key}", lineno)
             fail("gate outside .begin/.end", lineno)
+        else:  # the file ended before .begin
+            if width is None or names is None:
+                fail("missing .numvars/.variables", 0)
+            fail("missing .end", 0)
+        gates = _read_body(lines, names, fail)
+        for lineno, raw in lines:
+            if raw.split("#", 1)[0].strip():
+                fail("content after .end", lineno)
 
-    if width is None or names is None:
-        raise ParseError("missing .numvars/.variables", str(path), 0)
-    if not ended:
-        raise ParseError("missing .end", str(path), 0)
     if constants is None:
         constants = (None,) * width
     if outputs is None:
@@ -512,3 +469,95 @@ def read_real(path) -> RevCircuit:
         return RevCircuit(width, tuple(gates), tuple(names), constants, outputs)
     except ValueError as exc:
         raise ParseError(str(exc), str(path), 0) from None
+
+
+def _read_body(lines, names: list, fail) -> list[MctGate]:
+    """The gates of a REAL body, read from `lines` up to and including .end."""
+    index = {name: i for i, name in enumerate(names)}
+    literals = {}
+    for name, i in index.items():
+        literals[name] = i << 1
+        literals["-" + name] = i << 1 | 1
+    # names hold no '#' or whitespace, so "name\n" ends only a comment-free line
+    ends = {name + "\n": i for name, i in index.items()}
+    last_gate: dict[str, MctGate] = {}  # head text -> last gate built from it
+
+    def parse_gate(line, lineno, head=None, target=None) -> MctGate:
+        """The gate on a stripped, comment-free body line, or a ParseError.
+
+        A caller that has split the line at its last space passes the text
+        before it and the line the text after it names.
+        """
+        if target is None:
+            head, _, name = line.rpartition(" ")
+            target = index.get(name)
+        tokens = head.split(" ")
+        if target is not None and tokens[0] == f"t{len(tokens)}":
+            # only a single-spaced line of known names gets through, so its
+            # head is cached as written
+            try:
+                gate = MctGate(target, tuple(sorted(map(literals.__getitem__, tokens[1:]))))
+            except (KeyError, ValueError):
+                pass  # the full parse below names the fault
+            else:
+                last_gate[head] = gate
+                return gate
+        tokens = line.split()
+        key = tokens[0]
+        if not (key[0] == "t" and key.isascii() and key[1:].isdigit()):
+            fail(f"unknown gate kind {key!r}", lineno)
+        arity = int(key[1:])
+        operands = tokens[1:]
+        if arity < 1 or len(operands) != arity:
+            fail(f"gate {key} expects {arity} operands", lineno)
+        controls = []
+        for op in operands[:-1]:
+            lit = literals.get(op)
+            if lit is None:
+                name = op[1:] if op.startswith("-") else op
+                fail(f"unknown line {name!r}", lineno)
+            controls.append(lit)
+        target = index.get(operands[-1])
+        if target is None:
+            fail(f"unknown line {operands[-1]!r}", lineno)
+        controls = tuple(sorted(controls))
+        try:
+            return MctGate(target, controls)
+        except ValueError:
+            # the lines are known and sorted, so only a repeat is left
+            named = [target] + [c >> 1 for c in controls]
+            twice = next(x for x in named if named.count(x) > 1)
+            fail(f"line {names[twice]!r} named twice in one gate", lineno)
+
+    gates: list[MctGate] = []
+    for lineno, raw in lines:
+        head, _, end = raw.rpartition(" ")
+        target = ends.get(end)
+        if target is not None:
+            gate = last_gate.get(head)
+            if gate is not None:
+                if target == gate.target:
+                    gates.append(gate)
+                    continue
+                try:
+                    gate = last_gate[head] = MctGate(target, gate.controls)
+                except ValueError:
+                    pass  # parse_gate names the fault
+                else:
+                    gates.append(gate)
+                    continue
+            if raw[0] == "t" and "#" not in raw:
+                # nothing to cut or strip: the line is its head, a space and a name
+                gates.append(parse_gate(raw[:-1], lineno, head, target))
+                continue
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line[0] == ".":
+            key = line.split()[0]
+            if key != ".end":
+                # a header directive here would reinterpret the gates already read
+                fail(f"{key} after .begin", lineno)
+            return gates
+        gates.append(parse_gate(line, lineno))
+    fail("missing .end", 0)

@@ -61,6 +61,8 @@ def test_circuit_metadata_validation():
         RevCircuit(2, g, ("a", "b"), (None, None), (1, 0))       # outputs out of order
     with pytest.raises(ValueError):
         RevCircuit(1, g, ("a",), (None,), (0,))                  # gate off the end
+    with pytest.raises(ValueError, match="bad line name"):
+        RevCircuit(2, g, ("a#b", "c"), (None, None), (0, 1))     # '#' starts a REAL comment
 
 
 def test_simulate_agrees_with_full(tmp_path):
@@ -369,6 +371,105 @@ def test_real_equal_controls_share_one_tuple(tmp_path):
     g = back.gates
     assert g[0].controls is g[1].controls is g[3].controls
     assert g[0].controls is not g[2].controls
+
+
+def test_real_repeated_line_reuses_its_gate(tmp_path):
+    p = tmp_path / "repeat.real"
+    p.write_text(".numvars 3\n.variables a b c\n.begin\n"
+                 "t2 a b\nt2 a b\nt2 a c\nt2 a c\nt2 a b\nt1 c\n.end\n")
+    g = read_real(p).gates
+    assert g[1] is g[0]                           # same head, same target
+    assert (g[2].target, g[4].target) == (2, 1)   # same head, new target
+    assert g[2].controls is g[0].controls
+    assert g[3] is g[2]                           # the head now stands for the c gate
+    assert [gate.target for gate in g] == [1, 1, 2, 2, 1, 2]
+
+
+def random_repeating_gates(rng: random.Random, width: int, length: int) -> list:
+    """Mixed-polarity gates whose lines recur, the way a hier circuit's do.
+
+    Some steps replay a stretch of earlier gates in reverse, as Bennett
+    cleanup does; some give one controls tuple the targets b, c, b in turn.
+    """
+    gates = []
+    while len(gates) < length:
+        pick = rng.randrange(3)
+        if pick == 0 and gates:
+            start = rng.randrange(len(gates))
+            gates.extend(reversed(gates[start : start + rng.randrange(1, 6)]))
+            continue
+        lines = rng.sample(range(width), rng.randrange(width - 1))
+        controls = tuple(sorted(line << 1 | rng.randrange(2) for line in lines))
+        free = [line for line in range(width) if line not in lines]
+        if pick == 1:
+            b, c = rng.sample(free, 2)
+            gates += [MctGate(b, controls), MctGate(c, controls), MctGate(b, controls)]
+        else:
+            gates.append(MctGate(rng.choice(free), controls))
+    return gates
+
+
+def respell_real(text: str, rng: random.Random) -> str:
+    """The same circuit in other REAL spellings, chosen per body line."""
+    out = []
+    body = False
+    for line in text.splitlines():
+        if line == ".begin":
+            body = True
+        elif body and line != ".end":
+            kind = rng.randrange(8)
+            key, *ops = line.split(" ")
+            if kind == 1:
+                line = "\t".join([key] + ops)
+            elif kind == 2:
+                line = "   ".join([key] + ops)
+            elif kind == 3:
+                line += rng.choice((" # note", "#", "\t# t1 " + ops[-1]))
+            elif kind == 4:
+                line = rng.choice(("  ", "\t", " \t ")) + line
+            elif kind == 5 and len(ops) > 2:
+                controls = ops[:-1]
+                rng.shuffle(controls)
+                line = " ".join([key] + controls + ops[-1:])
+            elif kind == 6:
+                out.append(rng.choice(("", "# " + line, "   ")))
+        out.append(line)
+    newline = rng.choice(("\n", "\r\n"))
+    return newline.join(out) + rng.choice(("", newline))
+
+
+def test_real_reader_differential(tmp_path):
+    """Written files and their respellings read back to the circuit; a fault
+    after a head the reader has cached fails at its own line."""
+    rng = random.Random(23)
+    p = tmp_path / "diff.real"
+    for _ in range(40):
+        width = rng.randrange(3, 9)
+        names = rng.sample(["a", "a1", "a10", "b", "x_2", "y", "q", "z9", "c"], width)
+        gates = random_repeating_gates(rng, width, rng.randrange(1, 60))
+        circ = RevCircuit.layout(width, gates, names, rng.randrange(1, width + 1), 1, 0)
+        write_real(circ, p)
+        text = p.read_text()
+        assert read_real(p) == circ
+        for _ in range(4):
+            p.write_bytes(respell_real(text, rng).encode())
+            assert read_real(p) == circ
+        # a fault after a cached head: the head is the text up to the last space
+        lines = text.splitlines(keepends=True)
+        begin = lines.index(".begin\n") + 1
+        at = rng.randrange(begin, len(lines) - 1)
+        head = lines[rng.randrange(begin, at + 1)].rpartition(" ")[0]
+        key, *controls = head.split(" ")
+        free = [name for name in names if name not in {c.lstrip("-") for c in controls}]
+        faults = [(" nowhere", "unknown line 'nowhere'"),
+                  (f" {free[0]} {free[-1]}", f"gate {key} expects {len(controls) + 1} operands")]
+        if controls:
+            faults.append((" " + controls[-1].lstrip("-"), f"'{controls[-1].lstrip('-')}' named twice"))
+        for fault, why in faults:
+            p.write_text("".join(lines[: at + 1]) + head + fault + "\n" + "".join(lines[at + 1 :]))
+            with pytest.raises(ParseError, match=why) as info:
+                read_real(p)
+            assert info.value.line == at + 2
 
 
 def test_real_error_location(tmp_path):
