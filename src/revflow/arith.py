@@ -5,8 +5,9 @@ floor(2^n / x), i.e. the n most significant fractional bits of 1/x; x = 0
 saturates to all ones.  Two combinational designs compute it: an unrolled
 restoring divider (INTDIV) and a normalized Newton-Raphson iteration in
 two's-complement fixed point (NEWTON).  Both are emitted as majority/xor
-networks, and NEWTON also has a pure-software fixed-point model that serves
-as the bit-exact oracle for its circuits.
+networks.  ``newton_trace`` is NEWTON's software model and the bit-exact
+oracle for its circuits; it works on raw integer words, all at the one
+fractional width ``DesignSpec.precision``, as the circuit does.
 """
 
 from __future__ import annotations
@@ -14,28 +15,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .logicnet import TruthTable, Xmg, lit_not
-
-__all__ = [
-    "oracle_reciprocal",
-    "FixedPointValue",
-    "fxp_add",
-    "fxp_sub",
-    "fxp_mul_trunc",
-    "Design",
-    "DesignSpec",
-    "default_newton_iterations",
-    "NewtonTrace",
-    "newton_trace",
-    "newton_reciprocal_model",
-    "gen_intdiv_xmg",
-    "gen_newton_xmg",
-    "design_oracle",
-    "design_truth_table",
-    "design_xmg",
-]
+from .logicnet import TruthTable, Xmg
 
 
 def oracle_reciprocal(n: int, x: int) -> int:
@@ -55,76 +36,26 @@ def oracle_reciprocal(n: int, x: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Two's-complement fixed point with 3 integer bits (one of them the sign), so
-# every value lies in [-4, 4).  The fractional width w varies per value.
+# every value lies in [-4, 4).  A raw word w at f fractional bits stands for
+# w / 2^f.
 
 _INT_BITS = 3
 
 
 def _wrap(raw: int, frac_bits: int) -> int:
+    """raw reduced to the signed range of frac_bits + 3 bits, as hardware wraps."""
     span = 1 << (frac_bits + _INT_BITS)
     raw &= span - 1
     return raw - span if raw >= span >> 1 else raw
 
 
-@dataclass(frozen=True)
-class FixedPointValue:
-    """Signed fixed-point number: raw / 2^frac_bits, total width frac_bits + 3."""
+def _seed_words(frac_bits: int) -> tuple[int, int]:
+    """Raw words of 48/17 and 32/17 at frac_bits, each rounded to the nearest.
 
-    frac_bits: int
-    raw: int
-
-    def __post_init__(self):
-        if self.frac_bits < 0:
-            raise ValueError("negative fractional width")
-        bound = 1 << (self.frac_bits + _INT_BITS - 1)
-        if not -bound <= self.raw < bound:
-            raise ValueError(f"raw {self.raw} outside [{-bound}, {bound})")
-
-    @classmethod
-    def from_ratio(cls, num: int, den: int, frac_bits: int) -> "FixedPointValue":
-        """Quantize num/den to the nearest raw value, halves away from zero."""
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        scaled = num * (1 << frac_bits)
-        if scaled >= 0:
-            raw = (2 * scaled + den) // (2 * den)
-        else:
-            raw = -((-2 * scaled + den) // (2 * den))
-        return cls(frac_bits, _wrap(raw, frac_bits))
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.raw, 1 << self.frac_bits)
-
-
-def _require_same_width(u: FixedPointValue, v: FixedPointValue) -> int:
-    if u.frac_bits != v.frac_bits:
-        raise ValueError("operands must share a fractional width")
-    return u.frac_bits
-
-
-def fxp_add(u: FixedPointValue, v: FixedPointValue) -> FixedPointValue:
-    w = _require_same_width(u, v)
-    return FixedPointValue(w, _wrap(u.raw + v.raw, w))
-
-
-def fxp_sub(u: FixedPointValue, v: FixedPointValue) -> FixedPointValue:
-    w = _require_same_width(u, v)
-    return FixedPointValue(w, _wrap(u.raw - v.raw, w))
-
-
-def fxp_mul_trunc(u: FixedPointValue, v: FixedPointValue, frac_bits: int) -> FixedPointValue:
-    """Full product, then truncate to frac_bits fractional bits.
-
-    The exact product has u.frac_bits + v.frac_bits fractional bits and six
-    integer bits; the result drops the top three integer bits (wrap) and the
-    excess fractional bits (floor toward minus infinity on the raw word).
+    Both constants are positive and below 4, and a denominator of 17 leaves
+    no ties, so no wrap or tie rule is needed.
     """
-    total = u.frac_bits + v.frac_bits
-    if frac_bits > total:
-        raise ValueError("cannot gain fractional bits in truncation")
-    product = u.raw * v.raw
-    return FixedPointValue(frac_bits, _wrap(product >> (total - frac_bits), frac_bits))
+    return ((96 << frac_bits) + 17) // 34, ((64 << frac_bits) + 17) // 34
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +65,6 @@ def fxp_mul_trunc(u: FixedPointValue, v: FixedPointValue, frac_bits: int) -> Fix
 class Design(enum.Enum):
     INTDIV = "intdiv"
     NEWTON = "newton"
-
-
-def default_newton_iterations(precision: int) -> int:
-    """Iteration count giving precision+1 good bits, plus one guard iteration.
-
-    The textbook count ceil(log2((P+1)/log2 17)) leaves the truncated iterate
-    one raw ulp short of the fixpoint for some widths (the approach from below
-    crawls by single ulps near convergence), which breaks the exact x = 1
-    result.  One extra iteration always lands on the fixpoint.
-    """
-    return math.ceil(math.log2((precision + 1) / math.log2(17))) + 1
 
 
 @dataclass(frozen=True)
@@ -168,7 +88,15 @@ class DesignSpec:
 
     @property
     def iterations(self) -> int:
-        return default_newton_iterations(self.precision)
+        """Newton steps giving precision+1 good bits, plus one guard step.
+
+        The textbook count ceil(log2((P+1)/log2 17)) leaves the truncated
+        iterate one raw ulp short of the fixpoint for some widths (the
+        approach from below crawls by single ulps near convergence), which
+        breaks the exact x = 1 result.  One extra step always lands on the
+        fixpoint.
+        """
+        return math.ceil(math.log2((self.precision + 1) / math.log2(17))) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +105,15 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class NewtonTrace:
-    """Everything the fixed-point iteration produced for one input."""
+    """Everything the fixed-point iteration produced for one input.
+
+    ``normalized`` and each of ``iterates`` are raw words at
+    ``DesignSpec.precision`` fractional bits.
+    """
 
     exponent: int
-    normalized: FixedPointValue
-    iterates: tuple[FixedPointValue, ...]
+    normalized: int
+    iterates: tuple[int, ...]
     output: int
 
 
@@ -191,8 +123,10 @@ def newton_trace(spec: DesignSpec, x: int) -> NewtonTrace:
     Steps: normalize x to x' in [1/2, 1) at P fractional bits; form the
     classic linear seed 48/17 - 32/17 * x'; iterate
     x_i = x_{i-1} + x_{i-1} * (1 - x' * x_{i-1}) with every product truncated
-    to P fractional bits; shift back by the normalization exponent and keep
-    the n most significant fractional bits.
+    to P fractional bits (floor of the raw product) and every word wrapped to
+    P + 3 bits; shift back by the normalization exponent and keep the n most
+    significant fractional bits.  Every word is a raw integer at P
+    fractional bits.
     """
     n = spec.bitwidth
     if not 0 <= x < 1 << n:
@@ -200,26 +134,20 @@ def newton_trace(spec: DesignSpec, x: int) -> NewtonTrace:
     p = spec.precision
     if x == 0:
         # handled by a bypass in hardware; the iteration has no valid seed
-        return NewtonTrace(0, FixedPointValue(p, 0), (), (1 << n) - 1)
+        return NewtonTrace(0, 0, (), (1 << n) - 1)
     e = x.bit_length()
-    xp = FixedPointValue(p, x << (p - e))
-    c48 = FixedPointValue.from_ratio(48, 17, p)
-    c32 = FixedPointValue.from_ratio(32, 17, p)
-    one = FixedPointValue(p, 1 << p)
-    xi = fxp_sub(c48, fxp_mul_trunc(c32, xp, p))
+    xp = x << (p - e)
+    c48, c32 = _seed_words(p)
+    one = 1 << p
+    # a sum or difference wraps at the end alone; a product's operands are wrapped
+    xi = _wrap(c48 - (c32 * xp >> p), p)
     iterates = [xi]
     for _ in range(spec.iterations):
-        t = fxp_mul_trunc(xp, xi, p)
-        d = fxp_sub(one, t)
-        xi = fxp_add(xi, fxp_mul_trunc(xi, d, p))
+        d = _wrap(one - (xp * xi >> p), p)
+        xi = _wrap(xi + (xi * d >> p), p)
         iterates.append(xi)
-    shifted = xi.raw >> e
-    output = (shifted >> (p - n)) & ((1 << n) - 1)
+    output = (xi >> e >> (p - n)) & ((1 << n) - 1)
     return NewtonTrace(e, xp, tuple(iterates), output)
-
-
-def newton_reciprocal_model(spec: DesignSpec, x: int) -> int:
-    return newton_trace(spec, x).output
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +172,7 @@ def _bv_add(net: Xmg, a: list[int], b: list[int], carry: int | None = None) -> l
 
 
 def _bv_sub(net: Xmg, a: list[int], b: list[int]) -> list[int]:
-    return _bv_add(net, a, [lit_not(x) for x in b], net.const1)
+    return _bv_add(net, a, [x ^ 1 for x in b], net.const1)
 
 
 def _bv_mul_lowbits(net: Xmg, a: list[int], b: list[int], width: int) -> list[int]:
@@ -258,17 +186,14 @@ def _bv_mul_lowbits(net: Xmg, a: list[int], b: list[int], width: int) -> list[in
     return acc
 
 
-def _bv_mul_trunc(net: Xmg, a: list[int], b: list[int],
-                  frac_a: int, frac_b: int, frac_out: int, width_out: int) -> list[int]:
-    """Fixed-point product bits [drop, drop+width_out) where drop is the count
-    of fractional bits truncated away.  Works entirely modulo 2^(drop+width_out),
-    which matches wrap-then-floor semantics exactly."""
-    drop = frac_a + frac_b - frac_out
-    total = drop + width_out
-    ax = a + [a[-1]] * (total - len(a))  # sign extension is just the MSB literal
-    bx = b + [b[-1]] * (total - len(b))
-    product = _bv_mul_lowbits(net, ax, bx, total)
-    return product[drop:]
+def _bv_mul_trunc(net: Xmg, a: list[int], b: list[int], frac_bits: int) -> list[int]:
+    """Product of two equal-width words at frac_bits fractional bits, truncated
+    back to frac_bits: bits [frac_bits, frac_bits + width) of the full product.
+    Works entirely modulo 2^(frac_bits + width), which matches wrap-then-floor
+    semantics exactly."""
+    ax = a + [a[-1]] * frac_bits  # sign extension is just the MSB literal
+    bx = b + [b[-1]] * frac_bits
+    return _bv_mul_lowbits(net, ax, bx, len(ax))[frac_bits:]
 
 
 def _one_hot_msb(net: Xmg, xs: list[int]) -> list[int]:
@@ -278,7 +203,7 @@ def _one_hot_msb(net: Xmg, xs: list[int]) -> list[int]:
     none_above = net.const1
     for k in range(n - 1, -1, -1):
         hs[k] = net.add_and(xs[k], none_above)
-        none_above = net.add_and(none_above, lit_not(xs[k]))
+        none_above = net.add_and(none_above, xs[k] ^ 1)
     return hs
 
 
@@ -303,8 +228,8 @@ def gen_intdiv_xmg(spec: DesignSpec) -> Xmg:
         sel = []
         for i in range(width):
             sel.append(net.add_xor(divisor[i], borrow))
-            borrow = net.add_maj(lit_not(shifted[i]), divisor[i], borrow)
-        q = lit_not(borrow)  # no borrow out means shifted >= divisor
+            borrow = net.add_maj(shifted[i] ^ 1, divisor[i], borrow)
+        q = borrow ^ 1  # no borrow out means shifted >= divisor
         qbits[k] = q
         # rem = q ? diff : shifted, via shifted XOR (q AND (diff XOR shifted))
         rem = [net.add_xor(shifted[i], net.add_and(q, sel[i])) for i in range(width)]
@@ -342,16 +267,15 @@ def gen_newton_xmg(spec: DesignSpec) -> Xmg:
             acc = net.add_or(acc, t)
         xp[i] = acc
 
-    c48 = _bv_const(net, FixedPointValue.from_ratio(48, 17, p).raw, w)
-    c32 = _bv_const(net, FixedPointValue.from_ratio(32, 17, p).raw, w)
+    c48, c32 = (_bv_const(net, raw, w) for raw in _seed_words(p))
     one = _bv_const(net, 1 << p, w)
 
-    seed_t = _bv_mul_trunc(net, c32, xp, p, p, p, w)
+    seed_t = _bv_mul_trunc(net, c32, xp, p)
     xi = _bv_sub(net, c48, seed_t)
     for _ in range(spec.iterations):
-        t = _bv_mul_trunc(net, xp, xi, p, p, p, w)
+        t = _bv_mul_trunc(net, xp, xi, p)
         d = _bv_sub(net, one, t)
-        u = _bv_mul_trunc(net, xi, d, p, p, p, w)
+        u = _bv_mul_trunc(net, xi, d, p)
         xi = _bv_add(net, xi, u)
 
     # y' = x_I >> e through the same one-hot; arithmetic shift pads with sign
@@ -368,7 +292,7 @@ def gen_newton_xmg(spec: DesignSpec) -> Xmg:
     any_input = net.const0
     for x in xs:
         any_input = net.add_or(any_input, x)
-    is_zero = lit_not(any_input)
+    is_zero = any_input ^ 1
     for j in range(n):
         net.add_output(net.add_or(ybits[j], is_zero))
     return net
@@ -378,15 +302,13 @@ def gen_newton_xmg(spec: DesignSpec) -> Xmg:
 # Dispatch helpers used by the pipeline.
 
 
-def design_oracle(spec: DesignSpec):
-    """Reference input-to-output map for a design, as a callable."""
-    if spec.design is Design.INTDIV:
-        return lambda x: oracle_reciprocal(spec.bitwidth, x)
-    return lambda x: newton_reciprocal_model(spec, x)
-
-
 def design_truth_table(spec: DesignSpec, limit: int | None = None) -> TruthTable:
-    return TruthTable.from_function(spec.bitwidth, spec.bitwidth, design_oracle(spec), limit)
+    """The design's input-to-output table: the exact oracle for INTDIV, the
+    Newton model for NEWTON."""
+    n = spec.bitwidth
+    if spec.design is Design.INTDIV:
+        return TruthTable.from_function(n, n, lambda x: oracle_reciprocal(n, x), limit)
+    return TruthTable.from_function(n, n, lambda x: newton_trace(spec, x).output, limit)
 
 
 def design_xmg(spec: DesignSpec) -> Xmg:

@@ -45,8 +45,6 @@ from .synth_esop import esop_synth
 from .synth_functional import tbs
 from .synth_hier import hier_synth
 
-__all__ = ["main", "run_flow", "read_tt_file", "write_tt_file"]
-
 _STAMP = re.compile(r"#\s*design=(\w+)\s+n=(\d+)")
 
 

@@ -17,14 +17,6 @@ from dataclasses import dataclass
 
 from .logicnet import TruthTable, _check_limit
 
-__all__ = [
-    "Permutation",
-    "Embedding",
-    "min_additional_lines",
-    "bennett_embed",
-    "optimum_embed",
-]
-
 
 @dataclass(frozen=True)
 class Permutation:

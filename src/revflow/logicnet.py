@@ -9,29 +9,9 @@ conversion between the two layouts, in both directions.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
-
-__all__ = [
-    "DEFAULT_TT_LIMIT",
-    "ParseError",
-    "TableLimitError",
-    "TruthTable",
-    "Cube",
-    "EsopForm",
-    "esop_from_tt",
-    "esop_minimize",
-    "read_pla",
-    "write_pla",
-    "NodeKind",
-    "Xmg",
-    "lit",
-    "lit_not",
-    "read_xmg",
-    "write_xmg",
-]
 
 # Truth-table expansion guard: 2^n rows get expensive fast.  The CLI can raise
 # this via the REVFLOW_TT_LIMIT environment variable.
@@ -353,22 +333,8 @@ def read_pla(path: str | Path) -> EsopForm:
 
 # ---------------------------------------------------------------------------
 # Majority/xor networks.  Nodes are stored topologically; edges are integer
-# literals 2*node+phase so a complemented edge costs nothing to represent.
-
-
-class NodeKind(enum.Enum):
-    CONST0 = "const0"
-    INPUT = "input"
-    MAJ = "maj"
-    XOR = "xor"
-
-
-def lit(node: int, neg: bool = False) -> int:
-    return node << 1 | int(neg)
-
-
-def lit_not(literal: int) -> int:
-    return literal ^ 1
+# literals 2*node+phase, so a complemented edge costs nothing to represent
+# and ``x ^ 1`` complements literal x.
 
 
 class Xmg:
@@ -382,11 +348,11 @@ class Xmg:
     operand tuple after phase normalisation, which is also what ``fanins``
     returns: ``(a, b)`` with both phases stripped and a < b for an XOR, and
     the ascending ``(a, b, c)`` with at most one complemented operand for a
-    MAJ.  The tuple's length, 2 or 3, keeps the two kinds apart.
+    MAJ.  A node's kind is the length of its fanin tuple: ``()`` for the
+    constant and the inputs, 2 for an XOR, 3 for a MAJ.
     """
 
     def __init__(self):
-        self._kinds: list[NodeKind] = [NodeKind.CONST0]
         self._fanins: list[tuple[int, ...]] = [()]
         self._strash: dict[tuple[int, ...], int] = {}
         self._num_inputs = 0
@@ -396,28 +362,27 @@ class Xmg:
 
     @property
     def const0(self) -> int:
-        return lit(0)
+        return 0
 
     @property
     def const1(self) -> int:
-        return lit(0, True)
+        return 1
 
     def add_input(self) -> int:
-        index = len(self._kinds)
-        self._kinds.append(NodeKind.INPUT)
+        index = len(self._fanins)
         self._fanins.append(())
         self._num_inputs += 1
-        return lit(index)
+        return index << 1
 
     def _check_lit(self, literal: int) -> None:
-        if not 0 <= literal < len(self._kinds) << 1:
+        if not 0 <= literal < len(self._fanins) << 1:
             raise ValueError(f"literal {literal} references an unknown node")
 
     # add_xor and add_maj run once per generated or read gate, so they work
     # on the literals directly: x >> 1 is the node, x & 1 the phase.
 
     def add_xor(self, a: int, b: int) -> int:
-        bound = len(self._kinds) << 1
+        bound = len(self._fanins) << 1
         if not 0 <= a < bound:
             raise ValueError(f"literal {a} references an unknown node")
         if not 0 <= b < bound:
@@ -435,13 +400,12 @@ class Xmg:
         node = self._strash.get(key)
         if node is None:
             node = bound >> 1
-            self._kinds.append(NodeKind.XOR)
             self._fanins.append(key)
             self._strash[key] = node
         return node << 1 | neg
 
     def add_maj(self, a: int, b: int, c: int) -> int:
-        bound = len(self._kinds) << 1
+        bound = len(self._fanins) << 1
         if not (0 <= a < bound and 0 <= b < bound and 0 <= c < bound):
             for x in (a, b, c):
                 self._check_lit(x)
@@ -474,7 +438,6 @@ class Xmg:
         node = self._strash.get(key)
         if node is None:
             node = bound >> 1
-            self._kinds.append(NodeKind.MAJ)
             self._fanins.append(key)
             self._strash[key] = node
         return node << 1 | neg
@@ -501,22 +464,19 @@ class Xmg:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._kinds)
+        return len(self._fanins)
 
     @property
     def outputs(self) -> tuple[int, ...]:
         return tuple(self._outputs)
 
-    def kind(self, node: int) -> NodeKind:
-        return self._kinds[node]
-
     def fanins(self, node: int) -> tuple[int, ...]:
         return self._fanins[node]
 
-    def gates(self) -> Iterator[tuple[int, NodeKind, tuple[int, ...]]]:
-        """Gate nodes in topological order as (node, kind, fanins)."""
-        for node in range(1 + self.num_inputs, len(self._kinds)):
-            yield node, self._kinds[node], self._fanins[node]
+    def gates(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Gate nodes in topological order as (node, fanins)."""
+        for node in range(1 + self.num_inputs, len(self._fanins)):
+            yield node, self._fanins[node]
 
     # -- evaluation --------------------------------------------------------
 
@@ -525,7 +485,7 @@ class Xmg:
         n = self.num_inputs
         _check_limit(n, limit)
         ones = (1 << (1 << n)) - 1
-        values = [0] * len(self._kinds)
+        values = [0] * len(self._fanins)
         for i in range(n):
             values[1 + i] = _input_pattern(i, n)
 
@@ -533,8 +493,8 @@ class Xmg:
             v = values[literal >> 1]
             return v ^ ones if literal & 1 else v
 
-        for node, kind, fi in self.gates():
-            if kind is NodeKind.XOR:
+        for node, fi in self.gates():
+            if len(fi) == 2:
                 values[node] = edge(fi[0]) ^ edge(fi[1])
             else:
                 va, vb, vc = (edge(f) for f in fi)
@@ -580,8 +540,8 @@ def _input_pattern(i: int, n: int) -> int:
 
 def write_xmg(net: Xmg, path: str | Path) -> None:
     lines = [f".xmg {net.num_inputs} {net.num_outputs} {net.num_nodes - 1 - net.num_inputs}"]
-    for _, kind, fi in net.gates():
-        word = "maj" if kind is NodeKind.MAJ else "xor"
+    for _, fi in net.gates():
+        word = "maj" if len(fi) == 3 else "xor"
         lines.append(word + " " + " ".join(str(f) for f in fi))
     for out in net.outputs:
         lines.append(f"out {out}")

@@ -26,22 +26,6 @@ from typing import Iterable
 from .embedding import Permutation
 from .logicnet import ParseError, TruthTable, _input_pattern, _transpose
 
-__all__ = [
-    "MctGate",
-    "cnot",
-    "RevCircuit",
-    "simulate_source_batch",
-    "simulate_full",
-    "verify_circuit",
-    "first_mismatch",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-    "CostReport",
-    "cost_report",
-    "read_real",
-    "write_real",
-]
-
 # Widths beyond this make full permutation extraction explode; callers that
 # only need input-side behaviour should use simulate_source_batch instead.
 FULL_SIM_MAX_WIDTH = 24
@@ -362,8 +346,9 @@ def read_real(path) -> RevCircuit:
     and ``.end``; and in the body,
     where the only directive is ``.end``, only Toffoli gates
     ``tK c1 .. cK-1 target``, each control a line name, negative when led
-    by ``-``, in any order, operands separated by any whitespace.  Anything
-    else raises ``ParseError`` with its line number.
+    by ``-``, in any order, the target never negative, operands separated
+    by any whitespace.  Anything else raises ``ParseError`` with its line
+    number.
 
     The body has its own loop, cheap for lines in the form ``write_real``
     writes them: ``tK c1 .. cK-1 target``, single spaces, a newline.  The
@@ -517,9 +502,12 @@ def _read_body(lines, names: list, fail) -> list[MctGate]:
                 name = op[1:] if op.startswith("-") else op
                 fail(f"unknown line {name!r}", lineno)
             controls.append(lit)
-        target = index.get(operands[-1])
+        name = operands[-1]
+        target = index.get(name)
         if target is None:
-            fail(f"unknown line {operands[-1]!r}", lineno)
+            if name in literals:  # "-" before a known line
+                fail(f"target {name[1:]!r} cannot be negative", lineno)
+            fail(f"unknown line {name!r}", lineno)
         controls = tuple(sorted(controls))
         try:
             return MctGate(target, controls)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from .logicnet import EsopForm, _bits
 from .revcirc import MctGate, RevCircuit
 
-__all__ = ["esop_synth"]
-
 
 def esop_synth(esop: EsopForm) -> RevCircuit:
     """Cascade with one Toffoli per (cube, output) pair, cubes in form order."""

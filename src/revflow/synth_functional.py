@@ -24,8 +24,6 @@ from .embedding import Embedding, Permutation
 from .logicnet import _bits, _transpose
 from .revcirc import MctGate, RevCircuit
 
-__all__ = ["tbs"]
-
 
 def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     """Synthesize an exact circuit for the permutation.

@@ -19,10 +19,8 @@ topological order; the nodes are then compiled in one forward loop.
 
 from __future__ import annotations
 
-from .logicnet import NodeKind, Xmg
+from .logicnet import Xmg
 from .revcirc import MctGate, RevCircuit, cnot
-
-__all__ = ["hier_synth"]
 
 
 def _readers(net: Xmg) -> bytearray:
@@ -61,12 +59,11 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     line_of = {1 + i: i for i in range(n)}  # node -> the line holding its value
     next_line = n + m
     pool: list[int] = []  # scratch lines free for reuse, reused last-freed first
-    xor = NodeKind.XOR
     compute: list[MctGate] = []
-    for node, kind, fanins in net.gates():
+    for node, fanins in net.gates():
         if not readers[node]:
             continue
-        if kind is xor:
+        if len(fanins) == 2:  # an XOR
             a, b = fanins  # stored phase-free, the complement lives on the edge
             if inplace_xor:
                 # a gate operand read by this XOR alone is free after the read,

@@ -6,7 +6,7 @@ counts, per-bit transpose)."""
 import random
 
 from revflow.embedding import Permutation
-from revflow.logicnet import EsopForm, NodeKind, Xmg
+from revflow.logicnet import EsopForm, Xmg
 from revflow.revcirc import MctGate, RevCircuit, simulate_source_batch
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
@@ -44,17 +44,27 @@ def random_xmg(rng: random.Random, num_inputs: int, num_gates: int, num_outputs:
     return net
 
 
+def xmg_kind(net: Xmg, node: int) -> str:
+    """The node's kind, "const0", "input", "xor" or "maj", from its position
+    and its fanin count."""
+    if node == 0:
+        return "const0"
+    if node <= net.num_inputs:
+        return "input"
+    return {2: "xor", 3: "maj"}[len(net.fanins(node))]
+
+
 def naive_xmg_eval(net: Xmg, x: int) -> int:
     """Recursive reference evaluator, structured nothing like the bit-parallel one."""
 
     def val(node: int) -> int:
-        kind = net.kind(node)
-        if kind is NodeKind.CONST0:
+        kind = xmg_kind(net, node)
+        if kind == "const0":
             return 0
-        if kind is NodeKind.INPUT:
+        if kind == "input":
             return x >> (node - 1) & 1
         ops = [val(e >> 1) ^ (e & 1) for e in net.fanins(node)]
-        if kind is NodeKind.XOR:
+        if kind == "xor":
             return ops[0] ^ ops[1]
         return int(sum(ops) >= 2)
 
@@ -71,19 +81,19 @@ def _complement(literal: int) -> int:
 class ReferenceXmg:
     """Strash builder written plainly, to check Xmg's add_* kernels against.
 
-    Keys carry the NodeKind, each literal is checked on its own, and a MAJ's
+    Keys carry the kind tag, each literal is checked on its own, and a MAJ's
     operands are complemented as a list and sorted with sorted().  The
     folding rules, their order, the self-dual rule and the error message are
     the ones Xmg documents.
     """
 
     def __init__(self):
-        self.kinds = [NodeKind.CONST0]
+        self.kinds = ["const0"]
         self.fanins = [()]
         self.strash = {}
 
     def add_input(self) -> int:
-        self.kinds.append(NodeKind.INPUT)
+        self.kinds.append("input")
         self.fanins.append(())
         return 2 * (len(self.kinds) - 1)
 
@@ -91,7 +101,7 @@ class ReferenceXmg:
         if literal < 0 or literal // 2 >= len(self.kinds):
             raise ValueError(f"literal {literal} references an unknown node")
 
-    def _node(self, kind: NodeKind, ops: tuple) -> int:
+    def _node(self, kind: str, ops: tuple) -> int:
         key = (kind, *ops)
         if key not in self.strash:
             self.strash[key] = len(self.kinds)
@@ -111,7 +121,7 @@ class ReferenceXmg:
             return b + neg
         if b == 0:
             return a + neg
-        return 2 * self._node(NodeKind.XOR, (min(a, b), max(a, b))) + neg
+        return 2 * self._node("xor", (min(a, b), max(a, b))) + neg
 
     def add_maj(self, a: int, b: int, c: int) -> int:
         for x in (a, b, c):
@@ -125,7 +135,7 @@ class ReferenceXmg:
         neg = sum(x % 2 for x in ops) >= 2
         if neg:
             ops = [_complement(x) for x in ops]
-        return 2 * self._node(NodeKind.MAJ, tuple(sorted(ops))) + neg
+        return 2 * self._node("maj", tuple(sorted(ops))) + neg
 
     def add_and(self, a: int, b: int) -> int:
         return self.add_maj(a, b, 0)
@@ -159,10 +169,10 @@ def reachable_gate_counts(net: Xmg) -> tuple:
     reached = set()
     while todo:
         node = todo.pop()
-        if node not in reached and net.kind(node) in (NodeKind.MAJ, NodeKind.XOR):
+        if node not in reached and xmg_kind(net, node) in ("maj", "xor"):
             reached.add(node)
             todo.extend(e >> 1 for e in net.fanins(node))
-    maj = sum(1 for node in reached if net.kind(node) is NodeKind.MAJ)
+    maj = sum(1 for node in reached if xmg_kind(net, node) == "maj")
     return maj, len(reached) - maj
 
 

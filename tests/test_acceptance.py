@@ -26,16 +26,15 @@ from revflow.arith import (
     Design,
     DesignSpec,
     design_truth_table,
-    gen_intdiv_xmg,
+    design_xmg,
     gen_newton_xmg,
     oracle_reciprocal,
 )
+from revflow.cli import run_flow
 from revflow.embedding import Permutation, optimum_embed
 from revflow.logicnet import esop_from_tt, esop_minimize, read_pla, write_pla
 from revflow.revcirc import cost_report, read_real, simulate_full, verify_circuit, write_real
-from revflow.synth_esop import esop_synth
 from revflow.synth_functional import tbs
-from revflow.synth_hier import hier_synth
 
 
 class Budget:
@@ -76,8 +75,7 @@ def test_optimum_embedding_qubit_counts():
 def test_esop_qubit_counts():
     budget = Budget(5.0)
     for n in range(4, 9):
-        tt = design_truth_table(DesignSpec(Design.INTDIV, n))
-        circ = esop_synth(esop_minimize(esop_from_tt(tt)))
+        circ = run_flow("esop", design_truth_table(DesignSpec(Design.INTDIV, n)))
         assert circ.width == 2 * n
     budget.check()
 
@@ -104,7 +102,7 @@ def test_esop_flow_exact():
     budget = Budget(30.0)
     for n in range(4, 9):
         tt = design_truth_table(DesignSpec(Design.INTDIV, n))
-        circ = esop_synth(esop_minimize(esop_from_tt(tt)))
+        circ = run_flow("esop", tt)
         assert all(len(g.controls) <= n for g in circ.gates)
         assert verify_circuit(circ, tt)
     budget.check()
@@ -116,9 +114,8 @@ def test_hierarchical_flow_exact(variant):
     for design in (Design.INTDIV, Design.NEWTON):
         for n in range(4, 7):
             spec = DesignSpec(design, n)
-            gen = gen_intdiv_xmg if design is Design.INTDIV else gen_newton_xmg
-            net = gen(spec)
-            circ = hier_synth(net, inplace_xor=HIER_VARIANTS[variant])
+            net = design_xmg(spec)
+            circ = run_flow("hier", net, inplace_xor=HIER_VARIANTS[variant])
             assert verify_circuit(circ, design_truth_table(spec))
             assert clean_ancillas(circ)
             maj, _ = reachable_gate_counts(net)
@@ -146,9 +143,8 @@ def test_property_suites(tmp_path):
     # synthesized circuits are permutations of their full state space
     for n in range(4, 7):
         tt = design_truth_table(DesignSpec(Design.INTDIV, n))
-        perm, emb = optimum_embed(tt)
-        assert isinstance(simulate_full(tbs(perm, embedding=emb)), Permutation)
-        assert isinstance(simulate_full(esop_synth(esop_from_tt(tt))), Permutation)
+        assert isinstance(simulate_full(run_flow("functional", tt)), Permutation)
+        assert isinstance(simulate_full(run_flow("esop", tt, minimize=False)), Permutation)
 
     # every gate undoes itself
     for _ in range(200):
@@ -170,12 +166,10 @@ def test_property_suites(tmp_path):
         esop = esop_minimize(esop_from_tt(tt))
         write_pla(esop, tmp_path / "acc.pla")
         assert read_pla(tmp_path / "acc.pla") == esop
-        perm, emb = optimum_embed(tt)
         for circ in (
-            tbs(perm, embedding=emb),
-            esop_synth(esop),
-            hier_synth(gen_intdiv_xmg(spec) if design is Design.INTDIV
-                       else gen_newton_xmg(spec)),
+            run_flow("functional", tt),
+            run_flow("esop", esop, minimize=False),
+            run_flow("hier", design_xmg(spec)),
         ):
             write_real(circ, tmp_path / "acc.real")
             assert read_real(tmp_path / "acc.real") == circ

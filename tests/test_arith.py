@@ -1,5 +1,6 @@
 """Oracle, fixed-point helpers, Newton model, and the two design generators."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,11 @@ import pytest
 from revflow.arith import (
     Design,
     DesignSpec,
-    FixedPointValue,
-    default_newton_iterations,
+    _seed_words,
+    _wrap,
     design_truth_table,
-    fxp_add,
-    fxp_mul_trunc,
-    fxp_sub,
     gen_intdiv_xmg,
     gen_newton_xmg,
-    newton_reciprocal_model,
     newton_trace,
     oracle_reciprocal,
 )
@@ -39,40 +36,56 @@ def test_oracle_value_scale():
     assert float(Fraction(11, 256)) == 0.04296875
 
 
-def test_fixed_point_roundtrip_and_ops():
-    a = FixedPointValue.from_ratio(5, 2, 4)
-    assert a.value == Fraction(5, 2)
-    b = FixedPointValue.from_ratio(-3, 4, 4)
-    assert fxp_add(a, b).value == Fraction(7, 4)
-    assert fxp_sub(a, b).value == Fraction(13, 4)
-
-
 def test_fixed_point_wraps_like_hardware():
-    # Q3.2: values live in [-4, 4); 3 + 3 wraps negative
-    a = FixedPointValue.from_ratio(3, 1, 2)
-    assert fxp_add(a, a).value == Fraction(-2)
+    # Q3.2: values live in [-4, 4); 3 + 3 wraps to -2, -4 - 1 to 3
+    assert _wrap(12 + 12, 2) == -8
+    assert _wrap(-16 - 4, 2) == 12
+    assert [_wrap(v, 0) for v in range(-4, 4)] == list(range(-4, 4))
 
 
 def test_fixed_point_rounding_nearest():
-    # 1/3 at 4 fractional bits: 16/3 = 5.33 -> 5
-    assert FixedPointValue.from_ratio(1, 3, 4).raw == 5
-    # 1/6 -> 16/6 = 2.67 -> 3
-    assert FixedPointValue.from_ratio(1, 6, 4).raw == 3
+    # the seed words are 48/17 and 32/17 rounded to the nearest raw word
+    for p in range(1, 40):
+        for raw, value in zip(_seed_words(p), (Fraction(48, 17), Fraction(32, 17))):
+            assert abs(Fraction(raw, 1 << p) - value) < Fraction(1, 2 << p), p
+    assert _seed_words(4) == (45, 30)   # 45.18 -> 45, 30.12 -> 30
+    assert _seed_words(5) == (90, 60)   # 90.35 -> 90, 60.24 -> 60
+    assert _seed_words(3) == (23, 15)   # 22.59 -> 23, 15.06 -> 15
+
+
+def _fraction_trace(spec, x):
+    """The Newton iterates as Fractions: every product floored to P
+    fractional bits, every value wrapped into [-4, 4)."""
+    p = spec.precision
+    ulp = Fraction(1, 1 << p)
+
+    def wrap(v):
+        return (v + 4) % 8 - 4
+
+    def mul(u, v):
+        return wrap(math.floor(u * v / ulp) * ulp)
+
+    xp = Fraction(x, 1 << x.bit_length())
+    c48, c32 = (Fraction(raw, 1 << p) for raw in _seed_words(p))
+    xi = wrap(c48 - mul(c32, xp))
+    iterates = [xi]
+    for _ in range(spec.iterations):
+        xi = wrap(xi + mul(xi, wrap(1 - mul(xp, xi))))
+        iterates.append(xi)
+    return iterates
 
 
 def test_mul_trunc_floors_toward_minus_infinity():
-    a = FixedPointValue.from_ratio(3, 2, 3)   # 1.5
-    b = FixedPointValue.from_ratio(5, 4, 3)   # 1.25
-    got = fxp_mul_trunc(a, b, 3)
-    assert got.value == Fraction(15, 8)       # 1.875 exact at 3 bits
-    c = FixedPointValue.from_ratio(-1, 3, 5)
-    d = FixedPointValue.from_ratio(1, 3, 5)
-    prod = fxp_mul_trunc(c, d, 5)
-    assert prod.value <= Fraction(-1, 9)      # floor, not round
+    # raw-word products floor toward minus infinity, as the Fraction model does
+    for n in (3, 6):
+        spec = DesignSpec(Design.NEWTON, n)
+        for x in range(1, 1 << n):
+            words = newton_trace(spec, x).iterates
+            assert [Fraction(w, 1 << spec.precision) for w in words] == _fraction_trace(spec, x), x
 
 
 def test_iteration_count_grows_with_precision():
-    counts = [default_newton_iterations(p) for p in (4, 8, 16, 32)]
+    counts = [DesignSpec(Design.NEWTON, n).iterations for n in (2, 4, 8, 16)]
     assert counts == sorted(counts)
     assert all(c >= 2 for c in counts)
 
@@ -84,19 +97,18 @@ def test_design_spec_validation():
     assert spec.precision == 8
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", range(2, 13))
 def test_newton_model_matches_oracle(n):
     spec = DesignSpec(Design.NEWTON, n)
     for x in range(1 << n):
-        want = oracle_reciprocal(n, x) if x != 0 else (1 << n) - 1
-        assert newton_reciprocal_model(spec, x) == want, x
+        assert newton_trace(spec, x).output == oracle_reciprocal(n, x), x
 
 
 def test_newton_trace_shape():
     spec = DesignSpec(Design.NEWTON, 4)
     tr = newton_trace(spec, 5)
     assert tr.exponent == 3
-    assert Fraction(1, 2) <= tr.normalized.value < 1
+    assert 1 << (spec.precision - 1) <= tr.normalized < 1 << spec.precision  # in [1/2, 1)
     # seed plus one entry per refinement step
     assert len(tr.iterates) == spec.iterations + 1
     assert 0 <= tr.output < 1 << 4
@@ -111,10 +123,10 @@ def test_newton_error_never_grows_past_an_ulp(n):
     ulp = Fraction(1, 1 << spec.precision)
     for x in range(1, 1 << n):
         tr = newton_trace(spec, x)
-        target = 1 / tr.normalized.value
+        target = Fraction(1 << spec.precision, tr.normalized)
         prev = None
         for it in tr.iterates:
-            err = abs(it.value - target)
+            err = abs(Fraction(it, 1 << spec.precision) - target)
             if prev is not None:
                 assert err <= max(prev, ulp), (x, it)
             prev = err
@@ -132,7 +144,7 @@ def test_newton_xmg_equals_model(n):
     spec = DesignSpec(Design.NEWTON, n)
     tt = gen_newton_xmg(spec).to_truth_table()
     for x in range(1 << n):
-        assert tt.rows[x] == newton_reciprocal_model(spec, x), x
+        assert tt.rows[x] == newton_trace(spec, x).output, x
 
 
 def test_design_truth_table_dispatch():

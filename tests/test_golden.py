@@ -1,5 +1,5 @@
-"""Golden outputs: the REAL text of every flow and the generated XMG text,
-pinned by sha256.
+"""Golden outputs: the REAL text of every flow, the generated XMG text and
+the NEWTON model's every word, pinned by sha256.
 
 A change meant to leave circuits alone (a refactor, a speed-up) must keep
 every hash.  A change that alters a circuit on purpose updates the table
@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
+from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg, newton_trace
 from revflow.cli import run_flow
 from revflow.logicnet import write_xmg
 from revflow.revcirc import read_real, write_real
@@ -102,3 +102,28 @@ def test_xmg_output_unchanged(design, tmp_path):
     for n in range(4, 9):
         write_xmg(design_xmg(DesignSpec(design, n)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_XMG[design.value, n], n
+
+
+# newton_trace(DesignSpec(Design.NEWTON, n), x) for every x: the exponent, the
+# normalized word, every iterate and the output, all raw integers
+GOLDEN_NEWTON_TRACE = {
+    2: "b027aa7c7f0eace80b0665669beb0c78b589964017b020622b197cea0cadba7f",
+    3: "9d0bc6cf7acfd98c678d1689807eb927d68471a6e21dd9cb1536b7f906b03af7",
+    4: "da3063e078c6129776ce91182da761a36e9464041285a08815c63ef69eb7c09c",
+    5: "917687361ac1b4c58871c86c0f532dbdc25373415d88770a613164b8fff75751",
+    6: "985c6fb873be6bdbc6527710cb7f3a484a13387137e9b447400bc4eb3eadb62f",
+    7: "3a9c3dec841f71aadcc18c88d5043aa9e9f93913fb618bb9284c06ea39424d7a",
+    8: "e05fd6c286cfb4a97bbb8ee5df9f54d2f135daa6138f18b16419c70138a7fc66",
+    9: "b17126297a8db249730429e4c447695d8c6e0882c7fcf60e0768e1afa8abcdef",
+    10: "99055819f4c59a80bf2b83caa2d64b4d088c36c66e3c71fbe51843637bae74c9",
+}
+
+
+def test_newton_trace_unchanged():
+    for n, want in GOLDEN_NEWTON_TRACE.items():
+        spec = DesignSpec(Design.NEWTON, n)
+        words = []
+        for x in range(1 << n):
+            t = newton_trace(spec, x)
+            words.append((t.exponent, t.normalized, t.iterates, t.output))
+        assert hashlib.sha256(repr(words).encode()).hexdigest() == want, n

@@ -1,5 +1,5 @@
-"""The package exports the README's API, imports nothing it does not use, and
-defines nothing that only tests use."""
+"""The package exports the README's API through one public list, imports
+nothing it does not use, and defines nothing that only tests use."""
 
 import ast
 import re
@@ -24,6 +24,18 @@ def test_all_matches_readme():
 
 def test_all_names_resolve():
     assert all(hasattr(revflow, name) for name in revflow.__all__)
+
+
+def test_one_public_list():
+    """revflow.__all__ is the only public list: no submodule assigns its own."""
+    package = Path(revflow.__file__).resolve().parent
+    assigners = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                assigners.append(path.name)
+    assert assigners == ["__init__.py"]
 
 
 def _unused_imports(path: Path) -> list:

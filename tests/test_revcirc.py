@@ -302,6 +302,12 @@ def test_real_parse_errors(tmp_path):
         with pytest.raises(ParseError, match=why) as info:
             read_real(p)
         assert info.value.line == line
+    # a target cannot be negative; the line itself is known
+    for gate in ("t2 a -b", "t2  a  -b", "t1 -b"):
+        p.write_text(f".numvars 2\n.variables a b\n.begin\n{gate}\n.end\n")
+        with pytest.raises(ParseError, match="target 'b' cannot be negative") as info:
+            read_real(p)
+        assert info.value.line == 4
     # a control named twice, and a control in both polarities
     for gate in ("t3 a a b", "t3 a -a b"):
         p.write_text(f".numvars 3\n.variables a b c\n.begin\n{gate}\n.end\n")
