@@ -165,18 +165,16 @@ def esop_from_tt(tt: TruthTable) -> EsopForm:
 
 
 def _combine_identical(cubes: list[Cube]) -> tuple[list[Cube], bool]:
-    # XOR-combine cubes with identical literal sets; drop cancelled ones.
-    order: list[tuple[int, int]] = []
+    # XOR-combine cubes with identical literal sets; drop cancelled ones.  A
+    # list where no literal set repeats comes back as it is.
+    if len({(c.mask, c.polarity) for c in cubes}) == len(cubes):
+        return cubes, False
     acc: dict[tuple[int, int], int] = {}
     for c in cubes:
         key = (c.mask, c.polarity)
-        if key in acc:
-            acc[key] ^= c.output_mask
-        else:
-            acc[key] = c.output_mask
-            order.append(key)
-    out = [Cube(m, p, acc[(m, p)]) for (m, p) in order if acc[(m, p)]]
-    return out, len(out) != len(cubes)
+        acc[key] = acc.get(key, 0) ^ c.output_mask
+    out = [Cube(m, p, w) for (m, p), w in acc.items() if w]
+    return out, True
 
 
 def _find_distance1_merge(cubes: list[Cube]) -> tuple[int, int, Cube] | None:
@@ -255,6 +253,14 @@ def write_pla(esop: EsopForm, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# translate tables: the first two delete the characters a column may hold,
+# so what is left of a pattern is its bad characters in order; the third
+# marks each literal of an input pattern with 1
+_INPUT_COLUMNS = str.maketrans("", "", "01-")
+_OUTPUT_COLUMNS = str.maketrans("", "", "01")
+_LITERAL_BITS = str.maketrans("01-", "110")
+
+
 def read_pla(path: str | Path) -> EsopForm:
     name = str(path)
     num_inputs: int | None = None
@@ -304,23 +310,17 @@ def read_pla(path: str | Path) -> EsopForm:
             raise ParseError(f"input pattern has {len(ins)} columns, expected {num_inputs}", name, lineno)
         if len(outs) != num_outputs:
             raise ParseError(f"output pattern has {len(outs)} columns, expected {num_outputs}", name, lineno)
-        mask = polarity = 0
-        for i, ch in enumerate(ins):
-            if ch == "-":
-                continue
-            if ch == "1":
-                mask |= 1 << i
-                polarity |= 1 << i
-            elif ch == "0":
-                mask |= 1 << i
-            else:
-                raise ParseError(f"bad input column character {ch!r}", name, lineno)
-        output_mask = 0
-        for j, ch in enumerate(outs):
-            if ch == "1":
-                output_mask |= 1 << j
-            elif ch != "0":
-                raise ParseError(f"bad output column character {ch!r}", name, lineno)
+        bad = ins.translate(_INPUT_COLUMNS)
+        if bad:
+            raise ParseError(f"bad input column character {bad[0]!r}", name, lineno)
+        bad = outs.translate(_OUTPUT_COLUMNS)
+        if bad:
+            raise ParseError(f"bad output column character {bad[0]!r}", name, lineno)
+        # column i is bit i, so a reversed pattern reads as a binary numeral
+        ins = ins[::-1]
+        mask = int(ins.translate(_LITERAL_BITS), 2)
+        polarity = int(ins.replace("-", "0"), 2)
+        output_mask = int(outs[::-1], 2)
         if not output_mask:
             raise ParseError("cube drives no outputs", name, lineno)
         cubes.append(Cube(mask, polarity, output_mask))

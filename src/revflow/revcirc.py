@@ -15,6 +15,14 @@ A gate keeps its controls as one tuple of line literals, ``line << 1 | neg``
 literal with ``neg`` set is a negative control: it holds when its line is 0.
 The ascending form is canonical, so equal gates compare equal and REAL files
 write and read the controls in the same order.
+
+``MctGate`` checks that order once per run of gates on one tuple object: a
+module global holds the last controls tuple that passed, and a gate built
+on that very object checks only its target.  The memo is exact because a
+tuple cannot change, only a tuple that passed the check is held, and the
+held reference keeps the tuple alive, so its id cannot pass to another
+object.  An ESOP cube's gates share one tuple, and so do hier's CNOTs on
+one control line.
 """
 
 from __future__ import annotations
@@ -31,34 +39,59 @@ from .logicnet import ParseError, TruthTable, _input_pattern, _transpose
 FULL_SIM_MAX_WIDTH = 24
 
 
-def _bad_name(name: str) -> bool:
-    """A line name must be one non-empty whitespace-free token, not led by '-'
-    and free of '#', which starts a comment in a REAL file."""
-    return name.split() != [name] or name.startswith("-") or "#" in name
+def _first_bad_name(names) -> "str | None":
+    """The first line name that is not one non-empty whitespace-free token,
+    free of '#' (a REAL comment) and not led by '-', or None.
+
+    Joined by single spaces, the names split back into themselves iff each
+    is one non-empty whitespace-free token; then no name is led by '-' iff
+    the text neither starts with '-' nor holds ' -'.  So one pass over the
+    joined text clears a whole list, and only a list that fails it is
+    scanned name by name.
+    """
+    text = " ".join(names)
+    if text.split() == list(names) and "#" not in text and " -" not in text and text[:1] != "-":
+        return None
+    return next(name for name in names if name.split() != [name] or name.startswith("-") or "#" in name)
 
 
-@dataclass(frozen=True, slots=True)
+# the last controls tuple that passed MctGate's order check (module docstring)
+_checked: tuple = ()
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class MctGate:
-    """Flip the target iff every control literal holds."""
+    """Flip the target iff every control literal holds.
+
+    Controls on the tuple object that last passed the order check skip it;
+    the target is checked on every gate.
+    """
 
     target: int
-    controls: tuple[int, ...] = ()
+    controls: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.target < 0:
+    def __init__(self, target: int, controls: tuple[int, ...] = ()):
+        global _checked
+        if target < 0:
             raise ValueError("negative target line")
-        prev = -1
-        for c in self.controls:
-            line = c >> 1
-            if line <= prev:
-                raise ValueError("control lines must be non-negative and in strictly ascending order")
-            if line == self.target:
-                raise ValueError("target used as its own control")
-            prev = line
+        if controls is not _checked:
+            prev = -1
+            for c in controls:
+                line = c >> 1
+                if line <= prev:
+                    raise ValueError("control lines must be non-negative and in strictly ascending order")
+                prev = line
+            if type(controls) is tuple:
+                _checked = controls
+        if target << 1 in controls or target << 1 | 1 in controls:
+            raise ValueError("target used as its own control")
+        _set_target(self, target)
+        _set_controls(self, controls)
 
 
-def cnot(control: int, target: int) -> MctGate:
-    return MctGate(target, (control << 1,))
+# the slot descriptors set the fields past the frozen class's __setattr__
+_set_target = MctGate.target.__set__
+_set_controls = MctGate.controls.__set__
 
 
 @dataclass(frozen=True)
@@ -85,17 +118,22 @@ class RevCircuit:
                 raise ValueError("line metadata length does not match width")
         if len(set(self.line_names)) != self.width:
             raise ValueError("line names must be unique")
-        for name in self.line_names:
-            if _bad_name(name):
-                raise ValueError(f"bad line name {name!r}")
+        bad = _first_bad_name(self.line_names)
+        if bad is not None:
+            raise ValueError(f"bad line name {bad!r}")
         for c in self.constants:
             if c not in (None, 0, 1):
                 raise ValueError("constants must be 0, 1 or None")
         declared = [o for o in self.outputs if o is not None]
         if declared != list(range(len(declared))):
             raise ValueError("output indices must be 0..m-1 in line order")
+        # a gate's controls ascend, so its last literal has its highest line,
+        # and that line is below width iff the literal is below width << 1
+        width = self.width
+        top = width << 1
         for gate in self.gates:
-            if gate.target >= self.width or gate.controls and gate.controls[-1] >> 1 >= self.width:
+            controls = gate.controls
+            if gate.target >= width or controls and controls[-1] >= top:
                 raise ValueError("gate uses a line beyond the circuit width")
 
     @classmethod
@@ -402,9 +440,9 @@ def read_real(path) -> RevCircuit:
                 names = tokens[1:]
                 if len(names) != width or len(set(names)) != width:
                     fail(f"expected {width} distinct variable names", lineno)
-                for name in names:
-                    if _bad_name(name):
-                        fail(f"bad line name {name!r}", lineno)
+                bad = _first_bad_name(names)
+                if bad is not None:
+                    fail(f"bad line name {bad!r}", lineno)
                 continue
             if key == ".constants":
                 if width is None or len(tokens) != 2 or len(tokens[1]) != width:

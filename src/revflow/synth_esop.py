@@ -8,18 +8,48 @@ form out_j = 0 xor f_j(x) on n + m lines.
 
 from __future__ import annotations
 
-from .logicnet import EsopForm, _bits
+from itertools import repeat
+
+from .logicnet import EsopForm
 from .revcirc import MctGate, RevCircuit
 
 
+def _nibble_tables(width: int, item) -> list[list[tuple[int, ...]]]:
+    """tables[k][key]: item(4k + i, key >> 4 + i & 1) for each set bit i of
+    key & 15, ascending.
+
+    Looking up nibble k of a word (and nibble k of a flag word shifted above
+    it) in tables[k], for every k, and joining the tuples in order gives the
+    items of every set bit of the word: a few lookups instead of a step per
+    bit.
+    """
+    return [
+        [tuple(item(base + i, key >> 4 + i & 1) for i in range(4) if key >> i & 1) for key in range(256)]
+        for base in range(0, width, 4)
+    ]
+
+
 def esop_synth(esop: EsopForm) -> RevCircuit:
-    """Cascade with one Toffoli per (cube, output) pair, cubes in form order."""
+    """Cascade with one Toffoli per (cube, output) pair, cubes in form order.
+
+    Each cube's controls tuple is built once and shared by its gates, so
+    ``MctGate`` checks its order once per cube.
+    """
     n, m = esop.num_inputs, esop.num_outputs
-    gates = []
+    literals = _nibble_tables(n, lambda i, positive: i << 1 | (positive ^ 1))
+    targets_of = _nibble_tables(m, lambda j, _: n + j)
+    gates: list[MctGate] = []
     for cube in esop.cubes:
-        neg = ~cube.polarity
-        controls = tuple(i << 1 | (neg >> i & 1) for i in _bits(cube.mask))
-        for j in _bits(cube.output_mask):
-            gates.append(MctGate(n + j, controls))
+        mask, polarity, out = cube.mask, cube.polarity, cube.output_mask
+        controls = ()
+        for table in literals:
+            controls += table[mask & 15 | (polarity & 15) << 4]
+            mask >>= 4
+            polarity >>= 4
+        targets = ()
+        for table in targets_of:
+            targets += table[out & 15]
+            out >>= 4
+        gates += map(MctGate, targets, repeat(controls))
     names = [f"x{i}" for i in range(n)] + [f"y{j}" for j in range(m)]
     return RevCircuit.layout(n + m, gates, names, n, m, n)

@@ -20,7 +20,7 @@ topological order; the nodes are then compiled in one forward loop.
 from __future__ import annotations
 
 from .logicnet import Xmg
-from .revcirc import MctGate, RevCircuit, cnot
+from .revcirc import MctGate, RevCircuit
 
 
 def _readers(net: Xmg) -> bytearray:
@@ -56,6 +56,10 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     n, m = net.num_inputs, net.num_outputs
     first_gate_lit = (1 + n) << 1  # literals below it are the constant or an input
     readers = _readers(net)
+    # one control tuple per line for the CNOTs: a line per output and per
+    # live node at most, and at most two scratch lines, as a MAJ frees its own
+    live = net.num_nodes - 1 - n - readers.count(0, 1 + n)
+    ctl = [(line << 1,) for line in range(n + m + live + 2)]
     line_of = {1 + i: i for i in range(n)}  # node -> the line holding its value
     next_line = n + m
     pool: list[int] = []  # scratch lines free for reuse, reused last-freed first
@@ -70,16 +74,16 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
                 # so the XOR can target its line and cleanup stays a reversal
                 if a >= first_gate_lit and readers[a >> 1] == 1:
                     line_of[node] = target = line_of[a >> 1]
-                    compute.append(cnot(line_of[b >> 1], target))
+                    compute.append(MctGate(target, ctl[line_of[b >> 1]]))
                     continue
                 if b >= first_gate_lit and readers[b >> 1] == 1:
                     line_of[node] = target = line_of[b >> 1]
-                    compute.append(cnot(line_of[a >> 1], target))
+                    compute.append(MctGate(target, ctl[line_of[a >> 1]]))
                     continue
             line_of[node] = target = next_line
             next_line += 1
-            compute.append(cnot(line_of[a >> 1], target))
-            compute.append(cnot(line_of[b >> 1], target))
+            compute.append(MctGate(target, ctl[line_of[a >> 1]]))
+            compute.append(MctGate(target, ctl[line_of[b >> 1]]))
             continue
         line_of[node] = target = next_line
         next_line += 1
@@ -114,17 +118,17 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
                         scratch = next_line
                         next_line += 1
                     released.append(scratch)
-                    setup.append(cnot(op_line, scratch))
-                    setup.append(cnot(a_line, scratch))
+                    setup.append(MctGate(scratch, ctl[op_line]))
+                    setup.append(MctGate(scratch, ctl[a_line]))
                     op_line = scratch
                 else:
-                    setup.append(cnot(a_line, op_line))
+                    setup.append(MctGate(op_line, ctl[a_line]))
             controls.append(op_line << 1 | (a_neg ^ (op & 1)))
         compute.extend(setup)
         ctl_b, ctl_c = controls
         compute.append(MctGate(target, (ctl_b, ctl_c) if ctl_b < ctl_c else (ctl_c, ctl_b)))
         if not a_const:
-            compute.append(cnot(a_line, target))
+            compute.append(MctGate(target, ctl[a_line]))
         if a_neg:
             compute.append(MctGate(target))
         compute.extend(reversed(setup))
@@ -132,7 +136,7 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     gates = list(compute)
     for j, edge in enumerate(net.outputs):
         if edge >> 1:
-            gates.append(cnot(line_of[edge >> 1], n + j))
+            gates.append(MctGate(n + j, ctl[line_of[edge >> 1]]))
         if edge & 1:
             gates.append(MctGate(n + j))
     gates.extend(reversed(compute))

@@ -1,12 +1,13 @@
 """Shared test helpers: random nets and permutations, and the independent
 references the library is checked against (scalar simulator, scalar TBS,
 naive XMG and ESOP evaluators, a plain strash builder, reachable gate
-counts, per-bit transpose)."""
+counts, per-bit transpose, a per-character PLA reader and the gate
+checks)."""
 
 import random
 
 from revflow.embedding import Permutation
-from revflow.logicnet import EsopForm, Xmg
+from revflow.logicnet import Cube, EsopForm, ParseError, Xmg
 from revflow.revcirc import MctGate, RevCircuit, simulate_source_batch
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
@@ -163,6 +164,75 @@ def naive_esop_eval(esop: EsopForm, x: int) -> int:
     return word
 
 
+def reference_read_pla(path) -> EsopForm:
+    """read_pla's dialect and messages, each column read one character at a time."""
+    name = str(path)
+    n = m = None
+    cubes = []
+    ended = typed = False
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if ended:
+            raise ParseError("content after .e", name, lineno)
+        fields = line.split()
+        if line[0] == ".":
+            key = fields[0]
+            if key in (".i", ".o"):
+                if cubes:
+                    raise ParseError(f"{key} header after the first cube", name, lineno)
+                if (n if key == ".i" else m) is not None:
+                    raise ParseError(f"{key} header given twice", name, lineno)
+                if len(fields) != 2 or not all(ch in "0123456789" for ch in fields[1]):
+                    raise ParseError(f"malformed {key} header", name, lineno)
+                if key == ".i":
+                    n = int(fields[1])
+                else:
+                    m = int(fields[1])
+            elif key == ".type":
+                if fields[1:] != ["esop"]:
+                    raise ParseError("only .type esop is supported", name, lineno)
+                typed = True
+            elif key == ".e":
+                ended = True
+            else:
+                raise ParseError(f"unknown directive {key}", name, lineno)
+            continue
+        if n is None or m is None:
+            raise ParseError("cube before .i/.o headers", name, lineno)
+        if not typed:
+            raise ParseError("cube before .type esop declaration", name, lineno)
+        if len(fields) != 2:
+            raise ParseError("cube line needs an input and an output pattern", name, lineno)
+        ins, outs = fields
+        if len(ins) != n:
+            raise ParseError(f"input pattern has {len(ins)} columns, expected {n}", name, lineno)
+        if len(outs) != m:
+            raise ParseError(f"output pattern has {len(outs)} columns, expected {m}", name, lineno)
+        mask = polarity = output_mask = 0
+        for i, ch in enumerate(ins):
+            if ch not in "01-":
+                raise ParseError(f"bad input column character {ch!r}", name, lineno)
+            if ch != "-":
+                mask |= 1 << i
+                polarity |= (ch == "1") << i
+        for j, ch in enumerate(outs):
+            if ch not in "01":
+                raise ParseError(f"bad output column character {ch!r}", name, lineno)
+            output_mask |= (ch == "1") << j
+        if not output_mask:
+            raise ParseError("cube drives no outputs", name, lineno)
+        cubes.append(Cube(mask, polarity, output_mask))
+    if n is None or m is None:
+        raise ParseError("missing .i/.o headers", name)
+    if not ended:
+        raise ParseError("missing .e terminator", name)
+    return EsopForm(n, m, tuple(cubes))
+
+
 def reachable_gate_counts(net: Xmg) -> tuple:
     """(MAJ, XOR) counts of the gate nodes some output reaches, by a fanin walk."""
     todo = [e >> 1 for e in net.outputs]
@@ -174,6 +244,27 @@ def reachable_gate_counts(net: Xmg) -> tuple:
             todo.extend(e >> 1 for e in net.fanins(node))
     maj = sum(1 for node in reached if xmg_kind(net, node) == "maj")
     return maj, len(reached) - maj
+
+
+def cnot(control: int, target: int) -> MctGate:
+    """Flip target iff control is 1."""
+    return MctGate(target, (control << 1,))
+
+
+def reference_gate_error(target: int, controls: tuple) -> "str | None":
+    """The message ``MctGate(target, controls)`` must raise, or None.
+
+    A negative target is named first, then control lines out of strictly
+    ascending order or below 0, then the target among the control lines.
+    """
+    if target < 0:
+        return "negative target line"
+    lines = [c >> 1 for c in controls]
+    if any(line < 0 for line in lines) or any(a >= b for a, b in zip(lines, lines[1:])):
+        return "control lines must be non-negative and in strictly ascending order"
+    if target in lines:
+        return "target used as its own control"
+    return None
 
 
 def apply_gate(gate: MctGate, word: int) -> int:

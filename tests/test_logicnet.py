@@ -10,6 +10,7 @@ from conftest import (
     naive_transpose,
     naive_xmg_eval,
     random_xmg,
+    reference_read_pla,
     xmg_kind,
 )
 from revflow.logicnet import (
@@ -19,6 +20,7 @@ from revflow.logicnet import (
     TableLimitError,
     TruthTable,
     Xmg,
+    _combine_identical,
     _transpose,
     esop_from_tt,
     esop_minimize,
@@ -114,6 +116,16 @@ def test_minimize_cancels_identical_cubes():
     assert out.to_truth_table().rows == (0, 0)
 
 
+def test_combine_identical_keeps_a_list_without_repeats():
+    a, b, c = Cube(1, 1, 1), Cube(3, 1, 2), Cube(2, 0, 3)
+    cubes = [a, b, c]
+    out, changed = _combine_identical(cubes)
+    assert out is cubes and not changed
+    # repeats XOR their output masks at the first one's place; a cancelled key drops
+    out, changed = _combine_identical([a, b, Cube(1, 1, 3), c, Cube(3, 1, 2)])
+    assert out == [Cube(1, 1, 2), c] and changed
+
+
 def test_minimize_preserves_function_never_grows():
     rng = random.Random(23)
     for _ in range(40):
@@ -136,17 +148,33 @@ def test_pla_roundtrip_identity(tmp_path):
 
 
 def test_pla_parse_errors(tmp_path):
+    head = ".i 2\n.o 1\n.type esop\n"
     cases = [
-        (".i 2\n.o 1\n.type esop\n11 1\n", "missing .e"),
-        (".i 2\n.o 1\n11 1\n.e\n", "type"),
-        (".i 2\n.o 1\n.type esop\n12 1\n.e\n", "character"),
-        (".i 2\n.o 1\n.type esop\n11 11\n.e\n", "output"),
+        (".i 2\n.o 1\n.type esop\n11 1\n", "missing .e terminator", None),
+        (".i 2\n.o 1\n11 1\n.e\n", "cube before .type esop declaration", 3),
+        (head + "12 1\n.e\n", "bad input column character '2'", 4),
+        (head + "11 11\n.e\n", "output pattern has 2 columns, expected 1", 4),
     ]
-    for text, _why in cases:
-        p = tmp_path / "bad.pla"
-        p.write_text(text)
-        with pytest.raises(ParseError):
+    # a bad column names its first bad character, inputs before outputs;
+    # "\u00b2" and "\u0661" are digits to str.isdigit, and int(.., 2) reads "\u0661" as 1
+    for bad in ("x", "2", "\u00b2", "\u0661"):
+        cases += [
+            (head + f"1{bad} 1\n.e\n", f"bad input column character {bad!r}", 4),
+            (head + f"{bad}- {bad}\n.e\n", f"bad input column character {bad!r}", 4),
+            (head + f"-{bad} 0\n.e\n", f"bad input column character {bad!r}", 4),
+            (head + f"10 {bad}\n.e\n", f"bad output column character {bad!r}", 4),
+        ]
+    cases += [
+        (head + "x2 1\n.e\n", "bad input column character 'x'", 4),
+        (head + "2x 1\n.e\n", "bad input column character '2'", 4),
+        (".i 2\n.o 3\n.type esop\n01 0\u00b2x\n.e\n", "bad output column character '\u00b2'", 4),
+    ]
+    p = tmp_path / "bad.pla"
+    for text, why, line in cases:
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
             read_pla(p)
+        assert str(info.value).endswith(": " + why) and info.value.line == line, text
     # "²" passes str.isdigit but not int()
     p.write_text(".i \u00b2\n.o 1\n.type esop\n.e\n", encoding="utf-8")
     with pytest.raises(ParseError, match="malformed .i header") as info:
@@ -166,6 +194,58 @@ def test_pla_parse_errors(tmp_path):
         with pytest.raises(ParseError, match="header given twice") as info:
             read_pla(p)
         assert info.value.line == line
+
+
+def _mutate_pla(rng: random.Random, text: str) -> str:
+    """One to three random edits: a character replaced, deleted or inserted,
+    a line dropped or repeated."""
+    pool = "01-01-01 x2\u00b2\u0661_b+\t#.e"
+    for _ in range(rng.randrange(1, 4)):
+        lines = text.split("\n")
+        k = rng.randrange(len(lines))
+        line = lines[k]
+        op = rng.randrange(5)
+        i = rng.randrange(len(line) + 1)
+        if op == 0 and line:
+            i = min(i, len(line) - 1)
+            line = line[:i] + rng.choice(pool) + line[i + 1:]
+        elif op == 1 and line:
+            line = line[:i] + line[i + 1:]
+        elif op == 2:
+            line = line[:i] + rng.choice(pool) + line[i:]
+        elif op == 3:
+            line = None
+        else:
+            lines.insert(k, line)
+        lines[k:k + 1] = [] if line is None else [line]
+        text = "\n".join(lines)
+    return text
+
+
+def test_pla_reader_differential(tmp_path):
+    """read_pla against a per-character reader on seeded mutated files:
+    the same form, or the same message at the same line."""
+    rng = random.Random(41)
+    p = tmp_path / "m.pla"
+    outcomes = set()
+    for _ in range(100):
+        n, m = rng.randrange(1, 6), rng.randrange(1, 4)
+        tt = TruthTable(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n)))
+        write_pla(esop_from_tt(tt), p)
+        clean = p.read_text(encoding="utf-8")
+        for _ in range(20):
+            p.write_text(_mutate_pla(rng, clean), encoding="utf-8")
+            try:
+                want = reference_read_pla(p)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as info:
+                    read_pla(p)
+                assert (str(info.value), info.value.line) == (str(exc), exc.line)
+                outcomes.add(str(exc).split(": ", 1)[1].split(" '")[0])
+            else:
+                assert read_pla(p) == want
+                outcomes.add("read")
+    assert {"read", "bad input column character", "bad output column character"} <= outcomes
 
 
 def test_pla_error_carries_location(tmp_path):

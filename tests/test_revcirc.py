@@ -1,10 +1,11 @@
 """Gates, circuits, simulation, cost model, and the REAL file dialect."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import apply_gate, random_permutation, simulate
+from conftest import apply_gate, cnot, random_permutation, reference_gate_error, simulate
 from revflow.embedding import Permutation, optimum_embed
 from revflow.logicnet import ParseError, TruthTable
 from revflow.revcirc import (
@@ -12,7 +13,6 @@ from revflow.revcirc import (
     CostModel,
     MctGate,
     RevCircuit,
-    cnot,
     cost_report,
     first_mismatch,
     read_real,
@@ -31,6 +31,77 @@ def test_gate_validation():
         MctGate(2, (1 << 1, 1 << 1 | 1))                # both polarities
     with pytest.raises(ValueError):
         MctGate(-1)
+
+
+def test_gate_is_immutable():
+    # read_real and hier's reversed compute phase put one gate object in
+    # several places of a cascade
+    g = MctGate(2, (0 << 1, 1 << 1 | 1))
+    with pytest.raises(FrozenInstanceError):
+        g.target = 3
+    with pytest.raises(FrozenInstanceError):
+        g.controls = ()
+    assert g == MctGate(2, (0, 3)) and hash(g) == hash(MctGate(2, (0, 3)))
+
+
+def test_gate_checks_match_reference():
+    """Gates built in seeded sequences that reuse the last checked tuple.
+
+    A step reuses the previous tuple object, builds an equal but fresh
+    tuple, or draws a new tuple, bad in up to three draws of ten,
+    right after good ones; targets include negative lines and the lines of
+    the tuple itself, so a self-target lands on a tuple already checked.
+    """
+    rng = random.Random(31)
+
+    def draw(width):
+        lines = sorted(rng.sample(range(width), rng.randrange(width + 1)))
+        controls = [line << 1 | rng.randrange(2) for line in lines]
+        fault = rng.randrange(10)
+        if fault == 0 and controls:
+            controls.append(controls[-1] ^ 1)  # the last line again, other polarity
+        elif fault == 1 and len(controls) > 1:
+            i = rng.randrange(len(controls) - 1)
+            controls[i], controls[i + 1] = controls[i + 1], controls[i]
+        elif fault == 2:
+            controls.insert(0, rng.choice((-1, -2)))
+        return tuple(controls)
+
+    for _ in range(300):
+        width = rng.randrange(1, 7)
+        controls = draw(width)
+        for _ in range(rng.randrange(1, 12)):
+            pick = rng.randrange(4)
+            if pick == 0:
+                controls = draw(width)
+            elif pick == 1:
+                controls = tuple(list(controls))
+            lines = [c >> 1 for c in controls]
+            target = rng.choice(lines) if lines and rng.randrange(3) == 0 else rng.randrange(-1, width)
+            want = reference_gate_error(target, controls)
+            if want is None:
+                gate = MctGate(target, controls)
+                assert gate.target == target and gate.controls is controls
+            else:
+                with pytest.raises(ValueError) as info:
+                    MctGate(target, controls)
+                assert str(info.value) == want
+    # only a tuple is held: a list that passed is checked again after it changes
+    controls = [0 << 1, 1 << 1]
+    MctGate(2, controls)
+    controls.reverse()
+    with pytest.raises(ValueError, match="strictly ascending"):
+        MctGate(2, controls)
+
+
+def test_circuit_rejects_line_beyond_width_mid_cascade():
+    names, consts, outs = ("a", "b", "c"), (None, None, None), (0, 1, 2)
+    good = [cnot(0, 1), MctGate(2, (0 << 1, 1 << 1 | 1)), MctGate(0)]
+    for bad in (MctGate(3), MctGate(0, (1 << 1, 3 << 1 | 1)), MctGate(1, (3 << 1,))):
+        gates = tuple(good[:2] + [bad] + good[2:])
+        with pytest.raises(ValueError, match="gate uses a line beyond the circuit width"):
+            RevCircuit(3, gates, names, consts, outs)
+    assert RevCircuit(3, tuple(good), names, consts, outs).gates == tuple(good)
 
 
 def test_gate_apply_and_self_inverse():
@@ -63,6 +134,38 @@ def test_circuit_metadata_validation():
         RevCircuit(1, g, ("a",), (None,), (0,))                  # gate off the end
     with pytest.raises(ValueError, match="bad line name"):
         RevCircuit(2, g, ("a#b", "c"), (None, None), (0, 1))     # '#' starts a REAL comment
+
+
+def test_line_names_checked_as_one_list(tmp_path):
+    """Seeded name lists against the per-name rule: the first name that is
+    not one whitespace-free token, holds '#' or is led by '-' is named."""
+    def bad(name):
+        return name.split() != [name] or name.startswith("-") or "#" in name
+
+    rng = random.Random(37)
+    for _ in range(2000):
+        names = list({"".join(rng.choice("ab-# \t\u2003\x1c") for _ in range(rng.randrange(4)))
+                      for _ in range(rng.randrange(1, 5))})
+        rng.shuffle(names)
+        width = len(names)
+        first = next((name for name in names if bad(name)), None)
+        args = (width, (), tuple(names), (None,) * width, tuple(range(width)))
+        if first is None:
+            assert RevCircuit(*args).line_names == tuple(names)
+        else:
+            with pytest.raises(ValueError) as info:
+                RevCircuit(*args)
+            assert str(info.value) == f"bad line name {first!r}"
+    # the reader names the fault at the .variables line
+    p = tmp_path / "names.real"
+    for names, first in (("a -b c", "-b"), ("-a b c", "-a"), ("a b- c", None)):
+        p.write_text(f".version 2.0\n.numvars 3\n.variables {names}\n.begin\n.end\n")
+        if first is None:
+            assert read_real(p).line_names == tuple(names.split())
+            continue
+        with pytest.raises(ParseError) as info:
+            read_real(p)
+        assert str(info.value).endswith(f": bad line name {first!r}") and info.value.line == 3
 
 
 def test_simulate_agrees_with_full(tmp_path):
