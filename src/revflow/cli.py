@@ -75,6 +75,7 @@ def write_tt_file(tt: TruthTable, path) -> None:
 
 
 def read_tt_file(path, limit: int | None = None) -> TruthTable:
+    limit = DEFAULT_TT_LIMIT if limit is None else limit
     words = []
     name = str(path)
     with open(path, encoding="utf-8") as fh:
@@ -82,6 +83,9 @@ def read_tt_file(path, limit: int | None = None) -> TruthTable:
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
+            if len(words) >> limit:
+                # a row past 2^limit needs more inputs than the limit allows
+                _check_limit(limit + 1, limit)
             if set(text) - set("01"):
                 raise ParseError("rows must be binary words", name, lineno)
             words.append(text)
@@ -93,7 +97,6 @@ def read_tt_file(path, limit: int | None = None) -> TruthTable:
     m = len(words[0])
     if any(len(w) != m for w in words):
         raise ParseError("rows differ in width", name, 0)
-    _check_limit(n, limit)
     return TruthTable(n, m, tuple(int(w, 2) for w in words))
 
 
@@ -156,16 +159,16 @@ def run_flow(
     source: Xmg | EsopForm | TruthTable,
     *,
     embedding: str = "optimum",
-    minimize: bool = True,
     inplace_xor: bool = False,
     limit: int | None = None,
 ) -> RevCircuit:
     """Compile an in-memory design with one synthesis flow; returns the circuit.
 
     ``hier`` takes an Xmg; ``functional`` and ``esop`` take an EsopForm or a
-    TruthTable.  ``embedding`` applies to functional, ``minimize`` to esop
-    and ``inplace_xor`` to hier.  ``limit`` caps the truth-table inputs and
-    the embedding width, as REVFLOW_TT_LIMIT does on the command line.
+    TruthTable.  ``embedding`` applies to functional and ``inplace_xor`` to
+    hier; esop always minimizes its cube list.  ``limit`` caps the
+    truth-table inputs and the embedding width, as REVFLOW_TT_LIMIT does on
+    the command line.
     """
     if method == "hier":
         if not isinstance(source, Xmg):
@@ -180,17 +183,12 @@ def run_flow(
         return tbs(perm, embedding=emb)
     if method == "esop":
         esop = source if isinstance(source, EsopForm) else esop_from_tt(source)
-        return esop_synth(esop_minimize(esop) if minimize else esop)
+        return esop_synth(esop_minimize(esop))
     raise CliError(f"unknown method {method!r}")
 
 
 def _flow_kwargs(args, limit: int) -> dict:
-    return dict(
-        embedding=args.embedding,
-        minimize=not args.no_minimize,
-        inplace_xor=args.inplace_xor,
-        limit=limit,
-    )
+    return dict(embedding=args.embedding, inplace_xor=args.inplace_xor, limit=limit)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -275,8 +273,6 @@ def _add_flow_options(parser: argparse.ArgumentParser) -> None:
     """The switches run_flow takes, shared by synth and stats --sweep."""
     parser.add_argument("--embedding", choices=("optimum", "bennett"), default="optimum",
                         help="embedding for the functional flow")
-    parser.add_argument("--no-minimize", action="store_true",
-                        help="esop flow: skip cube minimization")
     # bennett is the only cleanup left; the switch stays for scripts that name it
     parser.add_argument("--cleanup", choices=("bennett",), default="bennett",
                         help="hier flow: ancilla cleanup strategy")

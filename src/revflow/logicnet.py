@@ -164,23 +164,20 @@ def esop_from_tt(tt: TruthTable) -> EsopForm:
     return EsopForm(n, tt.num_outputs, tuple(cubes))
 
 
-def _combine_identical(cubes: list[Cube]) -> tuple[list[Cube], bool]:
-    # XOR-combine cubes with identical literal sets; drop cancelled ones.  A
-    # list where no literal set repeats comes back as it is.
-    if len({(c.mask, c.polarity) for c in cubes}) == len(cubes):
-        return cubes, False
+def _combine_identical(cubes: list[Cube]) -> list[Cube]:
+    # XOR-combine cubes with identical literal sets at the first one's place;
+    # drop cancelled ones.
     acc: dict[tuple[int, int], int] = {}
     for c in cubes:
         key = (c.mask, c.polarity)
         acc[key] = acc.get(key, 0) ^ c.output_mask
-    out = [Cube(m, p, w) for (m, p), w in acc.items() if w]
-    return out, True
+    return [Cube(m, p, w) for (m, p), w in acc.items() if w]
 
 
-def _find_distance1_merge(cubes: list[Cube]) -> tuple[int, int, Cube] | None:
+def _find_distance1_merge(cubes: list[Cube], index: dict) -> tuple[int, int, Cube] | None:
     # Two cubes whose literal maps differ in exactly one input position merge
     # into one: opposite phases drop the literal, literal-vs-absent flips it.
-    index = {(c.mask, c.polarity): k for k, c in enumerate(cubes)}
+    # index maps each cube's (mask, polarity) to its position; no key repeats.
     for k, c in enumerate(cubes):
         m = c.mask
         i = 0
@@ -210,16 +207,18 @@ def esop_minimize(esop: EsopForm) -> EsopForm:
     Runs to a fixpoint: identical literal sets XOR-combine (cancelling when the
     combined output mask is empty), and cube pairs at literal distance one fuse
     into a single cube.  The result computes the same function with at most as
-    many cubes.
+    many cubes.  Each pass indexes the literal sets once: if one repeats,
+    the repeats combine; else the index finds the first mergeable pair.
     """
     cubes = list(esop.cubes)
     while True:
-        cubes, changed = _combine_identical(cubes)
-        found = _find_distance1_merge(cubes)
-        if found is None:
-            if not changed:
-                break
+        index = {(c.mask, c.polarity): k for k, c in enumerate(cubes)}
+        if len(index) < len(cubes):
+            cubes = _combine_identical(cubes)
             continue
+        found = _find_distance1_merge(cubes, index)
+        if found is None:
+            break
         k, other, merged = found
         cubes[k] = merged
         del cubes[other]

@@ -92,14 +92,15 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
         # scratch protection.  A negated operand is cheaper in b/c (free
         # control polarity) than in a (extra NOT).  The first operand of
         # lowest score takes role a: 0 constant, 1 input, 3 gate, +1 negated.
+        # Xmg stores the operands ascending with at most one negated, and a
+        # constant scores below any input, an input below any gate.  So c
+        # never scores below both others, and b scores below a only when a
+        # alone is negated and both are inputs or both gates.
         a, b, c = fanins
         sa = 0 if a < 2 else (1 if a < first_gate_lit else 3) + (a & 1)
         sb = 0 if b < 2 else (1 if b < first_gate_lit else 3) + (b & 1)
-        sc = 0 if c < 2 else (1 if c < first_gate_lit else 3) + (c & 1)
-        if sb < sa and sb <= sc:
+        if sb < sa:
             a, b = b, a
-        elif sc < sa and sc < sb:
-            a, b, c = c, a, b
         a_const, a_neg = a < 2, a & 1
         if not a_const:
             a_line = line_of[a >> 1]

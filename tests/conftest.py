@@ -1,8 +1,8 @@
-"""Shared test helpers: random nets and permutations, and the independent
-references the library is checked against (scalar simulator, scalar TBS,
-naive XMG and ESOP evaluators, a plain strash builder, reachable gate
-counts, per-bit transpose, a per-character PLA reader and the gate
-checks)."""
+"""Shared test helpers: the flow table, random nets and permutations, and
+the independent references the library is checked against (scalar
+simulator, scalar TBS, naive XMG and ESOP evaluators, a position-scanning
+ESOP minimizer, a plain strash builder, reachable gate counts, per-bit
+transpose, a per-character PLA reader and the gate checks)."""
 
 import random
 
@@ -12,6 +12,16 @@ from revflow.revcirc import MctGate, RevCircuit, simulate_source_batch
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
 HIER_VARIANTS = {"bennett": False, "inplace_xor": True}
+
+# every combination of method and flow switch that run_flow offers, by test
+# id: (method, run_flow keyword arguments, the same switches on the command line)
+FLOWS = {
+    "functional-optimum": ("functional", {"embedding": "optimum"}, []),
+    "functional-bennett": ("functional", {"embedding": "bennett"}, ["--embedding", "bennett"]),
+    "esop": ("esop", {}, []),
+    "hier-bennett": ("hier", {"inplace_xor": False}, []),
+    "hier-inplace_xor": ("hier", {"inplace_xor": True}, ["--inplace-xor"]),
+}
 
 
 def random_permutation(rng: random.Random, width: int):
@@ -162,6 +172,57 @@ def naive_esop_eval(esop: EsopForm, x: int) -> int:
         if all(x >> i & 1 == cube.polarity >> i & 1 for i in literals):
             word ^= cube.output_mask
     return word
+
+
+def reference_esop_minimize(esop: EsopForm) -> EsopForm:
+    """esop_minimize by its rule, restarting after every change, every
+    partner found by scanning the list by position.
+
+    If a literal set repeats, each set's cubes XOR their output masks into
+    its first cube and cubes left driving nothing drop.  Otherwise take the
+    first cube, in list order, and its first literal, in ascending input
+    order, for which a cube with the same output mask has the same literals
+    with that one's phase flipped, or with that one left out; the first
+    such partner found merges with it into the earlier of the two places
+    and the later one is deleted.
+    """
+    cubes = list(esop.cubes)
+    while True:
+        keys = [(c.mask, c.polarity) for c in cubes]
+        if any(keys.count(key) > 1 for key in keys):
+            combined = []
+            for k, key in enumerate(keys):
+                if keys.index(key) == k:
+                    word = 0
+                    for j in range(k, len(keys)):
+                        if keys[j] == key:
+                            word ^= cubes[j].output_mask
+                    if word:
+                        combined.append(Cube(key[0], key[1], word))
+            cubes = combined
+            continue
+        merge = _first_distance1_merge(cubes, esop.num_inputs)
+        if merge is None:
+            return EsopForm(esop.num_inputs, esop.num_outputs, tuple(cubes))
+        lo, hi, merged = merge
+        cubes[lo] = merged
+        del cubes[hi]
+
+
+def _first_distance1_merge(cubes, num_inputs):
+    for k, c in enumerate(cubes):
+        for i in range(num_inputs):
+            bit = 1 << i
+            if not c.mask & bit:
+                continue
+            flipped = Cube(c.mask, c.polarity ^ bit, c.output_mask)
+            dropped = Cube(c.mask & ~bit, c.polarity & ~bit, c.output_mask)
+            # a flipped phase merges to the literal left out, and the reverse
+            for partner, merged in ((flipped, dropped), (dropped, flipped)):
+                for j, d in enumerate(cubes):
+                    if d == partner:
+                        return min(j, k), max(j, k), merged
+    return None
 
 
 def reference_read_pla(path) -> EsopForm:

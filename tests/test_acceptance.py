@@ -144,7 +144,7 @@ def test_property_suites(tmp_path):
     for n in range(4, 7):
         tt = design_truth_table(DesignSpec(Design.INTDIV, n))
         assert isinstance(simulate_full(run_flow("functional", tt)), Permutation)
-        assert isinstance(simulate_full(run_flow("esop", tt, minimize=False)), Permutation)
+        assert isinstance(simulate_full(run_flow("esop", tt)), Permutation)
 
     # every gate undoes itself
     for _ in range(200):
@@ -168,7 +168,7 @@ def test_property_suites(tmp_path):
         assert read_pla(tmp_path / "acc.pla") == esop
         for circ in (
             run_flow("functional", tt),
-            run_flow("esop", esop, minimize=False),
+            run_flow("esop", esop),
             run_flow("hier", design_xmg(spec)),
         ):
             write_real(circ, tmp_path / "acc.real")

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from revflow.cli import main, read_tt_file, write_tt_file
-from revflow.logicnet import TruthTable, read_pla, read_xmg
+from conftest import FLOWS
+from revflow.cli import main, read_tt_file, run_flow, write_tt_file
+from revflow.logicnet import TableLimitError, TruthTable, read_pla, read_xmg
 
 DESIGNS = ("intdiv", "newton")
 METHODS = ("functional", "esop", "hier")
@@ -141,11 +142,7 @@ def test_stats_sweep(capsys):
 
 
 # every method with each of its flow switches, as synth and stats --sweep take them
-FLOW_SWITCHES = [
-    ("functional", []), ("functional", ["--embedding", "bennett"]),
-    ("esop", []), ("esop", ["--no-minimize"]),
-    ("hier", []), ("hier", ["--inplace-xor"]),
-]
+FLOW_SWITCHES = [(method, switches) for method, _, switches in FLOWS.values()]
 
 
 @pytest.mark.parametrize("method,switches", FLOW_SWITCHES,
@@ -164,6 +161,17 @@ def test_sweep_matches_synth(tmp_path, capsys, method, switches):
         assert code == 0
         for key in ("qubits", "gates", "t_count", "control_histogram"):
             assert rec[key] == row[key], (row["n"], key)
+
+
+def test_no_minimize_switch_is_gone(tmp_path, capsys):
+    # minimization is the only esop configuration
+    for argv in (["synth", str(tmp_path / "d.pla"), "-o", str(tmp_path / "d.real")],
+                 ["stats", "--sweep", "4..5", "--design", "intdiv"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--method", "esop", "--no-minimize"])
+        assert exc.value.code == 2
+    with pytest.raises(TypeError):
+        run_flow("esop", TruthTable(1, 1, (0, 1)), minimize=False)
 
 
 def test_eager_cleanup_rejected(tmp_path, capsys):
@@ -214,6 +222,16 @@ def test_tt_file_roundtrip(tmp_path):
     path = tmp_path / "t.tt"
     write_tt_file(tt, path)
     assert read_tt_file(path) == tt
+
+
+def test_tt_file_fails_at_the_row_past_the_limit(tmp_path):
+    path = tmp_path / "t.tt"
+    path.write_text("01\n" * 8)
+    assert read_tt_file(path, limit=3).num_inputs == 3
+    # the ninth row is past 2^3: the limit fails before the bad row is read
+    path.write_text("01\n" * 9 + "banana\n")
+    with pytest.raises(TableLimitError):
+        read_tt_file(path, limit=3)
 
 
 def test_cnot_only_circuit_costs_zero_t(tmp_path, capsys):

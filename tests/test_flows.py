@@ -2,25 +2,15 @@
 
 import pytest
 
-from conftest import HIER_VARIANTS, clean_ancillas
+from conftest import FLOWS, clean_ancillas
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
 from revflow.cli import run_flow
 from revflow.revcirc import simulate_source_batch
 
-# every combination of method and flow switch that run_flow offers
-FLOWS = {
-    "functional-optimum": ("functional", {"embedding": "optimum"}),
-    "functional-bennett": ("functional", {"embedding": "bennett"}),
-    "esop": ("esop", {}),
-    "esop-no-minimize": ("esop", {"minimize": False}),
-    **{f"hier-{v}": ("hier", {"inplace_xor": on}) for v, on in HIER_VARIANTS.items()},
-}
-
-
 @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
 @pytest.mark.parametrize("flow", FLOWS)
 def test_flows_match_oracle(design, flow):
-    method, options = FLOWS[flow]
+    method, options, _ = FLOWS[flow]
     for n in range(4, 7):
         spec = DesignSpec(design, n)
         table = design_truth_table(spec)

@@ -10,20 +10,11 @@ import hashlib
 
 import pytest
 
+from conftest import FLOWS
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg, newton_trace
 from revflow.cli import run_flow
 from revflow.logicnet import write_xmg
 from revflow.revcirc import read_real, write_real
-
-# every combination of method and flow switch that run_flow offers
-FLOWS = {
-    "functional-optimum": ("functional", {"embedding": "optimum"}),
-    "functional-bennett": ("functional", {"embedding": "bennett"}),
-    "esop": ("esop", {}),
-    "esop-no-minimize": ("esop", {"minimize": False}),
-    "hier-bennett": ("hier", {}),
-    "hier-inplace_xor": ("hier", {"inplace_xor": True}),
-}
 
 GOLDEN = {
     ("intdiv", "functional-optimum", 4): "52acbe3877532346065fb9ea93a4663eaa04c1aecd7336cc8ab394f6b8255ede",
@@ -35,9 +26,6 @@ GOLDEN = {
     ("intdiv", "esop", 4): "de8ed99b7278763699c743bfc19fedacb9b7d42cfdef0293840aa1ebe4d47901",
     ("intdiv", "esop", 5): "95b0981e718652a010026c6568fab7e322fb743acf6620b01fedb3ef83ff0fae",
     ("intdiv", "esop", 6): "6034918006a3fc7cf50ec082aac2867581f2b3ae8a083df505a02d5ad14001ca",
-    ("intdiv", "esop-no-minimize", 4): "19c960e17ccf6d9a79e673ad088f61a4020ffea3493c3097862485d3f297ce98",
-    ("intdiv", "esop-no-minimize", 5): "6417ce93a9e00e921a23cfe8a7d48fd58211879a217da8d3577d745340e7f94f",
-    ("intdiv", "esop-no-minimize", 6): "1162bef89ed970953f0423bc70016057ac97e2b5daf45d4172332d67dde150bc",
     ("intdiv", "hier-bennett", 4): "74e7a0ce94f2a60429b5d14f94449be370b78bc34867a448938838be07c6b06d",
     ("intdiv", "hier-bennett", 5): "87d26287c69511bf35c999179aad0709673d2b34b57a22d0ab6e67c0f2b5ef4d",
     ("intdiv", "hier-bennett", 6): "c84448b1e274e71442078faca6ac3d05e30a4bade2b4e3de9a9f2776ae288a47",
@@ -53,9 +41,6 @@ GOLDEN = {
     ("newton", "esop", 4): "de8ed99b7278763699c743bfc19fedacb9b7d42cfdef0293840aa1ebe4d47901",
     ("newton", "esop", 5): "95b0981e718652a010026c6568fab7e322fb743acf6620b01fedb3ef83ff0fae",
     ("newton", "esop", 6): "6034918006a3fc7cf50ec082aac2867581f2b3ae8a083df505a02d5ad14001ca",
-    ("newton", "esop-no-minimize", 4): "19c960e17ccf6d9a79e673ad088f61a4020ffea3493c3097862485d3f297ce98",
-    ("newton", "esop-no-minimize", 5): "6417ce93a9e00e921a23cfe8a7d48fd58211879a217da8d3577d745340e7f94f",
-    ("newton", "esop-no-minimize", 6): "1162bef89ed970953f0423bc70016057ac97e2b5daf45d4172332d67dde150bc",
     ("newton", "hier-bennett", 4): "41b0ca2759e14762fa4e334eb0757759c7f1ed3f18ec9a3bd7e1297ac4d72c93",
     ("newton", "hier-bennett", 5): "86a8ed6297bd50ca2e507bf848e1c2de463abcefdaa08199c6a89100ae966094",
     ("newton", "hier-bennett", 6): "425abd1ce82e9d5b1c9f49be70496a5a0d0ac2eb2d324dbd978425fc25ace947",
@@ -68,7 +53,7 @@ GOLDEN = {
 @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
 @pytest.mark.parametrize("flow", FLOWS)
 def test_real_output_unchanged(design, flow, tmp_path):
-    method, options = FLOWS[flow]
+    method, options, _ = FLOWS[flow]
     path = tmp_path / "circuit.real"
     for n in range(4, 7):
         spec = DesignSpec(design, n)

@@ -10,6 +10,7 @@ from conftest import (
     naive_transpose,
     naive_xmg_eval,
     random_xmg,
+    reference_esop_minimize,
     reference_read_pla,
     xmg_kind,
 )
@@ -117,13 +118,41 @@ def test_minimize_cancels_identical_cubes():
 
 
 def test_combine_identical_keeps_a_list_without_repeats():
+    # no literal set repeats and no pair merges: the very same cubes come back
     a, b, c = Cube(1, 1, 1), Cube(3, 1, 2), Cube(2, 0, 3)
-    cubes = [a, b, c]
-    out, changed = _combine_identical(cubes)
-    assert out is cubes and not changed
+    out = esop_minimize(EsopForm(2, 2, (a, b, c)))
+    assert len(out.cubes) == 3 and all(x is y for x, y in zip(out.cubes, (a, b, c)))
     # repeats XOR their output masks at the first one's place; a cancelled key drops
-    out, changed = _combine_identical([a, b, Cube(1, 1, 3), c, Cube(3, 1, 2)])
-    assert out == [Cube(1, 1, 2), c] and changed
+    out = _combine_identical([a, b, Cube(1, 1, 3), c, Cube(3, 1, 2)])
+    assert out == [Cube(1, 1, 2), c]
+
+
+def _random_mixed_form(rng: random.Random) -> EsopForm:
+    """Random literals in both phases, with exact copies (which cancel) and
+    same-literal cubes on other outputs (which combine) mixed in."""
+    n = rng.randrange(1, 6)
+    m = rng.randrange(1, 4)
+    cubes = []
+    for _ in range(rng.randrange(13)):
+        mask = rng.randrange(1 << n)
+        cubes.append(Cube(mask, rng.randrange(1 << n) & mask, rng.randrange(1, 1 << m)))
+    for _ in range(rng.randrange(4) if cubes else 0):
+        c = rng.choice(cubes)
+        copy = c if rng.randrange(2) else Cube(c.mask, c.polarity, rng.randrange(1, 1 << m))
+        cubes.insert(rng.randrange(len(cubes) + 1), copy)
+    return EsopForm(n, m, tuple(cubes))
+
+
+def test_minimize_matches_reference_on_mixed_polarity():
+    rng = random.Random(1301)
+    repeats = 0
+    for _ in range(2500):
+        form = _random_mixed_form(rng)
+        out = esop_minimize(form)
+        assert out == reference_esop_minimize(form), form
+        assert out.to_truth_table().rows == form.to_truth_table().rows
+        repeats += len({(c.mask, c.polarity) for c in form.cubes}) < len(form.cubes)
+    assert repeats > 1000  # the combine step ran on these at least
 
 
 def test_minimize_preserves_function_never_grows():

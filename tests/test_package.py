@@ -1,11 +1,14 @@
 """The package exports the README's API through one public list, imports
-nothing it does not use, and defines nothing that only tests use."""
+nothing it does not use, and defines nothing that only tests use; README's
+commands and example run as written."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import revflow
+from revflow.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -106,3 +109,19 @@ def test_no_test_only_api():
         if name not in used
     ]
     assert unused == []
+
+
+def test_readme_runs_as_written(tmp_path, monkeypatch):
+    """Every revflow command in README's code blocks exits 0, in order, and
+    the Library example runs."""
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line)
+        for block in re.findall(r"```\n(.*?)```", README, re.S)
+        for line in block.splitlines()
+        if line.startswith("revflow ")
+    ]
+    assert commands
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    exec(re.search(r"```python\n(.*?)```", README, re.S).group(1), {})

@@ -12,7 +12,7 @@ from conftest import (
     reachable_gate_counts,
     toffoli_count,
 )
-from revflow.arith import Design, DesignSpec, design_truth_table, gen_intdiv_xmg
+from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg, gen_intdiv_xmg
 from revflow.logicnet import TruthTable, Xmg
 from revflow.revcirc import cost_report, verify_circuit
 from revflow.synth_hier import hier_synth
@@ -32,6 +32,18 @@ def test_single_maj_two_toffolis():
     assert verify_circuit(circ, TruthTable(3, 1, tuple(
         int(bin(x).count("1") >= 2) for x in range(8))))
     assert clean_ancillas(circ)
+
+
+def test_maj_operands_ascending_with_at_most_one_negated():
+    # hier_synth's role choice relies on this: operand c never scores lowest
+    rng = random.Random(41)
+    nets = [random_xmg(rng, rng.randrange(1, 6), 30, 2) for _ in range(300)]
+    nets += [design_xmg(DesignSpec(design, 5)) for design in Design]
+    for net in nets:
+        for _, fanins in net.gates():
+            if len(fanins) == 3:
+                a, b, c = fanins
+                assert a < b < c and (a & 1) + (b & 1) + (c & 1) <= 1
 
 
 def test_single_xor_no_toffolis():
