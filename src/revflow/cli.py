@@ -21,10 +21,8 @@ from .embedding import bennett_embed, optimum_embed
 from .logicnet import (
     DEFAULT_TT_LIMIT,
     EsopForm,
-    ParseError,
     TruthTable,
     Xmg,
-    _check_limit,
     esop_from_tt,
     esop_minimize,
     read_pla,
@@ -65,41 +63,6 @@ def tt_limit() -> int:
     return value
 
 
-# --- plain truth-table text: one binary output word per line -------------
-
-
-def write_tt_file(tt: TruthTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in tt.rows:
-            fh.write(format(row, f"0{max(tt.num_outputs, 1)}b") + "\n")
-
-
-def read_tt_file(path, limit: int | None = None) -> TruthTable:
-    limit = DEFAULT_TT_LIMIT if limit is None else limit
-    words = []
-    name = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            if len(words) >> limit:
-                # a row past 2^limit needs more inputs than the limit allows
-                _check_limit(limit + 1, limit)
-            if set(text) - set("01"):
-                raise ParseError("rows must be binary words", name, lineno)
-            words.append(text)
-    if not words:
-        raise ParseError("no rows", name, 0)
-    n = (len(words) - 1).bit_length()
-    if 1 << n != len(words):
-        raise ParseError(f"{len(words)} rows is not a power of two", name, 0)
-    m = len(words[0])
-    if any(len(w) != m for w in words):
-        raise ParseError("rows differ in width", name, 0)
-    return TruthTable(n, m, tuple(int(w, 2) for w in words))
-
-
 # --- shared plumbing ------------------------------------------------------
 
 
@@ -130,12 +93,12 @@ def _sniff_stamp(path) -> tuple[str | None, int | None]:
     return None, None
 
 
-def _load_source(path: Path, limit: int) -> Xmg | EsopForm | TruthTable:
+def _load_source(path: Path) -> Xmg | EsopForm:
     if path.suffix == ".xmg":
         return read_xmg(path)
     if path.suffix == ".pla":
         return read_pla(path)
-    return read_tt_file(path, limit)
+    raise CliError(f"synth reads .xmg or .pla, not {path.name!r}")
 
 
 def _report(record: dict) -> None:
@@ -148,7 +111,6 @@ def _report_flow(circ, model: CostModel, design, n, method: str, t0: float) -> N
         design=design,
         n=n,
         method=method,
-        gates=record.pop("gate_count"),
         runtime_s=round(time.perf_counter() - t0, 6),
     )
     _report(record)
@@ -200,10 +162,8 @@ def cmd_gen(args) -> int:
     out = Path(args.output)
     if args.format == "xmg":
         write_xmg(design_xmg(spec), out)
-    elif args.format == "pla":
-        write_pla(esop_from_tt(design_truth_table(spec, limit)), out)
     else:
-        write_tt_file(design_truth_table(spec, limit), out)
+        write_pla(esop_from_tt(design_truth_table(spec, limit)), out)
     _stamp_file(out, args.design, args.bits)
     return 0
 
@@ -212,7 +172,7 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     path = Path(args.input)
     limit = tt_limit()
-    circ = run_flow(args.method, _load_source(path, limit), **_flow_kwargs(args, limit))
+    circ = run_flow(args.method, _load_source(path), **_flow_kwargs(args, limit))
     write_real(circ, args.output)
     design, n = _sniff_stamp(path)
     _report_flow(circ, DEFAULT_COST_MODEL, design, n, args.method, t0)
@@ -290,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a reciprocal design file")
     gen.add_argument("--design", choices=[d.value for d in Design], required=True)
     gen.add_argument("-n", "--bits", type=int, required=True, help="output bit width")
-    gen.add_argument("--format", choices=("xmg", "pla", "tt"), default="xmg")
+    gen.add_argument("--format", choices=("xmg", "pla"), default="xmg")
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_gen)
 

@@ -329,7 +329,7 @@ class CostReport:
     def as_dict(self) -> dict:
         return {
             "qubits": self.qubits,
-            "gate_count": self.gate_count,
+            "gates": self.gate_count,
             "t_count": self.t_count,
             "control_histogram": {str(c): k for c, k in self.control_histogram},
         }
@@ -391,20 +391,23 @@ def read_real(path) -> RevCircuit:
     The body has its own loop, cheap for lines in the form ``write_real``
     writes them: ``tK c1 .. cK-1 target``, single spaces, a newline.  The
     text up to such a line's last space is its head, and a dict maps each
-    head to the last gate built from it.  A line whose head is there and
-    whose last word and newline, ``target + "\\n"``, name a line takes two
-    dict hits: the same target appends that very gate again (Bennett
-    cleanup repeats the compute phase's lines), another target builds one
-    gate on the same ``controls`` tuple and takes the head's place.  A
-    written-form line with a new head goes to ``parse_gate`` as it is, with
-    that head and target.  Every other line (a comment or blank line, tabs
-    or runs of spaces, leading whitespace, no final newline, ``.end``) is
-    cut at its comment and stripped first, and a gate line then goes to
-    ``parse_gate``.  There a single-spaced line gets its gate in one step
-    (``split(" ")``, sorted literals, one ``MctGate``) and its head is
-    cached; any other line is parsed in full.  ``parse_gate`` is the only
-    code that names a fault, so a fault after a cached head still fails at
-    its own line.
+    head to its last gate.  A body line takes one of three paths:
+
+    - cached head: a line whose head is in the dict and whose last word and
+      newline, ``target + "\\n"``, name a line costs two dict hits.  The
+      same target appends that very gate again (Bennett cleanup repeats the
+      compute phase's lines); another target builds one gate on the same
+      ``controls`` tuple, which takes the head's place.
+    - written form, new head: such a line whose key is ``tK`` for its K
+      words, each word after the key a literal, builds its gate in one step
+      (``split(" ")``, sorted literals, one ``MctGate``) and caches its head.
+    - full parse: every other line (a comment or blank line, tabs or runs of
+      spaces, leading whitespace, a key such as ``t02``, no final newline,
+      ``.end``) is cut at its comment and stripped, and a gate line goes to
+      ``parse_gate``; its head is not cached.
+
+    ``parse_gate`` is the only code that names a gate-line fault, so a fault
+    after a cached head still fails at its own line.
     """
     width = None
     names: list | None = None
@@ -433,6 +436,8 @@ def read_real(path) -> RevCircuit:
                 if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                     fail("bad .numvars", lineno)
                 width = int(tokens[1])
+                if not width:
+                    fail("circuit needs at least one line", lineno)
                 continue
             if key == ".variables":
                 if width is None:
@@ -505,33 +510,17 @@ def _read_body(lines, names: list, fail) -> list[MctGate]:
     ends = {name + "\n": i for name, i in index.items()}
     last_gate: dict[str, MctGate] = {}  # head text -> last gate built from it
 
-    def parse_gate(line, lineno, head=None, target=None) -> MctGate:
-        """The gate on a stripped, comment-free body line, or a ParseError.
-
-        A caller that has split the line at its last space passes the text
-        before it and the line the text after it names.
-        """
-        if target is None:
-            head, _, name = line.rpartition(" ")
-            target = index.get(name)
-        tokens = head.split(" ")
-        if target is not None and tokens[0] == f"t{len(tokens)}":
-            # only a single-spaced line of known names gets through, so its
-            # head is cached as written
-            try:
-                gate = MctGate(target, tuple(sorted(map(literals.__getitem__, tokens[1:]))))
-            except (KeyError, ValueError):
-                pass  # the full parse below names the fault
-            else:
-                last_gate[head] = gate
-                return gate
+    def parse_gate(line, lineno) -> MctGate:
+        """The gate on a stripped, comment-free body line, or a ParseError."""
         tokens = line.split()
         key = tokens[0]
         if not (key[0] == "t" and key.isascii() and key[1:].isdigit()):
             fail(f"unknown gate kind {key!r}", lineno)
         arity = int(key[1:])
+        if arity < 1:
+            fail(f"gate {key} has no target (t1 is the smallest gate)", lineno)
         operands = tokens[1:]
-        if arity < 1 or len(operands) != arity:
+        if len(operands) != arity:
             fail(f"gate {key} expects {arity} operands", lineno)
         controls = []
         for op in operands[:-1]:
@@ -561,20 +550,25 @@ def _read_body(lines, names: list, fail) -> list[MctGate]:
         target = ends.get(end)
         if target is not None:
             gate = last_gate.get(head)
-            if gate is not None:
-                if target == gate.target:
-                    gates.append(gate)
-                    continue
+            if gate is None:
+                # written form: the key counts the words, each one after it a literal
+                tokens = head.split(" ")
+                if tokens[0] == f"t{len(tokens)}":
+                    try:
+                        gate = MctGate(target, tuple(sorted(map(literals.__getitem__, tokens[1:]))))
+                    except (KeyError, ValueError):
+                        pass  # parse_gate names the fault
+            elif target == gate.target:
+                gates.append(gate)
+                continue
+            else:
                 try:
-                    gate = last_gate[head] = MctGate(target, gate.controls)
+                    gate = MctGate(target, gate.controls)
                 except ValueError:
-                    pass  # parse_gate names the fault
-                else:
-                    gates.append(gate)
-                    continue
-            if raw[0] == "t" and "#" not in raw:
-                # nothing to cut or strip: the line is its head, a space and a name
-                gates.append(parse_gate(raw[:-1], lineno, head, target))
+                    gate = None  # parse_gate names the fault
+            if gate is not None:
+                last_gate[head] = gate
+                gates.append(gate)
                 continue
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -6,6 +6,7 @@ transpose, a per-character PLA reader and the gate checks)."""
 
 import random
 
+from revflow.arith import Design
 from revflow.embedding import Permutation
 from revflow.logicnet import Cube, EsopForm, ParseError, Xmg
 from revflow.revcirc import MctGate, RevCircuit, simulate_source_batch
@@ -22,6 +23,13 @@ FLOWS = {
     "hier-bennett": ("hier", {"inplace_xor": False}, []),
     "hier-inplace_xor": ("hier", {"inplace_xor": True}, ["--inplace-xor"]),
 }
+
+# the (design, flow) cases of the whole-flow tests, with ids "flow-design":
+# NEWTON's truth table is INTDIV's (test_newton_table_is_intdivs), so the
+# table flows run on INTDIV alone; hier compiles each design's own network
+DESIGN_FLOWS = [(design, flow) for design in Design for flow in FLOWS
+                if design is Design.INTDIV or FLOWS[flow][0] == "hier"]
+DESIGN_FLOW_IDS = [f"{flow}-{design.value}" for design, flow in DESIGN_FLOWS]
 
 
 def random_permutation(rng: random.Random, width: int):

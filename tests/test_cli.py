@@ -8,8 +8,8 @@ import time
 import pytest
 
 from conftest import FLOWS
-from revflow.cli import main, read_tt_file, run_flow, write_tt_file
-from revflow.logicnet import TableLimitError, TruthTable, read_pla, read_xmg
+from revflow.cli import main, run_flow
+from revflow.logicnet import TruthTable, read_pla, read_xmg
 
 DESIGNS = ("intdiv", "newton")
 METHODS = ("functional", "esop", "hier")
@@ -26,9 +26,7 @@ def gen_fmt(method):
     return "xmg" if method == "hier" else "pla"
 
 
-@pytest.mark.parametrize("fmt,reader", [
-    ("xmg", read_xmg), ("pla", read_pla), ("tt", read_tt_file),
-])
+@pytest.mark.parametrize("fmt,reader", [("xmg", read_xmg), ("pla", read_pla)])
 def test_gen_formats_parse_back(tmp_path, capsys, fmt, reader):
     out = tmp_path / f"d.{fmt}"
     code, _, _ = run(capsys, "gen", "--design", "intdiv", "-n", "4",
@@ -114,6 +112,7 @@ def test_stats_file_mode(tmp_path, capsys):
     _, rec, _ = run(capsys, "synth", str(src), "--method", "esop", "-o", str(real))
     _, stats, _ = run(capsys, "stats", str(real))
     assert stats["qubits"] == rec["qubits"]
+    assert stats["gates"] == rec["gates"]
     assert stats["t_count"] == rec["t_count"]
     assert stats["control_histogram"] == rec["control_histogram"]
 
@@ -209,29 +208,24 @@ def test_bad_sweep_range(capsys):
 def test_table_limit_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REVFLOW_TT_LIMIT", "5")
     code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "8",
-                       "--format", "tt", "-o", str(tmp_path / "big.tt"))
+                       "--format", "pla", "-o", str(tmp_path / "big.pla"))
     assert code == 2 and "limit" in err.lower()
     monkeypatch.setenv("REVFLOW_TT_LIMIT", "banana")
     code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "4",
-                       "--format", "tt", "-o", str(tmp_path / "small.tt"))
+                       "--format", "pla", "-o", str(tmp_path / "small.pla"))
     assert code == 2
 
 
-def test_tt_file_roundtrip(tmp_path):
-    tt = TruthTable(3, 2, (0, 1, 2, 3, 3, 2, 1, 0))
-    path = tmp_path / "t.tt"
-    write_tt_file(tt, path)
-    assert read_tt_file(path) == tt
-
-
-def test_tt_file_fails_at_the_row_past_the_limit(tmp_path):
-    path = tmp_path / "t.tt"
-    path.write_text("01\n" * 8)
-    assert read_tt_file(path, limit=3).num_inputs == 3
-    # the ninth row is past 2^3: the limit fails before the bad row is read
-    path.write_text("01\n" * 9 + "banana\n")
-    with pytest.raises(TableLimitError):
-        read_tt_file(path, limit=3)
+def test_synth_reads_only_xmg_and_pla(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--design", "intdiv", "-n", "4", "--format", "tt",
+              "-o", str(tmp_path / "d.tt")])
+    assert exc.value.code == 2
+    src = tmp_path / "d.tt"
+    src.write_text("0\n1\n")
+    code, _, err = run(capsys, "synth", str(src), "--method", "esop",
+                       "-o", str(tmp_path / "d.real"))
+    assert code == 2 and ".xmg" in err and ".pla" in err
 
 
 def test_cnot_only_circuit_costs_zero_t(tmp_path, capsys):
@@ -239,7 +233,7 @@ def test_cnot_only_circuit_costs_zero_t(tmp_path, capsys):
     path.write_text(
         ".version 2.0\n.numvars 2\n.variables a b\n.begin\nt2 a b\n.end\n")
     _, stats, _ = run(capsys, "stats", str(path))
-    assert stats["t_count"] == 0 and stats["gate_count"] == 1
+    assert stats["t_count"] == 0 and stats["gates"] == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from conftest import FLOWS, clean_ancillas
-from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
+from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS, clean_ancillas
+from revflow.arith import DesignSpec, design_truth_table, design_xmg
 from revflow.cli import run_flow
 from revflow.revcirc import simulate_source_batch
 
-@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
-@pytest.mark.parametrize("flow", FLOWS)
+
+@pytest.mark.parametrize("design,flow", DESIGN_FLOWS, ids=DESIGN_FLOW_IDS)
 def test_flows_match_oracle(design, flow):
     method, options, _ = FLOWS[flow]
     for n in range(4, 7):

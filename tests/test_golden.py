@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from conftest import FLOWS
+from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg, newton_trace
 from revflow.cli import run_flow
 from revflow.logicnet import write_xmg
@@ -32,15 +32,6 @@ GOLDEN = {
     ("intdiv", "hier-inplace_xor", 4): "935eac8b81da1147bbee0075406033589627019aef1017690b58af38550a03d8",
     ("intdiv", "hier-inplace_xor", 5): "99833a30e235d1dbfa51baae8c043094f8760ee3fc87cf15efdd4316beda760a",
     ("intdiv", "hier-inplace_xor", 6): "a164f5cdebe836bf4fa4b77e0a9ef5daafd0afa51fc80a796a38e703df6662ae",
-    ("newton", "functional-optimum", 4): "52acbe3877532346065fb9ea93a4663eaa04c1aecd7336cc8ab394f6b8255ede",
-    ("newton", "functional-optimum", 5): "05a9491a1579d30f95b51bc499d5db025982f881afe636ed791188d64a73519a",
-    ("newton", "functional-optimum", 6): "bdd533a7459cb3e81d4a25546e9efb17200b166d51cd2d4ab066ae2ebf432b6a",
-    ("newton", "functional-bennett", 4): "becdbd391b666d40282fe761ded314eb7e4f8a95d1a494454631da50202e92c4",
-    ("newton", "functional-bennett", 5): "d4245c840fa1b3813eaf8ee963398ad892f82d28059cc41cf04fd5f13bb67beb",
-    ("newton", "functional-bennett", 6): "69dffc29b02ba6c25b1cd1518c11fc8fbc8557554bf227563b5c9f551e309a75",
-    ("newton", "esop", 4): "de8ed99b7278763699c743bfc19fedacb9b7d42cfdef0293840aa1ebe4d47901",
-    ("newton", "esop", 5): "95b0981e718652a010026c6568fab7e322fb743acf6620b01fedb3ef83ff0fae",
-    ("newton", "esop", 6): "6034918006a3fc7cf50ec082aac2867581f2b3ae8a083df505a02d5ad14001ca",
     ("newton", "hier-bennett", 4): "41b0ca2759e14762fa4e334eb0757759c7f1ed3f18ec9a3bd7e1297ac4d72c93",
     ("newton", "hier-bennett", 5): "86a8ed6297bd50ca2e507bf848e1c2de463abcefdaa08199c6a89100ae966094",
     ("newton", "hier-bennett", 6): "425abd1ce82e9d5b1c9f49be70496a5a0d0ac2eb2d324dbd978425fc25ace947",
@@ -50,8 +41,14 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
-@pytest.mark.parametrize("flow", FLOWS)
+def test_newton_table_is_intdivs():
+    # so the functional and esop circuits of NEWTON are INTDIV's, byte for byte
+    for n in range(4, 7):
+        newton, intdiv = (design_truth_table(DesignSpec(d, n)) for d in (Design.NEWTON, Design.INTDIV))
+        assert newton == intdiv, n
+
+
+@pytest.mark.parametrize("design,flow", DESIGN_FLOWS, ids=DESIGN_FLOW_IDS)
 def test_real_output_unchanged(design, flow, tmp_path):
     method, options, _ = FLOWS[flow]
     path = tmp_path / "circuit.real"

@@ -360,7 +360,7 @@ def test_cost_report_counts():
     assert rep.t_count == 14
     assert rep.control_histogram == ((0, 1), (1, 1), (2, 2))
     d = rep.as_dict()
-    assert d["t_count"] == 14 and d["control_histogram"]["2"] == 2
+    assert d["gates"] == 4 and d["t_count"] == 14 and d["control_histogram"]["2"] == 2
 
 
 def test_real_roundtrip_exact(tmp_path):
@@ -405,6 +405,17 @@ def test_real_parse_errors(tmp_path):
         with pytest.raises(ParseError, match=why) as info:
             read_real(p)
         assert info.value.line == line
+    # t1 is the smallest gate: t0 has no target, with or without operands
+    for gate in ("t0", "t0 a", "t00 a b"):
+        p.write_text(f".numvars 2\n.variables a b\n.begin\nt2 a b\n{gate}\n.end\n")
+        with pytest.raises(ParseError, match=f"gate {gate.split()[0]} has no target") as info:
+            read_real(p)
+        assert info.value.line == 5
+    # a circuit needs a line: .numvars 0 fails at its own line
+    p.write_text("# empty\n.numvars 0\n.variables\n.begin\n.end\n")
+    with pytest.raises(ParseError, match="at least one line") as info:
+        read_real(p)
+    assert info.value.line == 2
     # a target cannot be negative; the line itself is known
     for gate in ("t2 a -b", "t2  a  -b", "t1 -b"):
         p.write_text(f".numvars 2\n.variables a b\n.begin\n{gate}\n.end\n")
@@ -526,7 +537,7 @@ def respell_real(text: str, rng: random.Random) -> str:
         if line == ".begin":
             body = True
         elif body and line != ".end":
-            kind = rng.randrange(8)
+            kind = rng.randrange(10)
             key, *ops = line.split(" ")
             if kind == 1:
                 line = "\t".join([key] + ops)
@@ -542,6 +553,10 @@ def respell_real(text: str, rng: random.Random) -> str:
                 line = " ".join([key] + controls + ops[-1:])
             elif kind == 6:
                 out.append(rng.choice(("", "# " + line, "   ")))
+            elif kind == 7:
+                line = " ".join(["t0" + key[1:]] + ops)
+            elif kind == 8:
+                line = "\t".join([key] + ops[:-1]) + " " + ops[-1]
         out.append(line)
     newline = rng.choice(("\n", "\r\n"))
     return newline.join(out) + rng.choice(("", newline))
