@@ -45,6 +45,9 @@ from .synth_hier import hier_synth
 
 _STAMP = re.compile(r"#\s*design=(\w+)\s+n=(\d+)")
 
+# the functional flow's embeddings, by the name run_flow and --embedding take
+_EMBEDDINGS = {"optimum": optimum_embed, "bennett": bennett_embed}
+
 
 class CliError(Exception):
     """Operational failure reported on stderr with exit code 2."""
@@ -140,7 +143,10 @@ def run_flow(
         raise CliError(f"method {method} needs a .pla or truth-table input")
     if method == "functional":
         table = source.to_truth_table(limit) if isinstance(source, EsopForm) else source
-        embed = optimum_embed if embedding == "optimum" else bennett_embed
+        embed = _EMBEDDINGS.get(embedding)
+        if embed is None:
+            choices = " or ".join(map(repr, _EMBEDDINGS))
+            raise CliError(f"unknown embedding {embedding!r}, expected {choices}")
         perm, emb = embed(table, limit)
         return tbs(perm, embedding=emb)
     if method == "esop":
@@ -207,6 +213,8 @@ def cmd_stats(args) -> int:
     if args.sweep is None:
         if args.circuit is None:
             raise CliError("stats needs a circuit file or --sweep")
+        if args.design is not None or args.method is not None:
+            raise CliError("--design and --method go with --sweep")
         circ = read_real(args.circuit)
         model = CostModel.from_file(args.cost_model) if args.cost_model else DEFAULT_COST_MODEL
         _report(cost_report(circ, model).as_dict())
@@ -231,7 +239,7 @@ def cmd_stats(args) -> int:
 
 def _add_flow_options(parser: argparse.ArgumentParser) -> None:
     """The switches run_flow takes, shared by synth and stats --sweep."""
-    parser.add_argument("--embedding", choices=("optimum", "bennett"), default="optimum",
+    parser.add_argument("--embedding", choices=tuple(_EMBEDDINGS), default="optimum",
                         help="embedding for the functional flow")
     # bennett is the only cleanup left; the switch stays for scripts that name it
     parser.add_argument("--cleanup", choices=("bennett",), default="bennett",

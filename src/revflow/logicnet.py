@@ -9,6 +9,7 @@ conversion between the two layouts, in both directions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -22,14 +23,25 @@ class ParseError(ValueError):
     """Malformed input file; carries the offending location when known."""
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-        if line is not None:
-            loc += f"{line}:"
+        loc = "".join(f"{part}:" for part in (path, line) if part is not None)
         super().__init__(f"{loc} {message}" if loc else message)
         self.path = path
         self.line = line
+
+
+_COMMENT = re.compile(r"#[^\n]*")
+
+
+def _lex(text: str) -> list[str]:
+    """The lines of an input text, comments cut, line 1 first.
+
+    The four rules of every text input (.pla, .xmg, .real, cost tables): a
+    ``#`` starts a comment that runs to the end of its line; lines end only
+    at ``\\n``, ``\\r\\n`` or ``\\r``; a numeric field is ASCII decimal
+    digits; a fault of the whole file carries no line number.  The readers
+    keep the last two.
+    """
+    return _COMMENT.sub("", text.replace("\r\n", "\n").replace("\r", "\n")).split("\n")
 
 
 class TableLimitError(ValueError):
@@ -267,15 +279,14 @@ def read_pla(path: str | Path) -> EsopForm:
     cubes: list[Cube] = []
     ended = False
     typed = False
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
+    for lineno, line in enumerate(_lex(Path(path).read_text(encoding="utf-8")), start=1):
+        fields = line.split()
+        if not fields:
             continue
         if ended:
             raise ParseError("content after .e", name, lineno)
-        if text.startswith("."):
-            fields = text.split()
-            directive = fields[0]
+        directive = fields[0]
+        if directive[0] == ".":
             if directive == ".i" or directive == ".o":
                 if cubes:
                     raise ParseError(f"{directive} header after the first cube", name, lineno)
@@ -301,7 +312,6 @@ def read_pla(path: str | Path) -> EsopForm:
         if not typed:
             # a plain PLA sums cubes with OR; reading it as ESOP would be wrong
             raise ParseError("cube before .type esop declaration", name, lineno)
-        fields = text.split()
         if len(fields) != 2:
             raise ParseError("cube line needs an input and an output pattern", name, lineno)
         ins, outs = fields
@@ -558,13 +568,12 @@ def read_xmg(path: str | Path) -> Xmg:
     gates_seen = 0
     outputs_seen = 0
     ended = False
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        text = raw.strip()
-        if not text or text[0] == "#":
+    for lineno, line in enumerate(_lex(Path(path).read_text(encoding="utf-8")), start=1):
+        fields = line.split()
+        if not fields:
             continue
         if ended:
             raise ParseError("content after .end", name, lineno)
-        fields = text.split()
         kind = fields[0]
         if kind == ".xmg":
             if header is not None:

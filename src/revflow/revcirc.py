@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .embedding import Permutation
-from .logicnet import ParseError, TruthTable, _input_pattern, _transpose
+from .logicnet import ParseError, TruthTable, _input_pattern, _lex, _transpose
 
 # Widths beyond this make full permutation extraction explode; callers that
 # only need input-side behaviour should use simulate_source_batch instead.
@@ -294,21 +294,21 @@ class CostModel:
     @classmethod
     def parse(cls, text: str, path: str = "<cost>") -> "CostModel":
         entries = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
+        for lineno, raw in enumerate(_lex(text), start=1):
+            line = raw.strip()
             if not line:
                 continue
             head, sep, tail = line.partition(":")
             if not sep:
                 raise ParseError("expected 'controls: t-cost'", path, lineno)
-            try:
-                entries.append((int(head.strip()), int(tail.strip())))
-            except ValueError:
-                raise ParseError(f"bad cost entry {line!r}", path, lineno) from None
+            entry = head.strip(), tail.strip()
+            if not all(f.isascii() and f.isdigit() for f in entry):
+                raise ParseError(f"bad cost entry {line!r}", path, lineno)
+            entries.append((int(entry[0]), int(entry[1])))
         try:
             return cls(tuple(entries))
         except ValueError as exc:
-            raise ParseError(str(exc), path, 0) from None
+            raise ParseError(str(exc), path) from None
 
     @classmethod
     def from_file(cls, path) -> "CostModel":
@@ -385,8 +385,8 @@ def read_real(path) -> RevCircuit:
     where the only directive is ``.end``, only Toffoli gates
     ``tK c1 .. cK-1 target``, each control a line name, negative when led
     by ``-``, in any order, the target never negative, operands separated
-    by any whitespace.  Anything else raises ``ParseError`` with its line
-    number.
+    by any whitespace.  Anything else raises ``ParseError`` at its line, or
+    at none for a fault of the whole file such as a missing ``.end``.
 
     The body has its own loop, cheap for lines in the form ``write_real``
     writes them: ``tK c1 .. cK-1 target``, single spaces, a newline.  The
@@ -403,8 +403,8 @@ def read_real(path) -> RevCircuit:
       (``split(" ")``, sorted literals, one ``MctGate``) and caches its head.
     - full parse: every other line (a comment or blank line, tabs or runs of
       spaces, leading whitespace, a key such as ``t02``, no final newline,
-      ``.end``) is cut at its comment and stripped, and a gate line goes to
-      ``parse_gate``; its head is not cached.
+      ``.end``) is lexed as every input is (``logicnet._lex``), and a gate
+      line's tokens go to ``parse_gate``; its head is not cached.
 
     ``parse_gate`` is the only code that names a gate-line fault, so a fault
     after a cached head still fails at its own line.
@@ -415,16 +415,15 @@ def read_real(path) -> RevCircuit:
     outputs = None
     declared: set[str] = set()
 
-    def fail(msg, lineno):
+    def fail(msg, lineno=None):
         raise ParseError(msg, str(path), lineno)
 
     with open(path, encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
         for lineno, raw in lines:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = _lex(raw)[0].split()
+            if not tokens:
                 continue
-            tokens = line.split()
             key = tokens[0]
             if key == ".version":
                 continue
@@ -461,15 +460,8 @@ def read_real(path) -> RevCircuit:
                     fail("bad .garbage", lineno)
                 if set(tokens[1]) - set("1-"):
                     fail("garbage must be 1 or -", lineno)
-                nxt = 0
-                outs = []
-                for ch in tokens[1]:
-                    if ch == "1":
-                        outs.append(None)
-                    else:
-                        outs.append(nxt)
-                        nxt += 1
-                outputs = tuple(outs)
+                kept = iter(range(width))  # output indices in line order
+                outputs = tuple(None if ch == "1" else next(kept) for ch in tokens[1])
                 continue
             if key == ".begin":
                 if names is None:
@@ -482,11 +474,11 @@ def read_real(path) -> RevCircuit:
             fail("gate outside .begin/.end", lineno)
         else:  # the file ended before .begin
             if width is None or names is None:
-                fail("missing .numvars/.variables", 0)
-            fail("missing .end", 0)
+                fail("missing .numvars/.variables")
+            fail("missing .end")
         gates = _read_body(lines, names, fail)
         for lineno, raw in lines:
-            if raw.split("#", 1)[0].strip():
+            if _lex(raw)[0].strip():
                 fail("content after .end", lineno)
 
     if constants is None:
@@ -496,7 +488,7 @@ def read_real(path) -> RevCircuit:
     try:
         return RevCircuit(width, tuple(gates), tuple(names), constants, outputs)
     except ValueError as exc:
-        raise ParseError(str(exc), str(path), 0) from None
+        raise ParseError(str(exc), str(path)) from None
 
 
 def _read_body(lines, names: list, fail) -> list[MctGate]:
@@ -510,9 +502,8 @@ def _read_body(lines, names: list, fail) -> list[MctGate]:
     ends = {name + "\n": i for name, i in index.items()}
     last_gate: dict[str, MctGate] = {}  # head text -> last gate built from it
 
-    def parse_gate(line, lineno) -> MctGate:
-        """The gate on a stripped, comment-free body line, or a ParseError."""
-        tokens = line.split()
+    def parse_gate(tokens, lineno) -> MctGate:
+        """The gate of a body line's comment-free tokens, or a ParseError."""
         key = tokens[0]
         if not (key[0] == "t" and key.isascii() and key[1:].isdigit()):
             fail(f"unknown gate kind {key!r}", lineno)
@@ -570,14 +561,14 @@ def _read_body(lines, names: list, fail) -> list[MctGate]:
                 last_gate[head] = gate
                 gates.append(gate)
                 continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = _lex(raw)[0].split()
+        if not tokens:
             continue
-        if line[0] == ".":
-            key = line.split()[0]
+        key = tokens[0]
+        if key[0] == ".":
             if key != ".end":
                 # a header directive here would reinterpret the gates already read
                 fail(f"{key} after .begin", lineno)
             return gates
-        gates.append(parse_gate(line, lineno))
-    fail("missing .end", 0)
+        gates.append(parse_gate(tokens, lineno))
+    fail("missing .end")

@@ -234,16 +234,32 @@ def _first_distance1_merge(cubes, num_inputs):
 
 
 def reference_read_pla(path) -> EsopForm:
-    """read_pla's dialect and messages, each column read one character at a time."""
+    """read_pla's dialect and messages, the text and each column read one
+    character at a time: a line ends at "\\n", "\\r\\n" or "\\r", and a "#"
+    drops the rest of its line."""
     name = str(path)
     n = m = None
     cubes = []
     ended = typed = False
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = [""]
+    comment = False
+    previous = ""
+    for ch in text:
+        if ch == "\n" and previous == "\r":
+            pass  # the end of a "\r\n" line break
+        elif ch == "\n" or ch == "\r":
+            lines.append("")
+            comment = False
+        elif ch == "#":
+            comment = True
+        elif not comment:
+            lines[-1] += ch
+        previous = ch
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line[0] == "#":
+        if not line:
             continue
         if ended:
             raise ParseError("content after .e", name, lineno)

@@ -7,12 +7,10 @@ import time
 
 import pytest
 
-from conftest import FLOWS
-from revflow.cli import main, run_flow
+from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
+from revflow.arith import Design, DesignSpec, design_truth_table
+from revflow.cli import CliError, main, run_flow
 from revflow.logicnet import TruthTable, read_pla, read_xmg
-
-DESIGNS = ("intdiv", "newton")
-METHODS = ("functional", "esop", "hier")
 
 
 def run(capsys, *argv):
@@ -37,19 +35,19 @@ def test_gen_formats_parse_back(tmp_path, capsys, fmt, reader):
     assert obj.num_inputs == 4
 
 
-@pytest.mark.parametrize("design", DESIGNS)
-@pytest.mark.parametrize("method", METHODS)
-def test_gen_synth_verify_pipeline(tmp_path, capsys, design, method):
+@pytest.mark.parametrize("design,flow", DESIGN_FLOWS, ids=DESIGN_FLOW_IDS)
+def test_gen_synth_verify_pipeline(tmp_path, capsys, design, flow):
+    method, _, switches = FLOWS[flow]
     fmt = gen_fmt(method)
     src = tmp_path / f"d.{fmt}"
     real = tmp_path / "d.real"
-    assert run(capsys, "gen", "--design", design, "-n", "4",
+    assert run(capsys, "gen", "--design", design.value, "-n", "4",
                "--format", fmt, "-o", str(src))[0] == 0
-    code, rec, _ = run(capsys, "synth", str(src), "--method", method, "-o", str(real))
+    code, rec, _ = run(capsys, "synth", str(src), "--method", method, *switches, "-o", str(real))
     assert code == 0
-    assert rec["design"] == design and rec["n"] == 4 and rec["method"] == method
+    assert rec["design"] == design.value and rec["n"] == 4 and rec["method"] == method
     assert rec["qubits"] >= 7 and rec["gates"] > 0 and rec["runtime_s"] >= 0
-    code, rec, _ = run(capsys, "verify", str(real), "--design", design, "-n", "4")
+    code, rec, _ = run(capsys, "verify", str(real), "--design", design.value, "-n", "4")
     assert code == 0
     assert rec["verified"] is True and rec["counterexample"] is None
 
@@ -128,6 +126,26 @@ def test_stats_cost_model_override(tmp_path, capsys):
     _, bump, _ = run(capsys, "stats", str(real), "--cost-model", str(model))
     assert bump["qubits"] == base["qubits"]
     assert bump["t_count"] == base["t_count"] + 2 * base["control_histogram"]["2"]
+
+
+def test_stats_file_mode_rejects_sweep_options(tmp_path, capsys):
+    # --design and --method pick a sweep's flow; on a circuit file they would do nothing
+    real = tmp_path / "c.real"
+    real.write_text(".numvars 2\n.variables a b\n.begin\nt2 a b\n.end\n")
+    for options in (["--design", "newton"], ["--method", "hier"],
+                    ["--design", "newton", "--method", "hier"]):
+        code, out, err = run(capsys, "stats", str(real), *options)
+        assert code == 2 and out is None and "--sweep" in err, options
+    assert run(capsys, "stats", str(real))[0] == 0
+
+
+def test_run_flow_rejects_an_unknown_embedding():
+    table = design_truth_table(DesignSpec(Design.INTDIV, 4))
+    with pytest.raises(CliError, match="unknown embedding 'optimal', expected 'optimum' or 'bennett'"):
+        run_flow("functional", table, embedding="optimal")
+    # the two it names give 7 and 8 lines
+    assert run_flow("functional", table, embedding="optimum").width == 7
+    assert run_flow("functional", table, embedding="bennett").width == 8
 
 
 def test_stats_sweep(capsys):

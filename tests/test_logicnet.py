@@ -227,8 +227,8 @@ def test_pla_parse_errors(tmp_path):
 
 def _mutate_pla(rng: random.Random, text: str) -> str:
     """One to three random edits: a character replaced, deleted or inserted,
-    a line dropped or repeated."""
-    pool = "01-01-01 x2\u00b2\u0661_b+\t#.e"
+    a line dropped or repeated.  "\\r" breaks a line; "\\x0c" and U+2028 do not."""
+    pool = "01-01-01 x2\u00b2\u0661_b+\t#.e\r\x0c\u2028"
     for _ in range(rng.randrange(1, 4)):
         lines = text.split("\n")
         k = rng.randrange(len(lines))
