@@ -1,9 +1,9 @@
 """Command-line pipeline: generate designs, synthesize, verify, report.
 
-Each run of synth/stats prints one JSON record per result on stdout so
-sweeps can be post-processed with standard tools.  Exit codes: 0 success,
-1 verification mismatch, 2 operational error (bad arguments, unreadable
-files, size limits).
+Each run of synth, stats and sweep prints one JSON record per result on
+stdout so sweeps can be post-processed with standard tools.  Exit codes: 0
+success, 1 verification mismatch, 2 operational error (bad arguments,
+unreadable files, size limits).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .synth_esop import esop_synth
 from .synth_functional import tbs
 from .synth_hier import hier_synth
 
-_STAMP = re.compile(r"#\s*design=(\w+)\s+n=(\d+)")
+_STAMP = re.compile(r"#\s*design=(\w+)\s+n=(\d+)", re.ASCII)
 
 # the functional flow's embeddings, by the name run_flow and --embedding take
 _EMBEDDINGS = {"optimum": optimum_embed, "bennett": bennett_embed}
@@ -123,18 +123,23 @@ def run_flow(
     method: str,
     source: Xmg | EsopForm | TruthTable,
     *,
-    embedding: str = "optimum",
+    embedding: str | None = None,
     inplace_xor: bool = False,
     limit: int | None = None,
 ) -> RevCircuit:
     """Compile an in-memory design with one synthesis flow; returns the circuit.
 
     ``hier`` takes an Xmg; ``functional`` and ``esop`` take an EsopForm or a
-    TruthTable.  ``embedding`` applies to functional and ``inplace_xor`` to
-    hier; esop always minimizes its cube list.  ``limit`` caps the
-    truth-table inputs and the embedding width, as REVFLOW_TT_LIMIT does on
-    the command line.
+    TruthTable.  ``embedding`` (default optimum) goes only with functional and
+    ``inplace_xor`` only with hier: either raises CliError on another method.
+    esop always minimizes its cube list.  ``limit`` caps the truth-table
+    inputs and the embedding width, as REVFLOW_TT_LIMIT does on the command
+    line.
     """
+    if embedding is not None and method != "functional":
+        raise CliError(f"embedding goes with method functional, not {method}")
+    if inplace_xor and method != "hier":
+        raise CliError(f"inplace_xor goes with method hier, not {method}")
     if method == "hier":
         if not isinstance(source, Xmg):
             raise CliError("method hier needs an .xmg input")
@@ -143,7 +148,7 @@ def run_flow(
         raise CliError(f"method {method} needs a .pla or truth-table input")
     if method == "functional":
         table = source.to_truth_table(limit) if isinstance(source, EsopForm) else source
-        embed = _EMBEDDINGS.get(embedding)
+        embed = _EMBEDDINGS.get("optimum" if embedding is None else embedding)
         if embed is None:
             choices = " or ".join(map(repr, _EMBEDDINGS))
             raise CliError(f"unknown embedding {embedding!r}, expected {choices}")
@@ -156,7 +161,9 @@ def run_flow(
 
 
 def _flow_kwargs(args, limit: int) -> dict:
-    return dict(embedding=args.embedding, inplace_xor=args.inplace_xor, limit=limit)
+    """run_flow's keywords: the flow switches given on the command line, and the limit."""
+    given = {k: v for k, v in vars(args).items() if k in ("embedding", "inplace_xor")}
+    return dict(given, limit=limit)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -203,48 +210,39 @@ def cmd_verify(args) -> int:
 
 
 def _parse_sweep(text: str) -> range:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    m = re.fullmatch(r"(\d+)\.\.(\d+)", text, re.ASCII)
     if not m or int(m.group(1)) > int(m.group(2)):
-        raise CliError(f"bad sweep range {text!r}, expected A..B")
+        raise argparse.ArgumentTypeError(f"bad sweep range {text!r}, expected A..B with A <= B")
     return range(int(m.group(1)), int(m.group(2)) + 1)
 
 
 def cmd_stats(args) -> int:
-    if args.sweep is None:
-        if args.circuit is None:
-            raise CliError("stats needs a circuit file or --sweep")
-        if args.design is not None or args.method is not None:
-            raise CliError("--design and --method go with --sweep")
-        circ = read_real(args.circuit)
-        model = CostModel.from_file(args.cost_model) if args.cost_model else DEFAULT_COST_MODEL
-        _report(cost_report(circ, model).as_dict())
-        return 0
-    if args.circuit is not None:
-        raise CliError("--sweep replaces the circuit argument")
-    if args.design is None or args.method is None:
-        raise CliError("--sweep needs --design and --method")
+    model = CostModel.from_file(args.cost_model) if args.cost_model else DEFAULT_COST_MODEL
+    _report(cost_report(read_real(args.circuit), model).as_dict())
+    return 0
+
+
+def cmd_sweep(args) -> int:
     limit = tt_limit()
     model = CostModel.from_file(args.cost_model) if args.cost_model else DEFAULT_COST_MODEL
-    for n in _parse_sweep(args.sweep):
+    for n in args.widths:
         t0 = time.perf_counter()
         spec = _make_spec(args.design, n)
-        if args.method == "hier":
-            source = design_xmg(spec)
-        else:
-            source = design_truth_table(spec, limit)
+        source = design_xmg(spec) if args.method == "hier" else design_truth_table(spec, limit)
         circ = run_flow(args.method, source, **_flow_kwargs(args, limit))
         _report_flow(circ, model, args.design, n, args.method, t0)
     return 0
 
 
 def _add_flow_options(parser: argparse.ArgumentParser) -> None:
-    """The switches run_flow takes, shared by synth and stats --sweep."""
-    parser.add_argument("--embedding", choices=tuple(_EMBEDDINGS), default="optimum",
-                        help="embedding for the functional flow")
+    """synth's and sweep's flow switches; run_flow gets only those given."""
+    parser.add_argument("--method", choices=("functional", "esop", "hier"), required=True)
+    parser.add_argument("--embedding", choices=tuple(_EMBEDDINGS), default=argparse.SUPPRESS,
+                        help="functional flow: embedding (default optimum)")
     # bennett is the only cleanup left; the switch stays for scripts that name it
-    parser.add_argument("--cleanup", choices=("bennett",), default="bennett",
-                        help="hier flow: ancilla cleanup strategy")
-    parser.add_argument("--inplace-xor", action="store_true",
+    parser.add_argument("--cleanup", choices=("bennett",),
+                        help="ancilla cleanup strategy; every method accepts it")
+    parser.add_argument("--inplace-xor", action="store_true", default=argparse.SUPPRESS,
                         help="hier flow: fuse single-reader xor operands in place")
 
 
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="compile a design file to a REAL circuit")
     synth.add_argument("input")
-    synth.add_argument("--method", choices=("functional", "esop", "hier"), required=True)
     synth.add_argument("-o", "--output", required=True)
     _add_flow_options(synth)
     synth.set_defaults(func=cmd_synth)
@@ -275,14 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("-n", "--bits", type=int, required=True)
     verify.set_defaults(func=cmd_verify)
 
-    stats = sub.add_parser("stats", help="cost-report a circuit, or sweep a flow over n")
-    stats.add_argument("circuit", nargs="?")
+    stats = sub.add_parser("stats", help="cost-report a REAL circuit")
+    stats.add_argument("circuit")
     stats.add_argument("--cost-model", help="file of 'controls: t-cost' overrides")
-    stats.add_argument("--sweep", help="A..B: run gen+synth in memory for each n")
-    stats.add_argument("--design", choices=[d.value for d in Design])
-    stats.add_argument("--method", choices=("functional", "esop", "hier"))
-    _add_flow_options(stats)
     stats.set_defaults(func=cmd_stats)
+
+    sweep = sub.add_parser("sweep", help="run gen and synth in memory for each n in A..B")
+    sweep.add_argument("widths", type=_parse_sweep, metavar="A..B", help="n from A to B")
+    sweep.add_argument("--design", choices=[d.value for d in Design], required=True)
+    _add_flow_options(sweep)
+    sweep.add_argument("--cost-model", help="file of 'controls: t-cost' overrides")
+    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 

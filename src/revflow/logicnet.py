@@ -303,6 +303,8 @@ def read_pla(path: str | Path) -> EsopForm:
                     raise ParseError("only .type esop is supported", name, lineno)
                 typed = True
             elif directive == ".e":
+                if len(fields) != 1:
+                    raise ParseError(".e takes no fields", name, lineno)
                 ended = True
             else:
                 raise ParseError(f"unknown directive {directive}", name, lineno)
@@ -587,6 +589,8 @@ def read_xmg(path: str | Path) -> Xmg:
         if header is None:
             raise ParseError("missing .xmg header", name, lineno)
         if kind == ".end":
+            if len(fields) != 1:
+                raise ParseError(".end takes no fields", name, lineno)
             ended = True
             continue
         if kind == "maj" or kind == "xor":

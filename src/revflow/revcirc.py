@@ -466,6 +466,8 @@ def read_real(path) -> RevCircuit:
             if key == ".begin":
                 if names is None:
                     fail(".begin before .variables", lineno)
+                if len(tokens) != 1:
+                    fail(".begin takes no fields", lineno)
                 break
             if key == ".end":
                 fail(".end before .begin", lineno)
@@ -569,6 +571,8 @@ def _read_body(lines, names: list, fail) -> list[MctGate]:
             if key != ".end":
                 # a header directive here would reinterpret the gates already read
                 fail(f"{key} after .begin", lineno)
+            if len(tokens) != 1:
+                fail(".end takes no fields", lineno)
             return gates
         gates.append(parse_gate(tokens, lineno))
     fail("missing .end")

@@ -282,6 +282,8 @@ def reference_read_pla(path) -> EsopForm:
                     raise ParseError("only .type esop is supported", name, lineno)
                 typed = True
             elif key == ".e":
+                if fields != [".e"]:
+                    raise ParseError(".e takes no fields", name, lineno)
                 ended = True
             else:
                 raise ParseError(f"unknown directive {key}", name, lineno)

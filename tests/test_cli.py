@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: gen, synth, verify, stats, and exit codes."""
+"""End-to-end CLI behavior: gen, synth, verify, stats, sweep, and exit codes."""
 
 import json
 import subprocess
@@ -8,7 +8,7 @@ import time
 import pytest
 
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
-from revflow.arith import Design, DesignSpec, design_truth_table
+from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
 from revflow.cli import CliError, main, run_flow
 from revflow.logicnet import TruthTable, read_pla, read_xmg
 
@@ -129,13 +129,17 @@ def test_stats_cost_model_override(tmp_path, capsys):
 
 
 def test_stats_file_mode_rejects_sweep_options(tmp_path, capsys):
-    # --design and --method pick a sweep's flow; on a circuit file they would do nothing
+    # a sweep's range, design and flow switches would do nothing to a circuit file
     real = tmp_path / "c.real"
     real.write_text(".numvars 2\n.variables a b\n.begin\nt2 a b\n.end\n")
-    for options in (["--design", "newton"], ["--method", "hier"],
-                    ["--design", "newton", "--method", "hier"]):
-        code, out, err = run(capsys, "stats", str(real), *options)
-        assert code == 2 and out is None and "--sweep" in err, options
+    for options in (["--sweep", "4..5"], ["--design", "newton"], ["--method", "hier"],
+                    ["--embedding", "bennett"], ["--cleanup", "bennett"], ["--inplace-xor"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(real), *options])
+        assert exc.value.code == 2, options
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--sweep", "4..5", "--design", "intdiv", "--method", "esop"])
+    assert exc.value.code == 2
     assert run(capsys, "stats", str(real))[0] == 0
 
 
@@ -149,8 +153,7 @@ def test_run_flow_rejects_an_unknown_embedding():
 
 
 def test_stats_sweep(capsys):
-    code = main(["stats", "--sweep", "4..6", "--design", "intdiv",
-                 "--method", "esop"])
+    code = main(["sweep", "4..6", "--design", "intdiv", "--method", "esop"])
     out = capsys.readouterr().out
     assert code == 0
     rows = [json.loads(ln) for ln in out.splitlines() if ln.strip()]
@@ -158,15 +161,14 @@ def test_stats_sweep(capsys):
     assert all(r["qubits"] == 2 * r["n"] for r in rows)
 
 
-# every method with each of its flow switches, as synth and stats --sweep take them
+# every method with each of its flow switches, as synth and sweep take them
 FLOW_SWITCHES = [(method, switches) for method, _, switches in FLOWS.values()]
 
 
 @pytest.mark.parametrize("method,switches", FLOW_SWITCHES,
                          ids=[" ".join([m, *s]) for m, s in FLOW_SWITCHES])
 def test_sweep_matches_synth(tmp_path, capsys, method, switches):
-    code = main(["stats", "--sweep", "4..6", "--design", "intdiv",
-                 "--method", method, *switches])
+    code = main(["sweep", "4..6", "--design", "intdiv", "--method", method, *switches])
     rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
     assert code == 0 and [r["n"] for r in rows] == [4, 5, 6]
     for row in rows:
@@ -183,7 +185,7 @@ def test_sweep_matches_synth(tmp_path, capsys, method, switches):
 def test_no_minimize_switch_is_gone(tmp_path, capsys):
     # minimization is the only esop configuration
     for argv in (["synth", str(tmp_path / "d.pla"), "-o", str(tmp_path / "d.real")],
-                 ["stats", "--sweep", "4..5", "--design", "intdiv"]):
+                 ["sweep", "4..5", "--design", "intdiv"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--method", "esop", "--no-minimize"])
         assert exc.value.code == 2
@@ -213,14 +215,51 @@ def test_functional_width_limit(tmp_path, capsys, embedding):
 
 
 def test_sweep_requires_design_and_method(capsys):
-    code = main(["stats", "--sweep", "4..5"])
-    assert code == 2 and capsys.readouterr().err
+    for argv in (["4..5", "--design", "intdiv"], ["4..5", "--method", "esop"],
+                 ["--design", "intdiv", "--method", "esop"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *argv])
+        assert exc.value.code == 2, argv
 
 
 def test_bad_sweep_range(capsys):
-    code = main(["stats", "--sweep", "6..4", "--design", "intdiv",
-                 "--method", "esop"])
-    assert code == 2
+    # a range is ASCII digits A..B with A <= B; int() would read "\u0664" as 4
+    for text in ("6..4", "\u0664..\u0666", "4..", "4-6", "+4..6"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", text, "--design", "intdiv", "--method", "esop"])
+        assert exc.value.code == 2, text
+    assert "bad sweep range '6..4'" in capsys.readouterr().err
+
+
+def test_flow_switch_goes_with_its_method(tmp_path, capsys):
+    """A flow switch either acts or exits 2: embedding only on functional,
+    inplace_xor only on hier."""
+    table = design_truth_table(DesignSpec(Design.INTDIV, 4))
+    with pytest.raises(CliError, match="inplace_xor goes with method hier, not esop"):
+        run_flow("esop", table, inplace_xor=True)
+    with pytest.raises(CliError, match="embedding goes with method functional, not hier"):
+        run_flow("hier", design_xmg(DesignSpec(Design.INTDIV, 4)), embedding="bennett")
+    switches = {"functional": ["--embedding", "optimum"], "hier": ["--inplace-xor"]}
+    for method in ("functional", "esop", "hier"):
+        for owner, switch in switches.items():
+            code, out, err = run(capsys, "sweep", "4..4", "--design", "intdiv",
+                                 "--method", method, *switch)
+            assert (code == 0) == (method == owner), (method, switch)
+            assert code == 0 or (out is None and f"not {method}" in err)
+    src = tmp_path / "d.pla"
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla", "-o", str(src))
+    code, out, err = run(capsys, "synth", str(src), "--method", "esop", "--inplace-xor",
+                         "-o", str(tmp_path / "d.real"))
+    assert code == 2 and out is None and "inplace_xor" in err
+
+
+def test_stamp_takes_ascii_digits(tmp_path, capsys):
+    src = tmp_path / "d.pla"
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla", "-o", str(src))
+    body = src.read_text(encoding="utf-8").split("\n", 1)[1]
+    src.write_text("# design=intdiv n=\u0664\n" + body, encoding="utf-8")
+    code, rec, _ = run(capsys, "synth", str(src), "--method", "esop", "-o", str(tmp_path / "d.real"))
+    assert code == 0 and rec["design"] is None and rec["n"] is None
 
 
 def test_table_limit_env(tmp_path, capsys, monkeypatch):

@@ -171,3 +171,26 @@ def test_whole_file_faults_carry_no_line(tmp_path):
         with pytest.raises(ParseError) as info:
             readers[path.suffix](path)
         assert str(info.value) == f"{path}: {why}" and info.value.line is None, name
+
+
+BARE_DIRECTIVES = [
+    ("f.pla", ".i 1\n.o 1\n.type esop\n1 1\n{}\n", ".e", 5),
+    ("f.xmg", ".xmg 1 1 0\nout 2\n{}\n", ".end", 3),
+    ("f.real", ".numvars 1\n.variables a\n{}\nt1 a\n.end\n", ".begin", 3),
+    ("f.real", ".numvars 1\n.variables a\n.begin\nt1 a\n{}\n", ".end", 5),
+]
+
+
+@pytest.mark.parametrize("name,text,directive,line", BARE_DIRECTIVES,
+                         ids=[f"{name}:{directive}" for name, _, directive, _ in BARE_DIRECTIVES])
+def test_bare_directive_takes_no_fields(tmp_path, name, text, directive, line):
+    readers = {".pla": read_pla, ".xmg": read_xmg, ".real": read_real}
+    path = tmp_path / name
+    read = readers[path.suffix]
+    for clean in (directive, directive + " # a comment"):
+        path.write_text(text.format(clean))
+        read(path)
+    path.write_text(text.format(directive + " junk here"))
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:{line}: {directive} takes no fields"
