@@ -53,14 +53,22 @@ class CliError(Exception):
     """Operational failure reported on stderr with exit code 2."""
 
 
+def _number(text: str) -> int:
+    """A number given on the command line: ASCII decimal digits only, the
+    rule every input reader keeps (``logicnet._lex``)."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
 def tt_limit() -> int:
     raw = os.environ.get("REVFLOW_TT_LIMIT")
     if raw is None:
         return DEFAULT_TT_LIMIT
     try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"REVFLOW_TT_LIMIT must be an integer, got {raw!r}") from None
+        value = _number(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"REVFLOW_TT_LIMIT: {exc}") from None
     if value < 1:
         raise CliError("REVFLOW_TT_LIMIT must be positive")
     return value
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a reciprocal design file")
     gen.add_argument("--design", choices=[d.value for d in Design], required=True)
-    gen.add_argument("-n", "--bits", type=int, required=True, help="output bit width")
+    gen.add_argument("-n", "--bits", type=_number, required=True, help="output bit width")
     gen.add_argument("--format", choices=("xmg", "pla"), default="xmg")
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_gen)
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a REAL circuit against a design oracle")
     verify.add_argument("circuit")
     verify.add_argument("--design", choices=[d.value for d in Design], required=True)
-    verify.add_argument("-n", "--bits", type=int, required=True)
+    verify.add_argument("-n", "--bits", type=_number, required=True)
     verify.set_defaults(func=cmd_verify)
 
     stats = sub.add_parser("stats", help="cost-report a REAL circuit")

@@ -10,6 +10,8 @@ conversion between the two layouts, in both directions.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -528,10 +530,80 @@ def _transpose(words, width: int) -> list[int]:
     Every word must be below 2^width; the result has width entries, each
     below 2^len(words).  Applied to rows it gives the bit-planes, applied to
     planes (with width 2^n) it gives the rows back.
+
+    When the words or the result entries fit 64 bits, each of them takes one
+    lane of 8, 16, 32 or 64 bits, an ``array`` item whose typecode has that
+    itemsize.  The array's bytes, in the host's order (``sys.byteorder``)
+    and read as little-endian, byte-swapped first on a big-endian host, are
+    one integer with word k in lane k; so one ``format`` of it holds every
+    plane at a stride of one lane, and, the other way, the planes' binary
+    texts written at that stride make one ``int(..., 2)`` whose bytes are
+    the result's lanes.  That integer never passes through decimal text, so
+    ``sys.set_int_max_str_digits`` does not apply: its limit exempts bases
+    that are powers of two.  The lanes go in blocks of ``_BLOCK`` words,
+    which bounds the packed copies, and each plane is put together from, or
+    read off, its bytes, so the time stays linear in the matrix.  A matrix
+    with more than 64 words and more than 64 bits per word, which no flow
+    builds, takes one text of all the words instead.
     """
+    count = len(words)
+    if width <= 64:
+        return _planes_of_lanes(words, width)
+    if count <= 64:
+        return _lanes_of_planes(words, width)
     # the last word leads the text, so each column reads off most significant bit first
     text = "".join(format(w, f"0{width}b") for w in reversed(words))
-    return [int(text[p::width] or "0", 2) for p in range(width - 1, -1, -1)]
+    return [int(text[p::width], 2) for p in range(width - 1, -1, -1)]
+
+
+# an unsigned array typecode for each lane width in bits, narrowest first
+_LANES = {array(code).itemsize * 8: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+# words per lane-packed block, a multiple of 8 so that blocks meet at byte
+# boundaries; a block's text, at most 64 KiB, stays below glibc's default
+# mmap threshold (128 KiB): blocks of 256 KiB texts raised the peak RSS
+_BLOCK = 1 << 10
+
+
+def _lane(bits: int) -> tuple[int, str]:
+    """The narrowest lane that holds a word of the given bits, and its typecode."""
+    return next((lane, code) for lane, code in _LANES.items() if lane >= bits)
+
+
+def _planes_of_lanes(words, width: int) -> list[int]:
+    """``_transpose`` with each word in a lane; each block gives every
+    plane its bytes, joined once at the end."""
+    lane, code = _lane(width)
+    parts: list[list[bytes]] = [[] for _ in range(width)]
+    for start in range(0, len(words), _BLOCK):
+        block = array(code, words[start:start + _BLOCK])
+        if _BIG_ENDIAN:
+            block.byteswap()
+        size = len(block)
+        # word k's bit p sits at text index lane * (size - k) - 1 - p
+        text = format(int.from_bytes(block, "little"), f"0{lane * size}b")
+        for p, part in enumerate(parts):
+            part.append(int(text[lane - 1 - p::lane], 2).to_bytes((size + 7) // 8, "little"))
+    return [int.from_bytes(b"".join(part), "little") for part in parts]
+
+
+def _lanes_of_planes(planes, width: int) -> list[int]:
+    """``_transpose`` with each result entry in a lane; each block reads
+    its bits of every plane from the plane's bytes."""
+    lane, code = _lane(len(planes))
+    planes = [plane.to_bytes((width + 7) // 8, "little") for plane in planes]
+    rows: list[int] = []
+    for start in range(0, width, _BLOCK):
+        size = min(_BLOCK, width - start)
+        text = bytearray(b"0") * (lane * size)
+        for p, plane in enumerate(planes):
+            bits = int.from_bytes(plane[start // 8:(start + size + 7) // 8], "little")
+            text[lane - 1 - p::lane] = format(bits, f"0{size}b").encode()
+        block = array(code, int(text, 2).to_bytes(lane // 8 * size, "little"))
+        if _BIG_ENDIAN:
+            block.byteswap()
+        rows.extend(block)
+    return rows
 
 
 def _input_pattern(i: int, n: int) -> int:

@@ -361,15 +361,18 @@ def write_real(circ: RevCircuit, path) -> None:
         # literal c is written as lit_names[c]: the line name, "-" when negative
         names = circ.line_names
         lit_names = [s for name in names for s in (name, "-" + name)]
-        # each distinct control set is formatted once, as "tK c1 .. cK-1 "
+        # each distinct control set is formatted once, as "tK c1 .. cK-1 ";
+        # a gate on the previous gate's controls object reuses its head unhashed
         heads: dict[tuple[int, ...], str] = {}
+        controls = head = None
         for gate in circ.gates:
-            head = heads.get(gate.controls)
-            if head is None:
+            if gate.controls is not controls:
                 controls = gate.controls
-                head = heads[controls] = f"t{len(controls) + 1} " + "".join(
-                    lit_names[c] + " " for c in controls
-                )
+                head = heads.get(controls)
+                if head is None:
+                    head = heads[controls] = f"t{len(controls) + 1} " + "".join(
+                        lit_names[c] + " " for c in controls
+                    )
             fh.write(head + names[gate.target] + "\n")
         fh.write(".end\n")
 

@@ -16,13 +16,27 @@ step's gates all share the controls i and none targets one, so the step
 costs one AND of its controls.  Every 64 rows the settled rows, on which no
 later gate fires, are shifted out of the planes, so reading row i's image
 is a test of one low bit per plane.
+
+A row that is already its own image emits no gate, and once its first
+rows are settled almost every row of a bennett embedding is one.  At such a
+row the kernel ORs over the lines the XOR of each plane's 64 block bits
+with the same bits of the row indices: bit b of base + k, which is bit b of
+k below line 6, because the block starts at a multiple of 64, and constant
+over the block from line 6 up.  The set bits are the block's rows that are
+not their own image, and the scan jumps to the first one after row i, or to
+the next block when there is none.  The jump is exact: the rows it passes
+emit no gate, so they change no plane, and the gate list is the one a
+row-by-row scan emits.
 """
 
 from __future__ import annotations
 
 from .embedding import Embedding, Permutation
-from .logicnet import _bits, _transpose
+from .logicnet import _bits, _input_pattern, _transpose
 from .revcirc import MctGate, RevCircuit
+
+# the mask of one block's 64 rows
+_WINDOW = (1 << 64) - 1
 
 
 def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
@@ -37,6 +51,9 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     planes = _transpose(perm.images, r)
     full = (1 << (1 << r)) - 1
     base = 0
+    # bit k of idents[b] is bit b of base + k, over the block's 64 rows
+    low = [_input_pattern(b, 6) for b in range(min(r, 6))]
+    idents = low + [0] * (r - len(low))
     literals: dict[int, tuple[int, ...]] = {}
     emitted: list[MctGate] = []
 
@@ -52,16 +69,26 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
             fire &= planes[c >> 1]
         return fire
 
-    for i in range(1 << r):
+    i = 0
+    while i < 1 << r:
         if i - base == 64:
             planes = [p >> 64 for p in planes]
             full >>= 64
             base = i
+            idents = low + [_WINDOW if base >> b & 1 else 0 for b in range(6, r)]
         row = 1 << (i - base)
         y = 0
         for b in range(r):
             if planes[b] & row:
                 y |= 1 << b
+        if y == i:
+            # bit k: row i + 1 + k of the block is not its own image
+            moved = 0
+            for plane, ident in zip(planes, idents):
+                moved |= (plane & _WINDOW) ^ ident
+            moved = (moved & full) >> (i - base + 1)
+            i = i + (moved & -moved).bit_length() if moved else base + 64
+            continue
         up = i & ~y
         if up:
             fire = fire_of(controls_of(y))
@@ -77,6 +104,7 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
             for b in _bits(down):
                 emitted.append(MctGate(b, controls))
                 planes[b] ^= fire
+        i += 1
 
     if embedding is None:
         return RevCircuit.generic(r, reversed(emitted))

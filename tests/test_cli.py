@@ -262,15 +262,32 @@ def test_stamp_takes_ascii_digits(tmp_path, capsys):
     assert code == 0 and rec["design"] is None and rec["n"] is None
 
 
+# not ASCII decimal digits, though int() reads the first six as numbers
+NOT_NUMBERS = ("+4", "1_0", " 4", "4 ", "\u0664", "-4", "\u00b2", "")
+
+
 def test_table_limit_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REVFLOW_TT_LIMIT", "5")
     code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "8",
                        "--format", "pla", "-o", str(tmp_path / "big.pla"))
     assert code == 2 and "limit" in err.lower()
-    monkeypatch.setenv("REVFLOW_TT_LIMIT", "banana")
-    code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "4",
-                       "--format", "pla", "-o", str(tmp_path / "small.pla"))
-    assert code == 2
+    for raw in NOT_NUMBERS + ("banana",):
+        monkeypatch.setenv("REVFLOW_TT_LIMIT", raw)
+        code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "4",
+                           "--format", "pla", "-o", str(tmp_path / "small.pla"))
+        assert code == 2 and "REVFLOW_TT_LIMIT" in err, raw
+
+
+def test_bits_are_ascii_digits(tmp_path, capsys):
+    for text in NOT_NUMBERS:
+        for argv in (["gen", "--design", "intdiv", "-n", text, "--format", "pla",
+                      "-o", str(tmp_path / "d.pla")],
+                     ["verify", str(tmp_path / "d.real"), "--design", "intdiv", "-n", text]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "expected ASCII decimal digits" in capsys.readouterr().err, argv
+    assert not (tmp_path / "d.pla").exists()
 
 
 def test_synth_reads_only_xmg_and_pla(tmp_path, capsys):

@@ -14,6 +14,7 @@ from conftest import (
     reference_read_pla,
     xmg_kind,
 )
+from revflow import logicnet
 from revflow.logicnet import (
     Cube,
     EsopForm,
@@ -41,14 +42,25 @@ def test_truth_table_validation():
     assert tt.columns() == [0b1010, 0b1100]
 
 
-def test_transpose_agrees_with_naive():
+# every lane boundary (8, 16, 32 and 64 bits) on either side of the matrix,
+# and past 64 on both sides the text path
+LANE_WIDTHS = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
+LANE_COUNTS = (0, 1, 63, 64, 65, 130)
+
+
+def test_transpose_agrees_with_naive(monkeypatch):
     rng = random.Random(23)
-    for width in range(10):
-        for count in range(71):
+    shapes = [(w, c) for w in range(10) for c in range(71)]
+    shapes += [(w, c) for w in LANE_WIDTHS for c in LANE_COUNTS]
+    # a block of 8 words splits the lane-packed paths into blocks, the last one short
+    for block in (logicnet._BLOCK, 8):
+        monkeypatch.setattr(logicnet, "_BLOCK", block)
+        for width, count in shapes:
             words = [rng.getrandbits(width) for _ in range(count)]
             planes = _transpose(words, width)
-            assert planes == naive_transpose(words, width), (width, count)
-            assert _transpose(planes, count) == words, (width, count)
+            assert planes == naive_transpose(words, width), (block, width, count)
+            back = _transpose(planes, count)
+            assert back == naive_transpose(planes, count) == words, (block, width, count)
 
 
 def test_table_limit_guard():

@@ -42,6 +42,34 @@ def test_random_permutations_exact(width):
         assert circ.gates == reference_tbs(perm)
 
 
+def swapped_rows(width: int, pairs) -> Permutation:
+    """The identity on width lines with each pair of rows swapped in turn."""
+    images = list(range(1 << width))
+    for a, b in pairs:
+        images[a], images[b] = images[b], images[a]
+    return Permutation(width, tuple(images))
+
+
+# almost every row is its own image, so tbs jumps over runs of fixed rows,
+# and the runs cross the 64-row blocks
+@pytest.mark.parametrize("width", [6, 7, 8, 9, 10])
+def test_near_identity_permutations_exact(width):
+    rng = random.Random(300 + width)
+    last = (1 << width) - 1
+    perms = [swapped_rows(width, [(last - 1, last)])]
+    if width > 6:
+        perms.append(swapped_rows(width, [(63, 64)]))
+    for swaps in (1, 2, 3, 5):
+        perms.append(swapped_rows(width, [rng.sample(range(last + 1), 2) for _ in range(swaps)]))
+        # rows one bit apart: a row whose image differs from it in one line only
+        rows = rng.sample(range(last + 1), swaps)
+        perms.append(swapped_rows(width, [(a, a ^ 1 << rng.randrange(width)) for a in rows]))
+    for perm in perms:
+        circ = tbs(perm)
+        assert simulate_full(circ).images == perm.images
+        assert circ.gates == reference_tbs(perm)
+
+
 def test_trace_monotone_prefix_invariant():
     rng = random.Random(55)
     for _ in range(20):
