@@ -159,20 +159,22 @@ class EsopForm:
 def esop_from_tt(tt: TruthTable) -> EsopForm:
     """Canonical positive-polarity Reed-Muller expansion of a truth table.
 
-    The butterfly transform runs on whole output words, so all outputs are
-    expanded in one pass; coefficient words become cube output masks.  Cubes
-    carry only positive literals and are emitted in ascending monomial order.
+    The butterfly transform runs on each output's bit-plane: step i XORs
+    every row without input i into the row with it, one shift of the plane.
+    The coefficient planes, turned back into words, become cube output
+    masks.  Cubes carry only positive literals and are emitted in ascending
+    monomial order.
     """
     n = tt.num_inputs
-    coeff = list(tt.rows)
+    cols = tt.columns()
+    full = (1 << (1 << n)) - 1
     for i in range(n):
-        bit = 1 << i
-        for x in range(1 << n):
-            if x & bit:
-                coeff[x] ^= coeff[x ^ bit]
+        keep = full ^ _input_pattern(i, n)
+        shift = 1 << i
+        cols = [col ^ (col & keep) << shift for col in cols]
     cubes = [
         Cube(mask=s, polarity=s, output_mask=w)
-        for s, w in enumerate(coeff)
+        for s, w in enumerate(_transpose(cols, 1 << n))
         if w
     ]
     return EsopForm(n, tt.num_outputs, tuple(cubes))
@@ -244,26 +246,39 @@ def esop_minimize(esop: EsopForm) -> EsopForm:
 # an input pattern over {0,1,-} and an output pattern over {0,1}, then .e.
 
 
+# a mask digit plus a polarity digit, both ASCII "0" or "1", to the input
+# pattern's character: 0x60 no literal, 0x61 negative, 0x62 positive
+_LITERAL_CHARS = bytes.maketrans(b"`ab", b"-01")
+
+
 def write_pla(esop: EsopForm, path: str | Path) -> None:
-    lines = [
-        f".i {esop.num_inputs}",
-        f".o {esop.num_outputs}",
-        ".type esop",
-    ]
-    for c in esop.cubes:
-        ins = []
-        for i in range(esop.num_inputs):
-            bit = 1 << i
-            if not c.mask & bit:
-                ins.append("-")
-            elif c.polarity & bit:
-                ins.append("1")
-            else:
-                ins.append("0")
-        outs = ["1" if c.output_mask >> j & 1 else "0" for j in range(esop.num_outputs)]
-        lines.append("".join(ins) + " " + "".join(outs))
-    lines.append(".e")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the form a column at a time.
+
+    The cubes' masks, polarities and output masks are turned into planes
+    over the cubes, bit k for cube k.  Each plane becomes one text column
+    with one ``format``; an input column adds the mask's and the polarity's
+    ASCII digits as two big integers, whose bytes never carry, and
+    translates the sums.  The columns go into the text at the stride of a
+    line.
+    """
+    n, m, cubes = esop.num_inputs, esop.num_outputs, esop.cubes
+    count = len(cubes)
+    # a line is the input pattern, a space, the output pattern and a newline
+    stride = n + m + 2
+    text = bytearray(b" ") * (stride * count)
+    if cubes:
+        text[stride - 1::stride] = b"\n" * count
+        digits = f"0{count}b"
+        masks = _transpose([c.mask for c in cubes], n)
+        polarities = _transpose([c.polarity for c in cubes], n)
+        # the texts lead with the last cube, so the sum's bytes go out little-endian
+        for i, (mask, polarity) in enumerate(zip(masks, polarities)):
+            sums = (int.from_bytes(format(mask, digits).encode(), "big")
+                    + int.from_bytes(format(polarity, digits).encode(), "big"))
+            text[i::stride] = sums.to_bytes(count, "little").translate(_LITERAL_CHARS)
+        for j, plane in enumerate(_transpose([c.output_mask for c in cubes], m)):
+            text[n + 1 + j::stride] = format(plane, digits)[::-1].encode()
+    Path(path).write_text(f".i {n}\n.o {m}\n.type esop\n{text.decode()}.e\n", encoding="utf-8")
 
 
 # translate tables: the first two delete the characters a column may hold,
@@ -316,6 +331,9 @@ def read_pla(path: str | Path) -> EsopForm:
         if not typed:
             # a plain PLA sums cubes with OR; reading it as ESOP would be wrong
             raise ParseError("cube before .type esop declaration", name, lineno)
+        if len(fields) == 1 and num_inputs == 0:
+            # a cube with no inputs is its output pattern alone
+            fields.insert(0, "")
         if len(fields) != 2:
             raise ParseError("cube line needs an input and an output pattern", name, lineno)
         ins, outs = fields
@@ -331,8 +349,8 @@ def read_pla(path: str | Path) -> EsopForm:
             raise ParseError(f"bad output column character {bad[0]!r}", name, lineno)
         # column i is bit i, so a reversed pattern reads as a binary numeral
         ins = ins[::-1]
-        mask = int(ins.translate(_LITERAL_BITS), 2)
-        polarity = int(ins.replace("-", "0"), 2)
+        mask = int(ins.translate(_LITERAL_BITS) or "0", 2)
+        polarity = int(ins.replace("-", "0") or "0", 2)
         output_mask = int(outs[::-1], 2)
         if not output_mask:
             raise ParseError("cube drives no outputs", name, lineno)
@@ -607,12 +625,18 @@ def _lanes_of_planes(planes, width: int) -> list[int]:
 
 
 def _input_pattern(i: int, n: int) -> int:
-    """Bit-parallel value of input i over all 2^n assignments in index order."""
+    """Bit-parallel value of input i over all 2^n assignments in index order.
+
+    One period, 2^i zeros under 2^i ones, doubles until it spans the 2^n
+    rows: shifts and ORs only, so the time stays linear in 2^n.
+    """
     half = 1 << i
-    period = ((1 << half) - 1) << half
-    reps = 1 << (n - i - 1)
-    span = 1 << (i + 1)
-    return period * (((1 << (span * reps)) - 1) // ((1 << span) - 1))
+    pattern = ((1 << half) - 1) << half
+    span = half << 1
+    while span < 1 << n:
+        pattern |= pattern << span
+        span <<= 1
+    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +645,17 @@ def _input_pattern(i: int, n: int) -> int:
 # implicit: 0 is the constant, 1..I the inputs, then gates in file order.
 
 
+# a gate line by its fanin arity
+_GATE_LINES = {2: "xor %d %d\n", 3: "maj %d %d %d\n"}
+
+
 def write_xmg(net: Xmg, path: str | Path) -> None:
-    lines = [f".xmg {net.num_inputs} {net.num_outputs} {net.num_nodes - 1 - net.num_inputs}"]
-    for _, fi in net.gates():
-        word = "maj" if len(fi) == 3 else "xor"
-        lines.append(word + " " + " ".join(str(f) for f in fi))
-    for out in net.outputs:
-        lines.append(f"out {out}")
-    lines.append(".end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gates = net._fanins[1 + net.num_inputs:]
+    text = [f".xmg {net.num_inputs} {net.num_outputs} {len(gates)}\n"]
+    text += [_GATE_LINES[len(fi)] % fi for fi in gates]
+    text += ["out %d\n" % out for out in net.outputs]
+    text.append(".end\n")
+    Path(path).write_text("".join(text), encoding="utf-8")
 
 
 def read_xmg(path: str | Path) -> Xmg:

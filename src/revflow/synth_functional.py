@@ -13,9 +13,10 @@ AND of its control planes, is computed once and reused: the set step ANDs
 its controls for the first gate, and each later set gate, whose controls
 grow by the bit just set, costs one AND with that bit's plane; the clear
 step's gates all share the controls i and none targets one, so the step
-costs one AND of its controls.  Every 64 rows the settled rows, on which no
-later gate fires, are shifted out of the planes, so reading row i's image
-is a test of one low bit per plane.
+costs one AND of its controls.  Once row i is 64 or more rows past the
+base, the settled rows below i's block, on which no later gate fires, are
+shifted out of the planes, so reading row i's image is a test of one low
+bit per plane.
 
 A row that is already its own image emits no gate, and once its first
 rows are settled almost every row of a bennett embedding is one.  At such a
@@ -23,10 +24,13 @@ row the kernel ORs over the lines the XOR of each plane's 64 block bits
 with the same bits of the row indices: bit b of base + k, which is bit b of
 k below line 6, because the block starts at a multiple of 64, and constant
 over the block from line 6 up.  The set bits are the block's rows that are
-not their own image, and the scan jumps to the first one after row i, or to
-the next block when there is none.  The jump is exact: the rows it passes
-emit no gate, so they change no plane, and the gate list is the one a
-row-by-row scan emits.
+not their own image, and the scan jumps to the first one after row i.  When
+there is none, the same XOR runs once over every row left, against each
+line's whole index pattern shifted down by the base: the scan jumps to the
+first row left that is not its own image, or stops if there is none, and
+the planes shift once, by the jump rounded down to a block boundary.  The
+jump is exact: the rows it passes emit no gate, so they change no plane,
+and the gate list is the one a row-by-row scan emits.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     # bit k of idents[b] is bit b of base + k, over the block's 64 rows
     low = [_input_pattern(b, 6) for b in range(min(r, 6))]
     idents = low + [0] * (r - len(low))
+    # bit x of patterns[b] is bit b of x, over every row
+    patterns = [_input_pattern(b, r) for b in range(r)]
     literals: dict[int, tuple[int, ...]] = {}
     emitted: list[MctGate] = []
 
@@ -71,10 +77,11 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
 
     i = 0
     while i < 1 << r:
-        if i - base == 64:
-            planes = [p >> 64 for p in planes]
-            full >>= 64
-            base = i
+        if i - base >= 64:
+            shift = (i - base) & ~63
+            planes = [p >> shift for p in planes]
+            full >>= shift
+            base += shift
             idents = low + [_WINDOW if base >> b & 1 else 0 for b in range(6, r)]
         row = 1 << (i - base)
         y = 0
@@ -87,7 +94,14 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
             for plane, ident in zip(planes, idents):
                 moved |= (plane & _WINDOW) ^ ident
             moved = (moved & full) >> (i - base + 1)
-            i = i + (moved & -moved).bit_length() if moved else base + 64
+            if not moved:
+                # bit k: row i + 1 + k is not its own image, over every row left
+                for plane, pattern in zip(planes, patterns):
+                    moved |= plane ^ pattern >> base
+                moved >>= i - base + 1
+                if not moved:
+                    break
+            i += (moved & -moved).bit_length()
             continue
         up = i & ~y
         if up:

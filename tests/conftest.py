@@ -2,13 +2,14 @@
 the independent references the library is checked against (scalar
 simulator, scalar TBS, naive XMG and ESOP evaluators, a position-scanning
 ESOP minimizer, a plain strash builder, reachable gate counts, per-bit
-transpose, a per-character PLA reader and the gate checks)."""
+transpose, a row-word Reed-Muller butterfly, per-cube PLA and per-node XMG
+writers, a per-character PLA reader and the gate checks)."""
 
 import random
 
 from revflow.arith import Design
 from revflow.embedding import Permutation
-from revflow.logicnet import Cube, EsopForm, ParseError, Xmg
+from revflow.logicnet import Cube, EsopForm, ParseError, TruthTable, Xmg
 from revflow.revcirc import MctGate, RevCircuit, simulate_source_batch
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
@@ -233,6 +234,54 @@ def _first_distance1_merge(cubes, num_inputs):
     return None
 
 
+def reference_esop_from_tt(tt: TruthTable) -> EsopForm:
+    """esop_from_tt by the butterfly on the row words: for each input i,
+    every row with input i set XORs in the row without it, one row at a
+    time; each nonzero coefficient word at monomial s is a cube, s ascending."""
+    n = tt.num_inputs
+    coeff = list(tt.rows)
+    for i in range(n):
+        bit = 1 << i
+        for x in range(1 << n):
+            if x & bit:
+                coeff[x] ^= coeff[x ^ bit]
+    cubes = tuple(Cube(mask=s, polarity=s, output_mask=w) for s, w in enumerate(coeff) if w)
+    return EsopForm(n, tt.num_outputs, cubes)
+
+
+def reference_write_pla(esop: EsopForm, path) -> None:
+    """write_pla's text, spelled one cube and one character at a time."""
+    lines = [f".i {esop.num_inputs}", f".o {esop.num_outputs}", ".type esop"]
+    for c in esop.cubes:
+        ins = []
+        for i in range(esop.num_inputs):
+            bit = 1 << i
+            if not c.mask & bit:
+                ins.append("-")
+            elif c.polarity & bit:
+                ins.append("1")
+            else:
+                ins.append("0")
+        outs = ["1" if c.output_mask >> j & 1 else "0" for j in range(esop.num_outputs)]
+        lines.append("".join(ins) + " " + "".join(outs))
+    lines.append(".e")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_write_xmg(net: Xmg, path) -> None:
+    """write_xmg's text, one node and one operand at a time."""
+    lines = [f".xmg {net.num_inputs} {net.num_outputs} {net.num_nodes - 1 - net.num_inputs}"]
+    for _, fi in net.gates():
+        word = "maj" if len(fi) == 3 else "xor"
+        lines.append(word + " " + " ".join(str(f) for f in fi))
+    for out in net.outputs:
+        lines.append(f"out {out}")
+    lines.append(".end")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def reference_read_pla(path) -> EsopForm:
     """read_pla's dialect and messages, the text and each column read one
     character at a time: a line ends at "\\n", "\\r\\n" or "\\r", and a "#"
@@ -292,6 +341,8 @@ def reference_read_pla(path) -> EsopForm:
             raise ParseError("cube before .i/.o headers", name, lineno)
         if not typed:
             raise ParseError("cube before .type esop declaration", name, lineno)
+        if n == 0 and len(fields) == 1:
+            fields = ["", fields[0]]
         if len(fields) != 2:
             raise ParseError("cube line needs an input and an output pattern", name, lineno)
         ins, outs = fields

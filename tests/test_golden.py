@@ -1,5 +1,5 @@
-"""Golden outputs: the REAL text of every flow, the generated XMG text and
-the NEWTON model's every word, pinned by sha256.
+"""Golden outputs: the REAL text of every flow, the generated XMG and PLA
+texts and the NEWTON model's every word, pinned by sha256.
 
 A change meant to leave circuits alone (a refactor, a speed-up) must keep
 every hash.  A change that alters a circuit on purpose updates the table
@@ -13,7 +13,7 @@ import pytest
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg, newton_trace
 from revflow.cli import run_flow
-from revflow.logicnet import write_xmg
+from revflow.logicnet import esop_from_tt, write_pla, write_xmg
 from revflow.revcirc import read_real, write_real
 
 GOLDEN = {
@@ -85,6 +85,29 @@ def test_xmg_output_unchanged(design, tmp_path):
         write_xmg(design_xmg(DesignSpec(design, n)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_XMG[design.value, n], n
 
+
+# write_pla(esop_from_tt(design_truth_table(DesignSpec(design, n)))): every
+# Reed-Muller cube and its text; NEWTON's table is INTDIV's, so are its hashes
+GOLDEN_PLA = {
+    ("intdiv", 4): "f7227e429e4d7477efe5437a4ec7243eb70f0e4218e668cac5e42dd2f0a305f3",
+    ("intdiv", 5): "b7d9953e31b7ad3c06f5d0c23e1f6d9be6171a1d4b6a593b5581e9813fe32224",
+    ("intdiv", 6): "2bd0cf107ecc8b00c6f6f36ba0e148a723e4ff3fbe51276f76fdf532cf1bc7ec",
+    ("intdiv", 7): "ec26f02ab05f458677ef5702841bb3925424f5f3c21db78f5a2db069ba96aa34",
+    ("intdiv", 8): "d550d31f8357fe9b6e47e2af9c6afaade9b650aa0e873a5b056d755b934e7cef",
+    ("newton", 4): "f7227e429e4d7477efe5437a4ec7243eb70f0e4218e668cac5e42dd2f0a305f3",
+    ("newton", 5): "b7d9953e31b7ad3c06f5d0c23e1f6d9be6171a1d4b6a593b5581e9813fe32224",
+    ("newton", 6): "2bd0cf107ecc8b00c6f6f36ba0e148a723e4ff3fbe51276f76fdf532cf1bc7ec",
+    ("newton", 7): "ec26f02ab05f458677ef5702841bb3925424f5f3c21db78f5a2db069ba96aa34",
+    ("newton", 8): "d550d31f8357fe9b6e47e2af9c6afaade9b650aa0e873a5b056d755b934e7cef",
+}
+
+
+@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+def test_pla_output_unchanged(design, tmp_path):
+    path = tmp_path / "table.pla"
+    for n in range(4, 9):
+        write_pla(esop_from_tt(design_truth_table(DesignSpec(design, n))), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_PLA[design.value, n], n
 
 # newton_trace(DesignSpec(Design.NEWTON, n), x) for every x: the exponent, the
 # normalized word, every iterate and the output, all raw integers

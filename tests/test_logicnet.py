@@ -10,8 +10,11 @@ from conftest import (
     naive_transpose,
     naive_xmg_eval,
     random_xmg,
+    reference_esop_from_tt,
     reference_esop_minimize,
     reference_read_pla,
+    reference_write_pla,
+    reference_write_xmg,
     xmg_kind,
 )
 from revflow import logicnet
@@ -63,6 +66,13 @@ def test_transpose_agrees_with_naive(monkeypatch):
             assert back == naive_transpose(planes, count) == words, (block, width, count)
 
 
+def test_input_pattern_agrees_with_naive():
+    for n in range(1, 13):
+        for i in range(n):
+            want = sum(1 << x for x in range(1 << n) if x >> i & 1)
+            assert logicnet._input_pattern(i, n) == want, (i, n)
+
+
 def test_table_limit_guard():
     with pytest.raises(TableLimitError):
         TruthTable.from_function(5, 1, lambda x: 0, limit=4)
@@ -99,6 +109,22 @@ def test_pprm_known_forms():
     # OR = x + y + xy over GF(2)
     esop = esop_from_tt(TruthTable(2, 1, (0, 1, 1, 1)))
     assert sorted(c.mask for c in esop.cubes) == [0b01, 0b10, 0b11]
+
+
+def _random_tables(seed: int):
+    """One seeded table per shape: n = 0..13 (n = 0, n past a multiple of 4,
+    and n past 8, where write_pla transposes cube masks in 16-bit lanes)
+    and m = 0..4."""
+    rng = random.Random(seed)
+    for n in range(14):
+        for m in range(5):
+            yield TruthTable(n, m, tuple(rng.getrandbits(m) for _ in range(1 << n)))
+
+
+def test_pprm_matches_reference():
+    # the plane butterfly against the row-word one, cube for cube in order
+    for tt in _random_tables(77):
+        assert esop_from_tt(tt) == reference_esop_from_tt(tt), (tt.num_inputs, tt.num_outputs)
 
 
 def test_minimize_merges_distance_one():
@@ -182,10 +208,39 @@ def test_minimize_preserves_function_never_grows():
 def test_pla_roundtrip_identity(tmp_path):
     rng = random.Random(5)
     tt = TruthTable(4, 3, tuple(rng.randrange(8) for _ in range(16)))
-    esop = esop_minimize(esop_from_tt(tt))
+    # under .i 0 a cube line is its output pattern alone
+    constant = esop_from_tt(TruthTable(0, 2, (3,)))
+    assert constant.cubes == (Cube(0, 0, 3),)
     path = tmp_path / "f.pla"
-    write_pla(esop, path)
-    assert read_pla(path) == esop
+    for esop in (esop_minimize(esop_from_tt(tt)), constant, EsopForm(0, 2, ()), EsopForm(0, 0, ())):
+        write_pla(esop, path)
+        assert read_pla(path) == reference_read_pla(path) == esop
+
+
+def test_pla_writer_matches_reference(tmp_path):
+    """write_pla against the per-cube writer, byte for byte: Reed-Muller
+    forms, empty cube lists, minimized forms and random mixed-polarity cube
+    lists, up to 13 inputs and past a lane-packed block of cubes."""
+    rng = random.Random(31)
+    forms = [esop_from_tt(tt) for tt in _random_tables(78)]
+    forms += [EsopForm(n, m, ()) for n in range(14) for m in range(5)]
+    for n in range(1, 8):
+        m = rng.randrange(1, 5)
+        tt = TruthTable(n, m, tuple(rng.getrandbits(m) for _ in range(1 << n)))
+        forms.append(esop_minimize(esop_from_tt(tt)))
+    for n in range(14):
+        m = rng.randrange(1, 5)
+        cubes = []
+        for _ in range(rng.choice((1, 7, 64, 65, 1500))):
+            mask = rng.getrandbits(n)
+            cubes.append(Cube(mask, rng.getrandbits(n) & mask, rng.randrange(1, 1 << m)))
+        forms.append(EsopForm(n, m, tuple(cubes)))
+    assert any(c.polarity != c.mask for form in forms for c in form.cubes)
+    got, want = tmp_path / "got.pla", tmp_path / "want.pla"
+    for form in forms:
+        write_pla(form, got)
+        reference_write_pla(form, want)
+        assert got.read_bytes() == want.read_bytes(), (form.num_inputs, len(form.cubes))
 
 
 def test_pla_parse_errors(tmp_path):
@@ -407,6 +462,17 @@ def test_xmg_file_roundtrip_functional(tmp_path):
         assert back.num_inputs == net.num_inputs
         assert back.num_outputs == net.num_outputs
         assert back.to_truth_table() == net.to_truth_table()
+
+
+def test_xmg_writer_matches_reference(tmp_path):
+    # write_xmg against the per-node writer, byte for byte, on seeded nets
+    rng = random.Random(61)
+    got, want = tmp_path / "got.xmg", tmp_path / "want.xmg"
+    for _ in range(40):
+        net = random_xmg(rng, rng.randrange(0, 8), rng.randrange(0, 60), rng.randrange(0, 5))
+        write_xmg(net, got)
+        reference_write_xmg(net, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_xmg_read_rejects_forward_references(tmp_path):

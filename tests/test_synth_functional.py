@@ -70,6 +70,29 @@ def test_near_identity_permutations_exact(width):
         assert circ.gates == reference_tbs(perm)
 
 
+# a gate's controls hold the ones of the row it fixes, so rows swapped among
+# themselves in a block whose rows share high bits disturb only rows that
+# have those bits: tbs passes the blocks between such rows, and the first
+# rows up to them, with one jump and one shift of the planes
+@pytest.mark.parametrize("width", [10, 11, 12])
+def test_settled_blocks_exact(width):
+    rng = random.Random(400 + width)
+    last = (1 << width) - 1
+    last_block = range(last - 63, last + 1)
+    top = 0b101 << (width - 3)
+    top_block = range(top, top + 64)
+    perms = [
+        swapped_rows(width, [(rng.choice(last_block), rng.choice(last_block)) for _ in range(3)]),
+        swapped_rows(width, [(rng.choice(top_block), rng.choice(top_block)) for _ in range(2)]
+                     + [(rng.choice(last_block), rng.choice(last_block)) for _ in range(2)]),
+        swapped_rows(width, [(top + 5, top + 64 + 9)]),
+    ]
+    for perm in perms:
+        circ = tbs(perm)
+        assert simulate_full(circ).images == perm.images
+        assert circ.gates == reference_tbs(perm)
+
+
 def test_trace_monotone_prefix_invariant():
     rng = random.Random(55)
     for _ in range(20):
