@@ -5,9 +5,11 @@ floor(2^n / x), i.e. the n most significant fractional bits of 1/x; x = 0
 saturates to all ones.  Two combinational designs compute it: an unrolled
 restoring divider (INTDIV) and a normalized Newton-Raphson iteration in
 two's-complement fixed point (NEWTON).  Both are emitted as majority/xor
-networks.  ``newton_trace`` is NEWTON's software model and the bit-exact
-oracle for its circuits; it works on raw integer words, all at the one
-fractional width ``DesignSpec.precision``, as the circuit does.
+networks.  ``newton_trace`` is NEWTON's software model, the bit-exact
+reference for its datapath; it works on raw integer words, all at the one
+fractional width ``DesignSpec.precision``, as the circuit does.  Its output
+equals ``oracle_reciprocal`` at every x, so the exact oracle is every
+design's truth table.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class DesignSpec:
 
 
 # ---------------------------------------------------------------------------
-# Software Newton model, the oracle for NEWTON circuits.
+# Software Newton model, the reference for the NEWTON datapath.
 
 
 @dataclass(frozen=True)
@@ -303,12 +305,13 @@ def gen_newton_xmg(spec: DesignSpec) -> Xmg:
 
 
 def design_truth_table(spec: DesignSpec, limit: int | None = None) -> TruthTable:
-    """The design's input-to-output table: the exact oracle for INTDIV, the
-    Newton model for NEWTON."""
+    """The design's input-to-output table, from the exact oracle.
+
+    Both designs compute the reciprocal exactly (NEWTON's model matches the
+    oracle at every x), so one table serves both.
+    """
     n = spec.bitwidth
-    if spec.design is Design.INTDIV:
-        return TruthTable.from_function(n, n, lambda x: oracle_reciprocal(n, x), limit)
-    return TruthTable.from_function(n, n, lambda x: newton_trace(spec, x).output, limit)
+    return TruthTable.from_function(n, n, lambda x: oracle_reciprocal(n, x), limit)
 
 
 def design_xmg(spec: DesignSpec) -> Xmg:

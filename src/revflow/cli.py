@@ -77,13 +77,6 @@ def tt_limit() -> int:
 # --- shared plumbing ------------------------------------------------------
 
 
-def _make_spec(design: str, n: int) -> DesignSpec:
-    try:
-        return DesignSpec(Design(design), n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _stamp_file(path, design: str, n: int) -> None:
     text = Path(path).read_text(encoding="utf-8")
     Path(path).write_text(f"# design={design} n={n}\n" + text, encoding="utf-8")
@@ -178,7 +171,7 @@ def _flow_kwargs(args, limit: int) -> dict:
 
 
 def cmd_gen(args) -> int:
-    spec = _make_spec(args.design, args.bits)
+    spec = DesignSpec(Design(args.design), args.bits)
     limit = tt_limit()
     out = Path(args.output)
     if args.format == "xmg":
@@ -201,9 +194,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the table first: a bad width or size fails before the circuit is read
+    table = design_truth_table(DesignSpec(Design(args.design), args.bits), tt_limit())
     circ = read_real(args.circuit)
-    spec = _make_spec(args.design, args.bits)
-    table = design_truth_table(spec, tt_limit())
     mismatch = first_mismatch(circ, table)
     counterexample = None if mismatch is None else dict(zip(("x", "output", "got", "want"), mismatch))
     _report(
@@ -235,7 +228,7 @@ def cmd_sweep(args) -> int:
     model = CostModel.from_file(args.cost_model) if args.cost_model else DEFAULT_COST_MODEL
     for n in args.widths:
         t0 = time.perf_counter()
-        spec = _make_spec(args.design, n)
+        spec = DesignSpec(Design(args.design), n)
         source = design_xmg(spec) if args.method == "hier" else design_truth_table(spec, limit)
         circ = run_flow(args.method, source, **_flow_kwargs(args, limit))
         _report_flow(circ, model, args.design, n, args.method, t0)

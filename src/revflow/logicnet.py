@@ -196,24 +196,19 @@ def _find_distance1_merge(cubes: list[Cube], index: dict) -> tuple[int, int, Cub
     # index maps each cube's (mask, polarity) to its position; no key repeats.
     for k, c in enumerate(cubes):
         m = c.mask
-        i = 0
-        probe = m
-        while probe:
-            if probe & 1:
-                bit = 1 << i
-                # partner has the opposite phase at i
-                other = index.get((m, c.polarity ^ bit))
-                if other is not None and other > k and cubes[other].output_mask == c.output_mask:
-                    merged = Cube(m & ~bit, c.polarity & ~bit, c.output_mask)
-                    return k, other, merged
-                # partner lacks the literal at i entirely
-                other = index.get((m & ~bit, c.polarity & ~bit))
-                if other is not None and cubes[other].output_mask == c.output_mask:
-                    lo, hi = (other, k) if other < k else (k, other)
-                    merged = Cube(m, c.polarity ^ bit, c.output_mask)
-                    return lo, hi, merged
-            probe >>= 1
-            i += 1
+        for i in _bits(m):
+            bit = 1 << i
+            # partner has the opposite phase at i
+            other = index.get((m, c.polarity ^ bit))
+            if other is not None and other > k and cubes[other].output_mask == c.output_mask:
+                merged = Cube(m & ~bit, c.polarity & ~bit, c.output_mask)
+                return k, other, merged
+            # partner lacks the literal at i entirely
+            other = index.get((m & ~bit, c.polarity & ~bit))
+            if other is not None and cubes[other].output_mask == c.output_mask:
+                lo, hi = (other, k) if other < k else (k, other)
+                merged = Cube(m, c.polarity ^ bit, c.output_mask)
+                return lo, hi, merged
     return None
 
 

@@ -20,17 +20,12 @@ bit per plane.
 
 A row that is already its own image emits no gate, and once its first
 rows are settled almost every row of a bennett embedding is one.  At such a
-row the kernel ORs over the lines the XOR of each plane's 64 block bits
-with the same bits of the row indices: bit b of base + k, which is bit b of
-k below line 6, because the block starts at a multiple of 64, and constant
-over the block from line 6 up.  The set bits are the block's rows that are
-not their own image, and the scan jumps to the first one after row i.  When
-there is none, the same XOR runs once over every row left, against each
-line's whole index pattern shifted down by the base: the scan jumps to the
-first row left that is not its own image, or stops if there is none, and
-the planes shift once, by the jump rounded down to a block boundary.  The
-jump is exact: the rows it passes emit no gate, so they change no plane,
-and the gate list is the one a row-by-row scan emits.
+row the kernel ORs over the lines the XOR of each plane with that line's
+index pattern shifted down by the base: the set bits are the rows left that
+are not their own image.  The scan jumps to the first one after row i, or
+stops if there is none.  The jump is exact: the rows it passes emit no gate,
+so they change no plane, and the gate list is the one a row-by-row scan
+emits.
 """
 
 from __future__ import annotations
@@ -38,9 +33,6 @@ from __future__ import annotations
 from .embedding import Embedding, Permutation
 from .logicnet import _bits, _input_pattern, _transpose
 from .revcirc import MctGate, RevCircuit
-
-# the mask of one block's 64 rows
-_WINDOW = (1 << 64) - 1
 
 
 def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
@@ -55,9 +47,6 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     planes = _transpose(perm.images, r)
     full = (1 << (1 << r)) - 1
     base = 0
-    # bit k of idents[b] is bit b of base + k, over the block's 64 rows
-    low = [_input_pattern(b, 6) for b in range(min(r, 6))]
-    idents = low + [0] * (r - len(low))
     # bit x of patterns[b] is bit b of x, over every row
     patterns = [_input_pattern(b, r) for b in range(r)]
     literals: dict[int, tuple[int, ...]] = {}
@@ -82,25 +71,19 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
             planes = [p >> shift for p in planes]
             full >>= shift
             base += shift
-            idents = low + [_WINDOW if base >> b & 1 else 0 for b in range(6, r)]
         row = 1 << (i - base)
         y = 0
         for b in range(r):
             if planes[b] & row:
                 y |= 1 << b
         if y == i:
-            # bit k: row i + 1 + k of the block is not its own image
+            # bit k: row i + 1 + k is not its own image, over every row left
             moved = 0
-            for plane, ident in zip(planes, idents):
-                moved |= (plane & _WINDOW) ^ ident
-            moved = (moved & full) >> (i - base + 1)
+            for plane, pattern in zip(planes, patterns):
+                moved |= plane ^ pattern >> base
+            moved >>= i - base + 1
             if not moved:
-                # bit k: row i + 1 + k is not its own image, over every row left
-                for plane, pattern in zip(planes, patterns):
-                    moved |= plane ^ pattern >> base
-                moved >>= i - base + 1
-                if not moved:
-                    break
+                break
             i += (moved & -moved).bit_length()
             continue
         up = i & ~y

@@ -49,8 +49,9 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     non-input line returns to 0 on every input.  With ``inplace_xor``,
     single-reader XOR operands are overwritten instead of given a new line.
     """
-    # Bennett cleanup is the only strategy; the argument stays so that
-    # callers naming it explicitly (as `revflow synth --cleanup` does) keep working.
+    # Bennett cleanup is the only strategy; the argument stays only for
+    # perfbench/pipeline.py, which passes "bennett", and goes once that
+    # bench runs through run_flow.
     if strategy != "bennett":
         raise ValueError(f"unknown strategy {strategy!r}")
     n, m = net.num_inputs, net.num_outputs

@@ -97,7 +97,7 @@ def test_design_spec_validation():
     assert spec.precision == 8
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_newton_model_matches_oracle(n):
     spec = DesignSpec(Design.NEWTON, n)
     for x in range(1 << n):

@@ -83,6 +83,15 @@ def test_missing_file(capsys, tmp_path):
     assert code == 2 and err
 
 
+def test_verify_checks_its_arguments_before_the_file(capsys, tmp_path):
+    # the table is built first, so a bad width or size is reported, not the path
+    missing = str(tmp_path / "missing.real")
+    code, _, err = run(capsys, "verify", missing, "--design", "intdiv", "-n", "25")
+    assert code == 2 and "exceeds the truth-table limit" in err
+    code, _, err = run(capsys, "verify", missing, "--design", "newton", "-n", "1")
+    assert code == 2 and "bitwidth must be at least 2" in err
+
+
 def test_bad_width(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--design", "newton", "-n", "1",
                        "-o", str(tmp_path / "x.xmg"))
