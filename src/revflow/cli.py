@@ -23,6 +23,7 @@ from .logicnet import (
     EsopForm,
     TruthTable,
     Xmg,
+    _check_limit,
     esop_from_tt,
     esop_minimize,
     read_pla,
@@ -134,8 +135,8 @@ def run_flow(
     TruthTable.  ``embedding`` (default optimum) goes only with functional and
     ``inplace_xor`` only with hier: either raises CliError on another method.
     esop always minimizes its cube list.  ``limit`` caps the truth-table
-    inputs and the embedding width, as REVFLOW_TT_LIMIT does on the command
-    line.
+    inputs, an EsopForm's input and output counts and the embedding width,
+    as REVFLOW_TT_LIMIT does on the command line.
     """
     if embedding is not None and method != "functional":
         raise CliError(f"embedding goes with method functional, not {method}")
@@ -147,6 +148,10 @@ def run_flow(
         return hier_synth(source, inplace_xor=inplace_xor)
     if isinstance(source, Xmg):
         raise CliError(f"method {method} needs a .pla or truth-table input")
+    if isinstance(source, EsopForm):
+        # a .pla header sets these counts, so check them before either flow builds anything
+        _check_limit(source.num_inputs, limit)
+        _check_limit(source.num_outputs, limit)
     if method == "functional":
         table = source.to_truth_table(limit) if isinstance(source, EsopForm) else source
         embed = _EMBEDDINGS.get("optimum" if embedding is None else embedding)

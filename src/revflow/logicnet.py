@@ -13,6 +13,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -50,11 +51,13 @@ class TableLimitError(ValueError):
     """Raised when a truth-table expansion would exceed the configured input limit."""
 
 
-def _check_limit(num_inputs: int, limit: int | None) -> None:
+def _check_limit(width: int, limit: int | None) -> None:
+    """Raise TableLimitError when a width (a table's inputs, a form's inputs
+    or outputs, an embedding's lines) exceeds the limit."""
     cap = DEFAULT_TT_LIMIT if limit is None else limit
-    if num_inputs > cap:
+    if width > cap:
         raise TableLimitError(
-            f"{num_inputs} inputs exceeds the truth-table limit of {cap}; "
+            f"width {width} exceeds the truth-table limit of {cap}; "
             "raise the limit explicitly to proceed"
         )
 
@@ -101,7 +104,7 @@ class TruthTable:
         return _transpose(self.rows, self.num_outputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Cube:
     """Product term of an ESOP: a set of literals and the outputs it feeds.
 
@@ -114,13 +117,22 @@ class Cube:
     polarity: int
     output_mask: int
 
-    def __post_init__(self):
-        if self.mask < 0 or self.polarity < 0:
+    def __init__(self, mask: int, polarity: int, output_mask: int):
+        if mask < 0 or polarity < 0:
             raise ValueError("negative literal masks")
-        if self.polarity & ~self.mask:
+        if polarity & ~mask:
             raise ValueError("polarity bits outside the literal mask")
-        if self.output_mask <= 0:
+        if output_mask <= 0:
             raise ValueError("cube must drive at least one output")
+        _set_mask(self, mask)
+        _set_polarity(self, polarity)
+        _set_output_mask(self, output_mask)
+
+
+# the slot descriptors set the fields past the frozen class's __setattr__
+_set_mask = Cube.mask.__set__
+_set_polarity = Cube.polarity.__set__
+_set_output_mask = Cube.output_mask.__set__
 
 
 @dataclass(frozen=True)
@@ -132,12 +144,13 @@ class EsopForm:
     cubes: tuple[Cube, ...]
 
     def __post_init__(self):
-        top_in = 1 << self.num_inputs
-        top_out = 1 << self.num_outputs
+        if self.num_inputs < 0 or self.num_outputs < 0:
+            raise ValueError("negative arity")
+        # bit lengths, not 2^n bounds: a header's counts may be far too large to shift by
         for k, c in enumerate(self.cubes):
-            if c.mask >= top_in:
+            if c.mask.bit_length() > self.num_inputs:
                 raise ValueError(f"cube {k} uses inputs beyond {self.num_inputs}")
-            if c.output_mask >= top_out:
+            if c.output_mask.bit_length() > self.num_outputs:
                 raise ValueError(f"cube {k} drives outputs beyond {self.num_outputs}")
 
     def to_truth_table(self, limit: int | None = None) -> TruthTable:
@@ -190,24 +203,26 @@ def _combine_identical(cubes: list[Cube]) -> list[Cube]:
     return [Cube(m, p, w) for (m, p), w in acc.items() if w]
 
 
-def _find_distance1_merge(cubes: list[Cube], index: dict) -> tuple[int, int, Cube] | None:
+def _find_distance1_merge(cubes: list[Cube], index: dict, n: int) -> tuple[int, int, Cube] | None:
     # Two cubes whose literal maps differ in exactly one input position merge
     # into one: opposite phases drop the literal, literal-vs-absent flips it.
-    # index maps each cube's (mask, polarity) to its position; no key repeats.
+    # index maps each cube's key, mask << n | polarity, to its position; no
+    # key repeats.  A partner's key is the cube's with one or two bits flipped.
     for k, c in enumerate(cubes):
-        m = c.mask
+        m, p = c.mask, c.polarity
+        key = m << n | p
         for i in _bits(m):
             bit = 1 << i
             # partner has the opposite phase at i
-            other = index.get((m, c.polarity ^ bit))
+            other = index.get(key ^ bit)
             if other is not None and other > k and cubes[other].output_mask == c.output_mask:
-                merged = Cube(m & ~bit, c.polarity & ~bit, c.output_mask)
+                merged = Cube(m & ~bit, p & ~bit, c.output_mask)
                 return k, other, merged
             # partner lacks the literal at i entirely
-            other = index.get((m & ~bit, c.polarity & ~bit))
+            other = index.get(key ^ (bit << n | p & bit))
             if other is not None and cubes[other].output_mask == c.output_mask:
                 lo, hi = (other, k) if other < k else (k, other)
-                merged = Cube(m, c.polarity ^ bit, c.output_mask)
+                merged = Cube(m, p ^ bit, c.output_mask)
                 return lo, hi, merged
     return None
 
@@ -218,16 +233,20 @@ def esop_minimize(esop: EsopForm) -> EsopForm:
     Runs to a fixpoint: identical literal sets XOR-combine (cancelling when the
     combined output mask is empty), and cube pairs at literal distance one fuse
     into a single cube.  The result computes the same function with at most as
-    many cubes.  Each pass indexes the literal sets once: if one repeats,
-    the repeats combine; else the index finds the first mergeable pair.
+    many cubes.  Each pass indexes the literal sets once, each as the one int
+    ``mask << n | polarity`` (polarity lies within the mask, so below 2^n):
+    if one repeats, the repeats combine; else the index finds the first
+    mergeable pair.  Every pass restarts from the first cube, which fixes
+    the order in which pairs merge.
     """
+    n = esop.num_inputs
     cubes = list(esop.cubes)
     while True:
-        index = {(c.mask, c.polarity): k for k, c in enumerate(cubes)}
+        index = {c.mask << n | c.polarity: k for k, c in enumerate(cubes)}
         if len(index) < len(cubes):
             cubes = _combine_identical(cubes)
             continue
-        found = _find_distance1_merge(cubes, index)
+        found = _find_distance1_merge(cubes, index, n)
         if found is None:
             break
         k, other, merged = found
@@ -277,21 +296,69 @@ def write_pla(esop: EsopForm, path: str | Path) -> None:
 
 
 # translate tables: the first two delete the characters a column may hold,
-# so what is left of a pattern is its bad characters in order; the third
-# marks each literal of an input pattern with 1
+# so what is left of a pattern or column is its bad characters in order; the
+# third marks each literal of an input pattern or column with 1
 _INPUT_COLUMNS = str.maketrans("", "", "01-")
 _OUTPUT_COLUMNS = str.maketrans("", "", "01")
 _LITERAL_BITS = str.maketrans("01-", "110")
 
 
+def _read_cube_run(run: str, n: int, m: int) -> list[Cube] | None:
+    """The cubes of a run of cube lines, read a column at a time, or None.
+
+    None unless every line of the run is in the form ``write_pla`` writes,
+    n input columns, one space, m output columns and a newline, and every
+    cube drives an output.  A column of the run, reversed, is the binary
+    numeral of a plane over the cubes, bit k for cube k; ``_transpose``
+    turns the planes into the cubes' words.
+    """
+    stride = n + m + 2
+    count = len(run) // stride
+    if (len(run) != count * stride or run[n::stride] != " " * count
+            or run[stride - 1::stride] != "\n" * count):
+        return None
+    masks, polarities, outputs = [], [], []
+    for i in range(n):
+        column = run[i::stride]
+        if column.translate(_INPUT_COLUMNS):
+            return None
+        column = column[::-1]
+        masks.append(int(column.translate(_LITERAL_BITS), 2))
+        polarities.append(int(column.replace("-", "0"), 2))
+    for j in range(n + 1, n + 1 + m):
+        column = run[j::stride]
+        if column.translate(_OUTPUT_COLUMNS):
+            return None
+        outputs.append(int(column[::-1], 2))
+    outputs = _transpose(outputs, count)
+    if 0 in outputs:
+        return None
+    return list(map(Cube, _transpose(masks, count), _transpose(polarities, count), outputs))
+
+
 def read_pla(path: str | Path) -> EsopForm:
+    """Read an ESOP-dialect PLA file.
+
+    A run of cube lines, from a cube line up to the next line that starts
+    with ``.`` or the end of the text, is first read by
+    ``_read_cube_run``.  A run that step turns down (a blank or comment
+    line, a tab, a bad column, a cube that drives nothing) is read line by
+    line, once; that loop is the only code that names a fault.
+    """
     name = str(path)
     num_inputs: int | None = None
     num_outputs: int | None = None
     cubes: list[Cube] = []
     ended = False
     typed = False
-    for lineno, line in enumerate(_lex(Path(path).read_text(encoding="utf-8")), start=1):
+    lines = _lex(Path(path).read_text(encoding="utf-8"))
+    text = "\n".join(lines) + "\n"
+    rows = enumerate(lines, start=1)
+    start = 0  # where the next line starts in text
+    plain = 0  # the last line of a run the column step turned down
+    for lineno, line in rows:
+        offset = start
+        start += len(line) + 1
         fields = line.split()
         if not fields:
             continue
@@ -326,6 +393,16 @@ def read_pla(path: str | Path) -> EsopForm:
         if not typed:
             # a plain PLA sums cubes with OR; reading it as ESOP would be wrong
             raise ParseError("cube before .type esop declaration", name, lineno)
+        if lineno > plain:
+            end = text.find("\n.", offset) + 1 or len(text)
+            run = _read_cube_run(text[offset:end], num_inputs, num_outputs)
+            if run is not None:
+                cubes += run
+                # skip the run's other lines (the itertools "consume" recipe)
+                next(islice(rows, len(run) - 1, len(run) - 1), None)
+                start = end
+                continue
+            plain = lineno + text.count("\n", offset, end) - 1
         if len(fields) == 1 and num_inputs == 0:
             # a cube with no inputs is its output pattern alone
             fields.insert(0, "")

@@ -64,7 +64,8 @@ class MctGate:
     """Flip the target iff every control literal holds.
 
     Controls on the tuple object that last passed the order check skip it;
-    the target is checked on every gate.
+    the target is checked on every gate, and searched for among the
+    controls only when its line is not above the last control's.
     """
 
     target: int
@@ -83,7 +84,10 @@ class MctGate:
                 prev = line
             if type(controls) is tuple:
                 _checked = controls
-        if target << 1 in controls or target << 1 | 1 in controls:
+        # the controls ascend by line, so a target above the last control's
+        # line is none of them: an ESOP gate's output line always is
+        if (controls and target <= controls[-1] >> 1
+                and (target << 1 in controls or target << 1 | 1 in controls)):
             raise ValueError("target used as its own control")
         _set_target(self, target)
         _set_controls(self, controls)

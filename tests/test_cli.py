@@ -223,6 +223,20 @@ def test_functional_width_limit(tmp_path, capsys, embedding):
     assert time.perf_counter() - start < 5
 
 
+def test_oversized_pla_header_exits_2(tmp_path, capsys):
+    # a cube-less form past the limit: 2^n must never be built, nor n lines laid out
+    src = tmp_path / "d.pla"
+    for header in (".i 99999999999999999999\n.o 1", ".i 1000000000000000000\n.o 1",
+                   ".i 2\n.o 99999999999999999999", ".i 2\n.o 1000000000000000000"):
+        src.write_text(f"{header}\n.type esop\n.e\n", encoding="utf-8")
+        for method in ("esop", "functional"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "synth", str(src), "--method", method,
+                                 "-o", str(tmp_path / "d.real"))
+            assert code == 2 and out is None and "exceeds the truth-table limit" in err, (header, method)
+            assert time.perf_counter() - start < 5
+
+
 def test_sweep_requires_design_and_method(capsys):
     for argv in (["4..5", "--design", "intdiv"], ["4..5", "--method", "esop"],
                  ["--design", "intdiv", "--method", "esop"]):

@@ -1,6 +1,7 @@
 """Tables, ESOP forms and their minimizer, the strashed net, and file I/O."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -86,6 +87,18 @@ def test_cube_matching():
         Cube(mask=0b01, polarity=0b10, output_mask=1)  # polarity outside mask
     with pytest.raises(ValueError):
         Cube(mask=0, polarity=0, output_mask=0)
+    with pytest.raises(ValueError, match="negative literal masks"):
+        Cube(-1, 0, 1)
+    with pytest.raises(ValueError, match="negative literal masks"):
+        Cube(1, -1, 1)
+    # a slotted frozen cube: fields are read-only, equal cubes hash equal
+    assert (c.mask, c.polarity, c.output_mask) == (0b101, 0b001, 1)
+    assert not hasattr(c, "__dict__")
+    for field in ("mask", "polarity", "output_mask"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, field, 0)
+    assert c == Cube(0b101, 0b001, 1) and hash(c) == hash(Cube(0b101, 0b001, 1))
+    assert c != Cube(0b101, 0b001, 2)
 
 
 def test_pprm_is_positive_polarity_and_exact():
@@ -294,13 +307,15 @@ def test_pla_parse_errors(tmp_path):
 
 def _mutate_pla(rng: random.Random, text: str) -> str:
     """One to three random edits: a character replaced, deleted or inserted,
-    a line dropped or repeated.  "\\r" breaks a line; "\\x0c" and U+2028 do not."""
+    a line dropped or repeated, or a cube line given a comment, a blank line
+    before it or a tab for its space, which keeps it a cube line but not in
+    the written form.  "\r" breaks a line; "\x0c" and U+2028 do not."""
     pool = "01-01-01 x2\u00b2\u0661_b+\t#.e\r\x0c\u2028"
     for _ in range(rng.randrange(1, 4)):
         lines = text.split("\n")
         k = rng.randrange(len(lines))
         line = lines[k]
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         i = rng.randrange(len(line) + 1)
         if op == 0 and line:
             i = min(i, len(line) - 1)
@@ -311,23 +326,46 @@ def _mutate_pla(rng: random.Random, text: str) -> str:
             line = line[:i] + rng.choice(pool) + line[i:]
         elif op == 3:
             line = None
-        else:
+        elif op == 4:
             lines.insert(k, line)
+        elif line and line[0] in "01- ":
+            line = rng.choice((line + " # a cube", "\n" + line, line.replace(" ", "\t")))
         lines[k:k + 1] = [] if line is None else [line]
         text = "\n".join(lines)
     return text
 
 
-def test_pla_reader_differential(tmp_path):
+def _random_form(rng: random.Random, n: int, m: int, count: int) -> EsopForm:
+    cubes = []
+    for _ in range(count):
+        mask = rng.getrandbits(n)
+        cubes.append(Cube(mask, rng.getrandbits(n) & mask, rng.randrange(1, 1 << m)))
+    return EsopForm(n, m, tuple(cubes))
+
+
+def test_pla_reader_differential(tmp_path, monkeypatch):
     """read_pla against a per-character reader on seeded mutated files:
-    the same form, or the same message at the same line."""
+    the same form, or the same message at the same line.
+
+    The forms reach every lane width of ``_transpose`` in the column step:
+    up to 64 cubes, each cube takes a lane; past 64, each of up to 13
+    input planes does; past 64 of both, the text branch runs.  A rejected
+    run is handed to the per-line loop once, not retried at its lines.
+    """
     rng = random.Random(41)
     p = tmp_path / "m.pla"
     outcomes = set()
+    forms = [EsopForm(0, 2, (Cube(0, 0, 1), Cube(0, 0, 3)))]
     for _ in range(100):
         n, m = rng.randrange(1, 6), rng.randrange(1, 4)
         tt = TruthTable(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n)))
-        write_pla(esop_from_tt(tt), p)
+        forms.append(esop_from_tt(tt))
+    for count in (33, 64, 65, 300, 1500):
+        forms.append(_random_form(rng, rng.randrange(6, 14), rng.randrange(1, 4), count))
+    forms.append(_random_form(rng, 70, 2, 80))
+    for form in forms:
+        write_pla(form, p)
+        assert read_pla(p) == form
         clean = p.read_text(encoding="utf-8")
         for _ in range(20):
             p.write_text(_mutate_pla(rng, clean), encoding="utf-8")
@@ -340,8 +378,16 @@ def test_pla_reader_differential(tmp_path):
                 outcomes.add(str(exc).split(": ", 1)[1].split(" '")[0])
             else:
                 assert read_pla(p) == want
-                outcomes.add("read")
-    assert {"read", "bad input column character", "bad output column character"} <= outcomes
+                outcomes.add("read" if want == form else "read another form")
+    assert {"read", "read another form", "bad input column character",
+            "bad output column character"} <= outcomes
+    # a tab in the first cube line turns the whole run down, once
+    calls = []
+    read_run = logicnet._read_cube_run
+    monkeypatch.setattr(logicnet, "_read_cube_run", lambda *args: calls.append(args) or read_run(*args))
+    head, typed, run = clean.partition(".type esop\n")
+    p.write_text(head + typed + run.replace(" ", "\t", 1), encoding="utf-8")
+    assert read_pla(p) == forms[-1] and len(calls) == 1
 
 
 def test_pla_error_carries_location(tmp_path):

@@ -49,8 +49,9 @@ def test_gate_checks_match_reference():
 
     A step reuses the previous tuple object, builds an equal but fresh
     tuple, or draws a new tuple, bad in up to three draws of ten,
-    right after good ones; targets include negative lines and the lines of
-    the tuple itself, so a self-target lands on a tuple already checked.
+    right after good ones; targets include negative lines, the lines of
+    the tuple itself, so a self-target lands on a tuple already checked, and
+    the lines just below and just above the tuple's.
     """
     rng = random.Random(31)
 
@@ -77,7 +78,14 @@ def test_gate_checks_match_reference():
             elif pick == 1:
                 controls = tuple(list(controls))
             lines = [c >> 1 for c in controls]
-            target = rng.choice(lines) if lines and rng.randrange(3) == 0 else rng.randrange(-1, width)
+            edge = rng.randrange(6) if lines else 5
+            if edge < 2:
+                target = rng.choice(lines)
+            elif edge < 4:
+                # one line past either end of the control lines
+                target = min(lines) - 1 if edge == 2 else max(lines) + 1
+            else:
+                target = rng.randrange(-1, width)
             want = reference_gate_error(target, controls)
             if want is None:
                 gate = MctGate(target, controls)
