@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .logicnet import TruthTable, Xmg
+from .logicnet import MAX_NET_WIDTH, TruthTable, Xmg, _check_limit
 
 
 def oracle_reciprocal(n: int, x: int) -> int:
@@ -83,6 +83,8 @@ class DesignSpec:
     def __post_init__(self):
         if self.bitwidth < 2:
             raise ValueError("bitwidth must be at least 2")
+        if self.bitwidth > MAX_NET_WIDTH:
+            raise ValueError(f"bitwidth {self.bitwidth} exceeds the network width cap of {MAX_NET_WIDTH}")
 
     @property
     def precision(self) -> int:
@@ -311,7 +313,8 @@ def design_truth_table(spec: DesignSpec, limit: int | None = None) -> TruthTable
     oracle at every x), so one table serves both.
     """
     n = spec.bitwidth
-    return TruthTable.from_function(n, n, lambda x: oracle_reciprocal(n, x), limit)
+    _check_limit(n, limit)
+    return TruthTable(n, n, tuple(oracle_reciprocal(n, x) for x in range(1 << n)))
 
 
 def design_xmg(spec: DesignSpec) -> Xmg:

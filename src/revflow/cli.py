@@ -231,6 +231,8 @@ def cmd_stats(args) -> int:
 def cmd_sweep(args) -> int:
     limit = tt_limit()
     model = CostModel.from_file(args.cost_model) if args.cost_model else DEFAULT_COST_MODEL
+    # the widest spec first, so a range past the width cap fails before any work
+    DesignSpec(Design(args.design), args.widths[-1])
     for n in args.widths:
         t0 = time.perf_counter()
         spec = DesignSpec(Design(args.design), n)

@@ -15,11 +15,16 @@ from array import array
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 # Truth-table expansion guard: 2^n rows get expensive fast.  The CLI can raise
 # this via the REVFLOW_TT_LIMIT environment variable.
 DEFAULT_TT_LIMIT = 20
+
+# Network width cap: the most inputs a read .xmg may declare and the widest
+# design.  A network needs no table, so REVFLOW_TT_LIMIT does not move it;
+# NEWTON is already millions of nodes at this width.
+MAX_NET_WIDTH = 128
 
 
 class ParseError(ValueError):
@@ -85,19 +90,6 @@ class TruthTable:
         for x, row in enumerate(self.rows):
             if not 0 <= row < top:
                 raise ValueError(f"row {x} value {row} out of range for {self.num_outputs} outputs")
-
-    @classmethod
-    def from_function(
-        cls,
-        num_inputs: int,
-        num_outputs: int,
-        fn: Callable[[int], int],
-        limit: int | None = None,
-    ) -> "TruthTable":
-        """Tabulate fn over all 2^num_inputs assignments."""
-        _check_limit(num_inputs, limit)
-        rows = tuple(fn(x) for x in range(1 << num_inputs))
-        return cls(num_inputs, num_outputs, rows)
 
     def columns(self) -> list[int]:
         """One bit-plane per output: bit x of columns()[j] is output j of row x."""
@@ -737,8 +729,6 @@ def read_xmg(path: str | Path) -> Xmg:
     header: tuple[int, int, int] | None = None
     # translate file node ids through folding: id -> literal in the new net
     by_id: list[int] = [0]
-    gates_seen = 0
-    outputs_seen = 0
     ended = False
     for lineno, line in enumerate(_lex(Path(path).read_text(encoding="utf-8")), start=1):
         fields = line.split()
@@ -753,6 +743,9 @@ def read_xmg(path: str | Path) -> Xmg:
             if len(fields) != 4 or not all(f.isascii() and f.isdigit() for f in fields[1:]):
                 raise ParseError("malformed .xmg header", name, lineno)
             header = (int(fields[1]), int(fields[2]), int(fields[3]))
+            if header[0] > MAX_NET_WIDTH:
+                raise ParseError(f"{header[0]} inputs exceed the network width cap of {MAX_NET_WIDTH}",
+                                 name, lineno)
             for _ in range(header[0]):
                 by_id.append(net.add_input())
             continue
@@ -764,7 +757,7 @@ def read_xmg(path: str | Path) -> Xmg:
             ended = True
             continue
         if kind == "maj" or kind == "xor":
-            if outputs_seen:
+            if net.num_outputs:
                 raise ParseError("gate after outputs", name, lineno)
             arity = 3 if kind == "maj" else 2
             if len(fields) != 1 + arity:
@@ -784,18 +777,17 @@ def read_xmg(path: str | Path) -> Xmg:
             ops.append(by_id[value >> 1] ^ (value & 1))
         if kind == "out":
             net.add_output(ops[0])
-            outputs_seen += 1
         else:
             by_id.append(add_maj(*ops) if kind == "maj" else add_xor(*ops))
-            gates_seen += 1
     if header is None:
         raise ParseError("missing .xmg header", name)
     if not ended:
         raise ParseError("missing .end terminator", name)
-    if gates_seen != header[2] or outputs_seen != header[1]:
+    num_gates = len(by_id) - 1 - header[0]  # by_id: the constant, the inputs, each gate line
+    if num_gates != header[2] or net.num_outputs != header[1]:
         raise ParseError(
             f"header promises {header[2]} gates and {header[1]} outputs, "
-            f"found {gates_seen} and {outputs_seen}",
+            f"found {num_gates} and {net.num_outputs}",
             name,
         )
     return net

@@ -5,7 +5,10 @@ a xor ((a xor b) and (a xor c)) = MAJ(a, b, c): the two factors are built
 with CNOTs, consumed as Toffoli controls, and torn down again.  XOR nodes
 are pure CNOTs.  Factors normally form in place on the operand lines; when
 an operand is a primary input the factor is built on a scratch line instead
-so inputs are never written, only read.
+so inputs are never written, only read.  A MAJ tears its factors down before
+the next node is compiled, so hier uses at most two scratch lines: the k-th
+input operand of a MAJ takes scratch line k, allocated the first time some
+MAJ needs it.
 
 Cleanup is Bennett's: compute every node, copy the outputs out, then run
 the compute phase in reverse, which leaves every ancilla at 0.  With
@@ -58,33 +61,31 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     first_gate_lit = (1 + n) << 1  # literals below it are the constant or an input
     readers = _readers(net)
     # one control tuple per line for the CNOTs: a line per output and per
-    # live node at most, and at most two scratch lines, as a MAJ frees its own
+    # live node at most, and the two scratch lines
     live = net.num_nodes - 1 - n - readers.count(0, 1 + n)
     ctl = [(line << 1,) for line in range(n + m + live + 2)]
     line_of = {1 + i: i for i in range(n)}  # node -> the line holding its value
     next_line = n + m
-    pool: list[int] = []  # scratch lines free for reuse, reused last-freed first
+    scratch: list[int] = []  # scratch[k]: the line of a MAJ's k-th input operand
     compute: list[MctGate] = []
     for node, fanins in net.gates():
         if not readers[node]:
             continue
         if len(fanins) == 2:  # an XOR
             a, b = fanins  # stored phase-free, the complement lives on the edge
-            if inplace_xor:
-                # a gate operand read by this XOR alone is free after the read,
-                # so the XOR can target its line and cleanup stays a reversal
-                if a >= first_gate_lit and readers[a >> 1] == 1:
-                    line_of[node] = target = line_of[a >> 1]
-                    compute.append(MctGate(target, ctl[line_of[b >> 1]]))
-                    continue
-                if b >= first_gate_lit and readers[b >> 1] == 1:
-                    line_of[node] = target = line_of[b >> 1]
-                    compute.append(MctGate(target, ctl[line_of[a >> 1]]))
-                    continue
-            line_of[node] = target = next_line
-            next_line += 1
-            compute.append(MctGate(target, ctl[line_of[a >> 1]]))
-            compute.append(MctGate(target, ctl[line_of[b >> 1]]))
+            # with inplace_xor, a gate operand read by this XOR alone is free
+            # after the read, so the XOR can target its line and cleanup stays
+            # a reversal; a is tried first
+            for dest, src in ((a, b), (b, a)) if inplace_xor else ():
+                if dest >= first_gate_lit and readers[dest >> 1] == 1:
+                    line_of[node] = target = line_of[dest >> 1]
+                    compute.append(MctGate(target, ctl[line_of[src >> 1]]))
+                    break
+            else:
+                line_of[node] = target = next_line
+                next_line += 1
+                compute.append(MctGate(target, ctl[line_of[a >> 1]]))
+                compute.append(MctGate(target, ctl[line_of[b >> 1]]))
             continue
         line_of[node] = target = next_line
         next_line += 1
@@ -106,23 +107,21 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
         if not a_const:
             a_line = line_of[a >> 1]
         setup: list[MctGate] = []
-        released: list[int] = []
         controls = []
+        k = 0  # input operands of this MAJ seen so far
         for op in (b, c):
             op_line = line_of[op >> 1]
             # with a constant a, each operand is its own factor as it stands
             if not a_const:
                 if op < first_gate_lit:
-                    # never write an input: build its factor on a scratch line
-                    if pool:
-                        scratch = pool.pop()
-                    else:
-                        scratch = next_line
+                    # never write an input: build its factor on scratch line k
+                    if k == len(scratch):
+                        scratch.append(next_line)
                         next_line += 1
-                    released.append(scratch)
-                    setup.append(MctGate(scratch, ctl[op_line]))
-                    setup.append(MctGate(scratch, ctl[a_line]))
-                    op_line = scratch
+                    setup.append(MctGate(scratch[k], ctl[op_line]))
+                    setup.append(MctGate(scratch[k], ctl[a_line]))
+                    op_line = scratch[k]
+                    k += 1
                 else:
                     setup.append(MctGate(op_line, ctl[a_line]))
             controls.append(op_line << 1 | (a_neg ^ (op & 1)))
@@ -134,7 +133,6 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
         if a_neg:
             compute.append(MctGate(target))
         compute.extend(reversed(setup))
-        pool.extend(reversed(released))
     gates = list(compute)
     for j, edge in enumerate(net.outputs):
         if edge >> 1:

@@ -16,6 +16,7 @@ from revflow.arith import (
     newton_trace,
     oracle_reciprocal,
 )
+from revflow.logicnet import MAX_NET_WIDTH
 
 
 def test_oracle_values():
@@ -95,6 +96,11 @@ def test_design_spec_validation():
         DesignSpec(Design.INTDIV, 1)
     spec = DesignSpec(Design.NEWTON, 4)
     assert spec.precision == 8
+    # the network width cap bounds every design, whatever the table limit
+    for design in Design:
+        assert DesignSpec(design, MAX_NET_WIDTH).bitwidth == MAX_NET_WIDTH
+        with pytest.raises(ValueError, match=f"network width cap of {MAX_NET_WIDTH}"):
+            DesignSpec(design, MAX_NET_WIDTH + 1)
 
 
 @pytest.mark.parametrize("n", range(2, 17))

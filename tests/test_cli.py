@@ -10,7 +10,7 @@ import pytest
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
 from revflow.cli import CliError, main, run_flow
-from revflow.logicnet import TruthTable, read_pla, read_xmg
+from revflow.logicnet import MAX_NET_WIDTH, ParseError, TruthTable, read_pla, read_xmg
 
 
 def run(capsys, *argv):
@@ -235,6 +235,38 @@ def test_oversized_pla_header_exits_2(tmp_path, capsys):
                                  "-o", str(tmp_path / "d.real"))
             assert code == 2 and out is None and "exceeds the truth-table limit" in err, (header, method)
             assert time.perf_counter() - start < 5
+
+
+def test_network_width_cap_exits_2(tmp_path):
+    # without the cap these would add 10^20 inputs, or build a 100000-bit
+    # divider, without end: the timeout fails the test instead of hanging it
+    src = tmp_path / "d.xmg"
+    src.write_text(".xmg 99999999999999999999 0 0\n.end\n", encoding="utf-8")
+    for argv in (["synth", "--method", "hier", str(src), "-o", str(tmp_path / "d.real")],
+                 ["gen", "--design", "intdiv", "-n", "100000", "--format", "xmg",
+                  "-o", str(tmp_path / "x.xmg")]):
+        proc = subprocess.run([sys.executable, "-m", "revflow", *argv],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2 and f"network width cap of {MAX_NET_WIDTH}" in proc.stderr, argv
+    assert not (tmp_path / "d.real").exists() and not (tmp_path / "x.xmg").exists()
+
+
+def test_width_cap_bounds_every_design_command(tmp_path, capsys):
+    circuit = str(tmp_path / "d.real")
+    big = str(MAX_NET_WIDTH + 1)
+    for argv in (("verify", circuit, "--design", "intdiv", "-n", big),
+                 ("gen", "--design", "newton", "-n", big, "-o", str(tmp_path / "d.xmg")),
+                 ("sweep", f"2..{big}", "--design", "intdiv", "--method", "hier"),
+                 ("sweep", "2..99999999999999999999", "--design", "newton", "--method", "hier")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out is None and f"network width cap of {MAX_NET_WIDTH}" in err, argv
+    src = tmp_path / "d.xmg"
+    src.write_text(f".xmg {MAX_NET_WIDTH} 0 0\n.end\n", encoding="utf-8")
+    assert read_xmg(src).num_inputs == MAX_NET_WIDTH
+    src.write_text(f".xmg {big} 0 0\n.end\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{big} inputs exceed the network width cap") as info:
+        read_xmg(src)
+    assert info.value.line == 1
 
 
 def test_sweep_requires_design_and_method(capsys):

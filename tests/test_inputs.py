@@ -155,6 +155,8 @@ WHOLE_FILE_FAULTS = [
     ("f.xmg", ".xmg 1 1 0\nout 2\n", "missing .end terminator"),
     ("f.xmg", "", "missing .xmg header"),
     ("f.xmg", ".xmg 1 1 1\nout 2\n.end\n", "header promises 1 gates and 1 outputs, found 0 and 1"),
+    # both gate lines fold away, and still count as read
+    ("f.xmg", ".xmg 1 0 3\nxor 0 2\nxor 2 2\n.end\n", "header promises 3 gates and 0 outputs, found 2 and 0"),
     ("f.real", ".numvars 2\n.variables a b\n.begin\nt1 a\n", "missing .end"),
     ("f.real", ".numvars 2\n.variables a b\n", "missing .end"),
     ("f.real", ".numvars 2\n", "missing .numvars/.variables"),

@@ -19,6 +19,7 @@ from conftest import (
     xmg_kind,
 )
 from revflow import logicnet
+from revflow.arith import Design, DesignSpec, design_truth_table
 from revflow.logicnet import (
     Cube,
     EsopForm,
@@ -42,7 +43,7 @@ def test_truth_table_validation():
         TruthTable(2, 1, (0, 1, 0))          # wrong row count
     with pytest.raises(ValueError):
         TruthTable(1, 1, (0, 2))             # row out of range
-    tt = TruthTable.from_function(2, 2, lambda x: x)
+    tt = TruthTable(2, 2, (0, 1, 2, 3))
     assert tt.columns() == [0b1010, 0b1100]
 
 
@@ -75,8 +76,10 @@ def test_input_pattern_agrees_with_naive():
 
 
 def test_table_limit_guard():
+    spec = DesignSpec(Design.INTDIV, 5)
     with pytest.raises(TableLimitError):
-        TruthTable.from_function(5, 1, lambda x: 0, limit=4)
+        design_truth_table(spec, limit=4)
+    assert design_truth_table(spec, limit=5).num_inputs == 5
 
 
 def test_cube_matching():

@@ -129,6 +129,24 @@ def test_inplace_xor_noop_returns_input():
     assert hier_synth(net, inplace_xor=True) == hier_synth(net)
 
 
+def test_at_most_two_scratch_lines():
+    # a MAJ's k-th input operand takes scratch line k, so plain mode lays out
+    # the inputs, the outputs, one line per live gate and 0 to 2 scratch lines,
+    # the count hier_synth sizes its CNOT controls by
+    rng = random.Random(59)
+    nets = [random_xmg(rng, rng.randrange(1, 7), rng.randrange(1, 40), rng.randrange(1, 4))
+            for _ in range(200)]
+    nets += [design_xmg(DesignSpec(design, n)) for design in Design for n in range(2, 9)]
+    scratch_counts = set()
+    for net in nets:
+        plain = hier_synth(net)
+        scratch = plain.width - net.num_inputs - net.num_outputs - sum(reachable_gate_counts(net))
+        assert 0 <= scratch <= 2
+        scratch_counts.add(scratch)
+        assert hier_synth(net, inplace_xor=True).width <= plain.width
+    assert scratch_counts == {0, 1, 2}
+
+
 def test_inplace_xor_random_equivalence():
     rng = random.Random(167)
     for _ in range(25):
