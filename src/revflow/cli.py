@@ -21,9 +21,11 @@ from .embedding import bennett_embed, optimum_embed
 from .logicnet import (
     DEFAULT_TT_LIMIT,
     EsopForm,
+    ParseError,
     TruthTable,
     Xmg,
     _check_limit,
+    _decimal,
     esop_from_tt,
     esop_minimize,
     read_pla,
@@ -55,11 +57,12 @@ class CliError(Exception):
 
 
 def _number(text: str) -> int:
-    """A number given on the command line: ASCII decimal digits only, the
-    rule every input reader keeps (``logicnet._lex``)."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
-    return int(text)
+    """A number given on the command line, by the rule every input reader
+    keeps (``logicnet._decimal``)."""
+    try:
+        return _decimal(text, f"expected ASCII decimal digits, got {text!r}")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def tt_limit() -> int:
@@ -86,13 +89,13 @@ def _stamp_file(path, design: str, n: int) -> None:
 def _sniff_stamp(path) -> tuple[str | None, int | None]:
     try:
         with open(path, encoding="utf-8") as fh:
-            for _ in range(3):
+            for lineno in range(1, 4):
                 line = fh.readline()
                 if not line:
                     break
                 m = _STAMP.search(line)
                 if m:
-                    return m.group(1), int(m.group(2))
+                    return m.group(1), _decimal(m.group(2), "bad stamp", str(path), lineno)
     except OSError:
         pass
     return None, None
@@ -191,9 +194,9 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     path = Path(args.input)
     limit = tt_limit()
+    design, n = _sniff_stamp(path)
     circ = run_flow(args.method, _load_source(path), **_flow_kwargs(args, limit))
     write_real(circ, args.output)
-    design, n = _sniff_stamp(path)
     _report_flow(circ, DEFAULT_COST_MODEL, design, n, args.method, t0)
     return 0
 
@@ -217,9 +220,11 @@ def cmd_verify(args) -> int:
 
 def _parse_sweep(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text, re.ASCII)
-    if not m or int(m.group(1)) > int(m.group(2)):
+    if m:
+        first, last = map(_number, m.groups())
+    if not m or first > last:
         raise argparse.ArgumentTypeError(f"bad sweep range {text!r}, expected A..B with A <= B")
-    return range(int(m.group(1)), int(m.group(2)) + 1)
+    return range(first, last + 1)
 
 
 def cmd_stats(args) -> int:

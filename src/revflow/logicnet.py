@@ -9,6 +9,7 @@ conversion between the two layouts, in both directions.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from array import array
@@ -40,16 +41,35 @@ class ParseError(ValueError):
 _COMMENT = re.compile(r"#[^\n]*")
 
 
+def _uncomment(text: str) -> str:
+    """An input text with every line break a ``\\n`` and every comment cut."""
+    return _COMMENT.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
+
+
 def _lex(text: str) -> list[str]:
     """The lines of an input text, comments cut, line 1 first.
 
     The four rules of every text input (.pla, .xmg, .real, cost tables): a
     ``#`` starts a comment that runs to the end of its line; lines end only
     at ``\\n``, ``\\r\\n`` or ``\\r``; a numeric field is ASCII decimal
-    digits; a fault of the whole file carries no line number.  The readers
-    keep the last two.
+    digits (``_decimal``); a fault of the whole file carries no line
+    number.  The readers keep the last two.
     """
-    return _COMMENT.sub("", text.replace("\r\n", "\n").replace("\r", "\n")).split("\n")
+    return _uncomment(text).split("\n")
+
+
+def _decimal(field: str, fault: str, path: str | None = None, line: int | None = None) -> int:
+    """The value of a numeric field, the one rule for every number a file or
+    the environment gives: ASCII decimal digits, no more of them than
+    ``int()`` converts (``sys.get_int_max_str_digits()``, 4300 by default).
+    Any other field raises ``ParseError(fault)`` at the given place, and a
+    longer one a ParseError that says so."""
+    if field.isascii() and field.isdigit():
+        try:
+            return int(field)
+        except ValueError:
+            raise ParseError(f"number of {len(field)} digits is too long", path, line) from None
+    raise ParseError(fault, path, line)
 
 
 class TableLimitError(ValueError):
@@ -363,12 +383,13 @@ def read_pla(path: str | Path) -> EsopForm:
                     raise ParseError(f"{directive} header after the first cube", name, lineno)
                 if (num_inputs if directive == ".i" else num_outputs) is not None:
                     raise ParseError(f"{directive} header given twice", name, lineno)
-                if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
-                    raise ParseError(f"malformed {directive} header", name, lineno)
+                fault = f"malformed {directive} header"
+                if len(fields) != 2:
+                    raise ParseError(fault, name, lineno)
                 if directive == ".i":
-                    num_inputs = int(fields[1])
+                    num_inputs = _decimal(fields[1], fault, name, lineno)
                 else:
-                    num_outputs = int(fields[1])
+                    num_outputs = _decimal(fields[1], fault, name, lineno)
             elif directive == ".type":
                 if fields[1:] != ["esop"]:
                     raise ParseError("only .type esop is supported", name, lineno)
@@ -722,7 +743,61 @@ def write_xmg(net: Xmg, path: str | Path) -> None:
     Path(path).write_text("".join(text), encoding="utf-8")
 
 
+# the written form of a run of gate lines, one regex step a chunk
+_GATE_RUN = re.compile(r"(?:maj \d+ \d+ \d+\n|xor \d+ \d+\n)*", re.ASCII)
+# chunks of about 64 KiB, ending at a line end: a chunk's list of numbers
+# stays small, and its text below glibc's default mmap threshold (see _BLOCK)
+_CHUNK = 1 << 16
+# a chunk's separators, to make its numbers a JSON array
+_COMMAS = str.maketrans(" \n", ",,")
+
+
+def _read_gate_run(net: Xmg, text: str, start: int, end: int) -> bool:
+    """Add the gate lines of text[start:end] to the net a chunk at a time;
+    whether every line was added.
+
+    Each chunk is checked whole against the written form, ``maj a b c`` or
+    ``xor a b``, single spaces, ASCII digits, a newline.  Its kinds become
+    arities, ``maj`` 3 and ``xor`` 2 with a 0 pad, and the chunk becomes
+    one JSON array, four numbers a line, which ``json.loads`` converts in
+    one step.  The file's literals go straight to ``add_maj`` and
+    ``add_xor`` for as long as each call returns the literal of the next
+    fresh node, so the file's node ids are the net's.  False at the first
+    chunk or call that breaks this: a fold, a strash hit, a complemented
+    result, a literal out of range, too long or with a leading zero, any
+    other text.  The gates added before it are those the per-line loop adds
+    first, and re-adding them there returns the same nodes.
+    """
+    add_maj, add_xor = net.add_maj, net.add_xor
+    fresh = len(net._fanins) << 1  # the next fresh node's literal
+    while start < end:
+        stop = text.rfind("\n", start, min(start + _CHUNK, end)) + 1
+        if stop <= start or not _GATE_RUN.fullmatch(text, start, stop):
+            return False
+        chunk = text[start:stop - 1].replace("maj", "3").replace("xor", "2 0").translate(_COMMAS)
+        try:
+            numbers = iter(json.loads("[" + chunk + "]"))
+            for arity, a, b, c in zip(numbers, numbers, numbers, numbers):
+                if (add_maj(a, b, c) if arity == 3 else add_xor(b, c)) != fresh:
+                    return False
+                fresh += 2
+        except ValueError:  # json's errors and the net's range check are ValueErrors
+            return False
+        start = stop
+    return True
+
+
 def read_xmg(path: str | Path) -> Xmg:
+    """Read a network in the text format above.
+
+    The header, comments and ``revflow gen``'s ``# design=... n=...`` stamp
+    are read line by line.  At the first gate line, the run of gate lines
+    up to the first ``out`` line is first read by ``_read_gate_run``.  A
+    run that step turns down (a comment, blank line, tab or other text out
+    of the written form; a gate that folds, repeats or comes out
+    complemented; a literal out of range) is read line by line, once; that
+    loop is the only code that names a fault.
+    """
     name = str(path)
     net = Xmg()
     add_maj, add_xor = net.add_maj, net.add_xor
@@ -730,8 +805,15 @@ def read_xmg(path: str | Path) -> Xmg:
     # translate file node ids through folding: id -> literal in the new net
     by_id: list[int] = [0]
     ended = False
-    for lineno, line in enumerate(_lex(Path(path).read_text(encoding="utf-8")), start=1):
-        fields = line.split()
+    tried = False  # whether the gate run went to _read_gate_run
+    text = _uncomment(Path(path).read_text(encoding="utf-8"))
+    lineno = 0
+    start = 0  # where line lineno + 1 starts in text
+    while start < len(text):
+        offset = start
+        start = text.find("\n", offset) + 1 or len(text)
+        lineno += 1
+        fields = text[offset:start].split()
         if not fields:
             continue
         if ended:
@@ -740,9 +822,9 @@ def read_xmg(path: str | Path) -> Xmg:
         if kind == ".xmg":
             if header is not None:
                 raise ParseError("duplicate header", name, lineno)
-            if len(fields) != 4 or not all(f.isascii() and f.isdigit() for f in fields[1:]):
+            if len(fields) != 4:
                 raise ParseError("malformed .xmg header", name, lineno)
-            header = (int(fields[1]), int(fields[2]), int(fields[3]))
+            header = tuple(_decimal(f, "malformed .xmg header", name, lineno) for f in fields[1:])
             if header[0] > MAX_NET_WIDTH:
                 raise ParseError(f"{header[0]} inputs exceed the network width cap of {MAX_NET_WIDTH}",
                                  name, lineno)
@@ -762,6 +844,15 @@ def read_xmg(path: str | Path) -> Xmg:
             arity = 3 if kind == "maj" else 2
             if len(fields) != 1 + arity:
                 raise ParseError(f"{kind} gate needs {arity} operands", name, lineno)
+            if not tried:
+                tried = True
+                end = text.find("\nout", offset) + 1 or len(text)
+                if _read_gate_run(net, text, offset, end):
+                    # the file's ids are the net's: by_id stays the identity
+                    by_id.extend(range(len(by_id) << 1, net.num_nodes << 1, 2))
+                    lineno += text.count("\n", offset, end) - 1
+                    start = end
+                    continue
         elif kind == "out":
             if len(fields) != 2:
                 raise ParseError("out line needs one literal", name, lineno)
@@ -769,9 +860,7 @@ def read_xmg(path: str | Path) -> Xmg:
             raise ParseError(f"unknown line kind {kind!r}", name, lineno)
         ops = []
         for token in fields[1:]:
-            if not (token.isdigit() and token.isascii()):
-                raise ParseError(f"bad literal {token!r}", name, lineno)
-            value = int(token)
+            value = _decimal(token, f"bad literal {token!r}", name, lineno)
             if value >> 1 >= len(by_id):
                 raise ParseError(f"literal {value} references a later node", name, lineno)
             ops.append(by_id[value >> 1] ^ (value & 1))

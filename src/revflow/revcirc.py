@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .embedding import Permutation
-from .logicnet import ParseError, TruthTable, _input_pattern, _lex, _transpose
+from .logicnet import ParseError, TruthTable, _decimal, _input_pattern, _lex, _transpose
 
 # Widths beyond this make full permutation extraction explode; callers that
 # only need input-side behaviour should use simulate_source_batch instead.
@@ -305,10 +305,8 @@ class CostModel:
             head, sep, tail = line.partition(":")
             if not sep:
                 raise ParseError("expected 'controls: t-cost'", path, lineno)
-            entry = head.strip(), tail.strip()
-            if not all(f.isascii() and f.isdigit() for f in entry):
-                raise ParseError(f"bad cost entry {line!r}", path, lineno)
-            entries.append((int(entry[0]), int(entry[1])))
+            fault = f"bad cost entry {line!r}"
+            entries.append(tuple(_decimal(f.strip(), fault, path, lineno) for f in (head, tail)))
         try:
             return cls(tuple(entries))
         except ValueError as exc:
@@ -361,24 +359,26 @@ def write_real(circ: RevCircuit, path) -> None:
         fh.write(f".constants {consts}\n")
         garbage = "".join("1" if o is None else "-" for o in circ.outputs)
         fh.write(f".garbage {garbage}\n")
-        fh.write(".begin\n")
+        # each gate line's newline leads it, so a gate is one concatenation
+        fh.write(".begin")
         # literal c is written as lit_names[c]: the line name, "-" when negative
         names = circ.line_names
         lit_names = [s for name in names for s in (name, "-" + name)]
-        # each distinct control set is formatted once, as "tK c1 .. cK-1 ";
+        # each distinct control set is formatted once, as "\ntK c1 .. cK-1 ";
         # a gate on the previous gate's controls object reuses its head unhashed
         heads: dict[tuple[int, ...], str] = {}
         controls = head = None
+        write = fh.write
         for gate in circ.gates:
             if gate.controls is not controls:
                 controls = gate.controls
                 head = heads.get(controls)
                 if head is None:
-                    head = heads[controls] = f"t{len(controls) + 1} " + "".join(
+                    head = heads[controls] = f"\nt{len(controls) + 1} " + "".join(
                         lit_names[c] + " " for c in controls
                     )
-            fh.write(head + names[gate.target] + "\n")
-        fh.write(".end\n")
+            write(head + names[gate.target])
+        fh.write("\n.end\n")
 
 
 def read_real(path) -> RevCircuit:
@@ -439,9 +439,9 @@ def read_real(path) -> RevCircuit:
                     fail(f"{key} declared twice", lineno)
                 declared.add(key)
             if key == ".numvars":
-                if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
+                if len(tokens) != 2:
                     fail("bad .numvars", lineno)
-                width = int(tokens[1])
+                width = _decimal(tokens[1], "bad .numvars", str(path), lineno)
                 if not width:
                     fail("circuit needs at least one line", lineno)
                 continue
@@ -485,7 +485,7 @@ def read_real(path) -> RevCircuit:
             if width is None or names is None:
                 fail("missing .numvars/.variables")
             fail("missing .end")
-        gates = _read_body(lines, names, fail)
+        gates = _read_body(lines, names, str(path))
         for lineno, raw in lines:
             if _lex(raw)[0].strip():
                 fail("content after .end", lineno)
@@ -500,8 +500,12 @@ def read_real(path) -> RevCircuit:
         raise ParseError(str(exc), str(path)) from None
 
 
-def _read_body(lines, names: list, fail) -> list[MctGate]:
+def _read_body(lines, names: list, path: str) -> list[MctGate]:
     """The gates of a REAL body, read from `lines` up to and including .end."""
+
+    def fail(msg, lineno=None):
+        raise ParseError(msg, path, lineno)
+
     index = {name: i for i, name in enumerate(names)}
     literals = {}
     for name, i in index.items():
@@ -514,9 +518,10 @@ def _read_body(lines, names: list, fail) -> list[MctGate]:
     def parse_gate(tokens, lineno) -> MctGate:
         """The gate of a body line's comment-free tokens, or a ParseError."""
         key = tokens[0]
-        if not (key[0] == "t" and key.isascii() and key[1:].isdigit()):
-            fail(f"unknown gate kind {key!r}", lineno)
-        arity = int(key[1:])
+        fault = f"unknown gate kind {key!r}"
+        if key[0] != "t":
+            fail(fault, lineno)
+        arity = _decimal(key[1:], fault, path, lineno)
         if arity < 1:
             fail(f"gate {key} has no target (t1 is the smallest gate)", lineno)
         operands = tokens[1:]

@@ -33,13 +33,13 @@ def _readers(net: Xmg) -> bytearray:
     are stored in topological order, so one backward sweep sees every
     reader of a node before the node itself.
     """
-    readers = bytearray(net.num_nodes)
+    fanins = net._fanins
+    readers = bytearray(len(fanins))
     for edge in net.outputs:
         readers[edge >> 1] = 2 if readers[edge >> 1] else 1
-    fanins = net.fanins
-    for node in range(net.num_nodes - 1, net.num_inputs, -1):
+    for node in range(len(fanins) - 1, net.num_inputs, -1):
         if readers[node]:
-            for edge in fanins(node):
+            for edge in fanins[node]:
                 readers[edge >> 1] = 2 if readers[edge >> 1] else 1
     return readers
 
@@ -62,17 +62,20 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     readers = _readers(net)
     # one control tuple per line for the CNOTs: a line per output and per
     # live node at most, and the two scratch lines
-    live = net.num_nodes - 1 - n - readers.count(0, 1 + n)
+    fanins = net._fanins
+    live = len(fanins) - 1 - n - readers.count(0, 1 + n)
     ctl = [(line << 1,) for line in range(n + m + live + 2)]
-    line_of = {1 + i: i for i in range(n)}  # node -> the line holding its value
+    line_of = [0] * len(fanins)  # node -> the line holding its value
+    line_of[1:1 + n] = range(n)
     next_line = n + m
     scratch: list[int] = []  # scratch[k]: the line of a MAJ's k-th input operand
     compute: list[MctGate] = []
-    for node, fanins in net.gates():
+    for node in range(1 + n, len(fanins)):
         if not readers[node]:
             continue
-        if len(fanins) == 2:  # an XOR
-            a, b = fanins  # stored phase-free, the complement lives on the edge
+        fi = fanins[node]
+        if len(fi) == 2:  # an XOR
+            a, b = fi  # stored phase-free, the complement lives on the edge
             # with inplace_xor, a gate operand read by this XOR alone is free
             # after the read, so the XOR can target its line and cleanup stays
             # a reversal; a is tried first
@@ -98,7 +101,7 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
         # constant scores below any input, an input below any gate.  So c
         # never scores below both others, and b scores below a only when a
         # alone is negated and both are inputs or both gates.
-        a, b, c = fanins
+        a, b, c = fi
         sa = 0 if a < 2 else (1 if a < first_gate_lit else 3) + (a & 1)
         sb = 0 if b < 2 else (1 if b < first_gate_lit else 3) + (b & 1)
         if sb < sa:

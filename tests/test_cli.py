@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: gen, synth, verify, stats, sweep, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
+from revflow import logicnet
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
 from revflow.cli import CliError, main, run_flow
 from revflow.logicnet import MAX_NET_WIDTH, ParseError, TruthTable, read_pla, read_xmg
@@ -306,6 +308,63 @@ def test_flow_switch_goes_with_its_method(tmp_path, capsys):
     code, out, err = run(capsys, "synth", str(src), "--method", "esop", "--inplace-xor",
                          "-o", str(tmp_path / "d.real"))
     assert code == 2 and out is None and "inplace_xor" in err
+
+
+def test_gen_xmg_files_take_the_gate_run_path(tmp_path, capsys, monkeypatch):
+    """Every stamped file ``gen --format xmg`` writes, both designs at
+    n=2..12, is read by ``_read_gate_run`` in one call, to the net the
+    per-line loop alone builds."""
+    runs = []
+    read_run = logicnet._read_gate_run
+    monkeypatch.setattr(logicnet, "_read_gate_run",
+                        lambda *args: runs.append(read_run(*args)) or runs[-1])
+    src = tmp_path / "d.xmg"
+    for design in Design:
+        for n in range(2, 13):
+            assert run(capsys, "gen", "--design", design.value, "-n", str(n), "-o", str(src))[0] == 0
+            runs.clear()
+            net = read_xmg(src)
+            assert runs == [True], (design, n)
+            with monkeypatch.context() as m:
+                m.setattr(logicnet, "_read_gate_run", lambda *args: False)
+                by_lines = read_xmg(src)
+            assert (net._fanins, net.outputs, net.num_inputs) == (
+                by_lines._fanins, by_lines.outputs, by_lines.num_inputs), (design, n)
+
+
+def test_overlong_number_is_a_fault_at_its_place(tmp_path):
+    """A number of more digits than int() converts (4300 by default) exits 2
+    from the console script, naming its file and line or the variable, not
+    with Python's conversion error."""
+    big = "9" * 5000
+    real = tmp_path / "ok.real"
+    real.write_text(".numvars 1\n.variables a\n.begin\nt1 a\n.end\n", encoding="utf-8")
+    cases = [  # file, its text, the command, where the fault is
+        ("h.xmg", f".xmg {big} 0 0\n.end\n", ["synth", "--method", "hier"], "h.xmg:1:"),
+        ("l.xmg", f".xmg 1 1 1\nmaj 2 {big} 0\nout 4\n.end\n", ["synth", "--method", "hier"], "l.xmg:2:"),
+        ("o.xmg", f".xmg 1 1 0\nout {big}\n.end\n", ["synth", "--method", "hier"], "o.xmg:2:"),
+        ("s.xmg", f"# design=intdiv n={big}\n.xmg 1 1 0\nout 2\n.end\n",
+         ["synth", "--method", "hier"], "s.xmg:1:"),
+        ("i.pla", f".i {big}\n.o 1\n.type esop\n.e\n", ["synth", "--method", "esop"], "i.pla:1:"),
+        ("o.pla", f".i 1\n.o {big}\n.type esop\n.e\n", ["synth", "--method", "esop"], "o.pla:2:"),
+        ("v.real", f".numvars {big}\n.variables a\n.begin\n.end\n", ["stats"], "v.real:1:"),
+        ("k.real", f".numvars 1\n.variables a\n.begin\nt{big} a\n.end\n", ["stats"], "k.real:4:"),
+        ("c.txt", f"2: 7\n3: {big}\n", ["stats", str(real), "--cost-model"], "c.txt:2:"),
+    ]
+    for name, text, command, where in cases:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        output = ["-o", str(tmp_path / "out.real")] if command[0] == "synth" else []
+        proc = subprocess.run([sys.executable, "-m", "revflow", *command, str(path), *output],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2 and f"{path.parent}/{where} number of 5000 digits" in proc.stderr, name
+        assert "Exceeds the limit" not in proc.stderr, name
+    assert not (tmp_path / "out.real").exists()
+    proc = subprocess.run([sys.executable, "-m", "revflow", "gen", "--design", "intdiv", "-n", "4",
+                           "-o", str(tmp_path / "d.xmg")], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, REVFLOW_TT_LIMIT=big))
+    assert proc.returncode == 2 and "REVFLOW_TT_LIMIT: number of 5000 digits" in proc.stderr
+    assert "Exceeds the limit" not in proc.stderr
 
 
 def test_stamp_takes_ascii_digits(tmp_path, capsys):

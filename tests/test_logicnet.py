@@ -543,6 +543,132 @@ def test_xmg_read_rejects_non_ascii_digits(tmp_path):
         assert info.value.line == line
 
 
+def _mutate_xmg(rng: random.Random, text: str) -> str:
+    """One edit: a gate line given a comment, a blank line before it, a tab
+    or a double space, or a literal given a leading zero or made one of a
+    later node, or dropped or repeated; CRLF line breaks; an out line moved before a gate; a header
+    count off by one; .end dropped; or a line after .end.  The first four
+    keep the file valid but out of the written form."""
+    lines = text.split("\n")[:-1]
+    gates = [k for k, line in enumerate(lines) if line[:4] in ("maj ", "xor ")]
+    k = rng.choice(gates)
+    fields = lines[k].split(" ")
+    i = rng.randrange(1, len(fields))
+    op = rng.randrange(12)
+    if op == 0:
+        lines[k] += " # a gate"
+    elif op == 1:
+        lines.insert(k, "")
+    elif op == 2:
+        lines[k] = lines[k].replace(" ", "\t", 1)
+    elif op == 3:
+        lines[k] = lines[k].replace(" ", "  ", 1)
+    elif op == 4:
+        fields[i] = "0" + fields[i]
+        lines[k] = " ".join(fields)
+    elif op == 5:
+        return "\r\n".join(lines) + "\r\n"
+    elif op == 6:
+        # the gate's own node, or one after it; the stamp line, if any, comes first
+        node = k - gates[0] + 1 + int(lines[gates[0] - 1].split()[1])
+        fields[i] = str(2 * (node + rng.randrange(3)) + rng.randrange(2))
+        lines[k] = " ".join(fields)
+    elif op == 7:
+        out = next(j for j, line in enumerate(lines) if line.startswith("out "))
+        lines.insert(k, lines.pop(out))
+    elif op == 8:
+        head = gates[0] - 1
+        counts = lines[head].split()
+        j = rng.randrange(1, 4)
+        counts[j] = str(int(counts[j]) + rng.choice((-1, 1)))
+        lines[head] = " ".join(counts)
+    elif op == 9:
+        lines.pop()
+    elif op == 10:
+        lines.append(rng.choice(("out 2", "xor 2 4")))
+    else:
+        fields[i:i + 1] = rng.choice(([], [fields[i]] * 2))
+        lines[k] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _raw_xmg(rng: random.Random, num_inputs: int, num_gates: int) -> str:
+    """A valid .xmg whose gate lines are random literals of earlier nodes,
+    not in the written form: gates that fold, repeat (strash hits) or come
+    out complemented, and XOR operands in any order and phase."""
+    lines = [f".xmg {num_inputs} 1 {num_gates}"]
+    for g in range(num_gates):
+        bound = 2 * (1 + num_inputs + g)
+        if g and rng.random() < 0.1:
+            lines.append(lines[-1])
+        elif rng.random() < 0.5:
+            lines.append("maj %d %d %d" % tuple(rng.randrange(bound) for _ in range(3)))
+        else:
+            lines.append("xor %d %d" % tuple(rng.randrange(bound) for _ in range(2)))
+    lines.append(f"out {rng.randrange(2 * (1 + num_inputs + num_gates))}")
+    return "\n".join(lines) + "\n.end\n"
+
+
+def test_xmg_reader_differential(tmp_path, monkeypatch):
+    """read_xmg against its per-line loop alone (``_read_gate_run`` patched
+    to turn every run down) on written, raw and mutated files: the same
+    net, or the same message at the same line.  A clean run takes the run
+    step once; a run the step turns down goes to the loop once."""
+    p = tmp_path / "m.xmg"
+
+    def outcome():
+        try:
+            net = read_xmg(p)
+        except ParseError as exc:
+            return str(exc), exc.line
+        return net._fanins, net.outputs, net.num_inputs
+
+    def by_lines():
+        with monkeypatch.context() as m:
+            m.setattr(logicnet, "_read_gate_run", lambda *args: False)
+            return outcome()
+
+    runs = []
+    read_run = logicnet._read_gate_run
+    monkeypatch.setattr(logicnet, "_read_gate_run",
+                        lambda *args: runs.append(read_run(*args)) or runs[-1])
+    rng = random.Random(23)
+    faults, paths = set(), set()
+    for k in range(120):
+        net = Xmg()
+        while net.num_nodes == 1 + net.num_inputs:  # a net with gates
+            net = random_xmg(rng, rng.randrange(1, 8), rng.randrange(1, 80), rng.randrange(1, 4))
+        write_xmg(net, p)
+        clean = p.read_text(encoding="utf-8")
+        if k % 2:
+            clean = f"# design=intdiv n={k}\n" + clean
+            p.write_text(clean, encoding="utf-8")
+        runs.clear()
+        got = outcome()
+        assert got == by_lines() and got[0] == net._fanins and runs == [True]
+        for _ in range(10):
+            p.write_text(_mutate_xmg(rng, clean), encoding="utf-8")
+            runs.clear()
+            got = outcome()
+            assert got == by_lines() and len(runs) <= 1
+            paths.update(runs)
+            faults.add(got[0].split(": ", 1)[1].split(" ")[0] if isinstance(got[0], str) else "read")
+    assert paths == {True, False}
+    assert {"read", "literal", "gate", "maj", "xor", "header", "missing", "content"} <= faults
+    for _ in range(60):
+        p.write_text(_raw_xmg(rng, rng.randrange(1, 6), rng.randrange(1, 60)), encoding="utf-8")
+        runs.clear()
+        assert outcome() == by_lines() and len(runs) == 1
+    # folds, a strash hit and a complemented majority, each after a clean line
+    for gate in ("maj 2 2 4", "xor 4 4", "maj 2 4 6\nmaj 2 4 6", "maj 3 5 6", "xor 4 2", "xor 3 4"):
+        count = 2 + gate.count("\n")
+        p.write_text(f".xmg 2 1 {count}\nmaj 0 2 4\n{gate}\nout 6\n.end\n", encoding="utf-8")
+        runs.clear()
+        got = outcome()
+        assert got == by_lines() and len(got) == 3, gate
+        assert runs == [gate == "xor 4 2"], gate
+
+
 def test_xmg_counts():
     net = Xmg()
     a, b, c = (net.add_input() for _ in range(3))
