@@ -21,8 +21,10 @@ module global holds the last controls tuple that passed, and a gate built
 on that very object checks only its target.  The memo is exact because a
 tuple cannot change, only a tuple that passed the check is held, and the
 held reference keeps the tuple alive, so its id cannot pass to another
-object.  An ESOP cube's gates share one tuple, and so do hier's CNOTs on
-one control line.
+object.  An ESOP cube's gates share one tuple, hier's CNOTs on one control
+line share one, and ``read_real`` gives every gate read from one head text
+the same tuple; the plane simulator reuses a fire across a run of gates on
+one tuple object.
 """
 
 from __future__ import annotations
@@ -174,14 +176,17 @@ class RevCircuit:
 def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
     """Apply the cascade to per-line bit planes over `batch` assignments.
 
-    A gate whose controls equal the previous gate's reuses its fire: that
-    gate's target is not among those controls (``MctGate`` rejects it), so
-    it left their planes unchanged.
+    A gate on the previous gate's controls tuple object reuses its fire:
+    that gate's target is not among those controls (``MctGate`` rejects
+    it), so it left their planes unchanged.  The test is identity, not
+    equality: a gate on an equal but distinct tuple recomputes the same
+    fire, and the flows and ``read_real`` share one tuple where controls
+    repeat.
     """
     full = (1 << batch) - 1
     controls = fire = None
     for gate in circ.gates:
-        if gate.controls != controls:
+        if gate.controls is not controls:
             controls = gate.controls
             fire = full
             for c in controls:
@@ -381,6 +386,10 @@ def write_real(circ: RevCircuit, path) -> None:
         fh.write("\n.end\n")
 
 
+# a .constants character -> the line's constant, None for a primary input
+_CONSTANT = {"-": None, "0": 0, "1": 1}
+
+
 def read_real(path) -> RevCircuit:
     """Read a circuit in the subset of RevLib's REAL format revflow uses.
 
@@ -396,25 +405,35 @@ def read_real(path) -> RevCircuit:
     at none for a fault of the whole file such as a missing ``.end``.
 
     The body has its own loop, cheap for lines in the form ``write_real``
-    writes them: ``tK c1 .. cK-1 target``, single spaces, a newline.  The
-    text up to such a line's last space is its head, and a dict maps each
-    head to its last gate.  A body line takes one of three paths:
+    writes them: ``tK c1 .. cK-1 target``, single spaces, controls in
+    ascending line order, a newline.  The text up to such a line's last
+    space is its head, and a dict maps each head to the position of the
+    last gate read from it.  A body line takes one of four paths:
 
+    - replay: Bennett cleanup writes the compute phase again in reverse.
+      A line that repeats its head's last gate starts a replay at that
+      gate's position; while one runs, a line whose target and head's
+      controls tuple are those of the gate just before the replay position
+      appends that very gate object and moves the position back by one.
+      Any other line ends the replay.
     - cached head: a line whose head is in the dict and whose last word and
       newline, ``target + "\\n"``, name a line costs two dict hits.  The
-      same target appends that very gate again (Bennett cleanup repeats the
-      compute phase's lines); another target builds one gate on the same
-      ``controls`` tuple, which takes the head's place.
+      same target appends that very gate again; another target builds one
+      gate on the same ``controls`` tuple, which takes the head's place.
     - written form, new head: such a line whose key is ``tK`` for its K
-      words, each word after the key a literal, builds its gate in one step
-      (``split(" ")``, sorted literals, one ``MctGate``) and caches its head.
+      words, each word after the key a literal and the literals ascending,
+      builds its gate in one step (``split(" ")``, one ``MctGate``) and
+      caches its head.
     - full parse: every other line (a comment or blank line, tabs or runs of
-      spaces, leading whitespace, a key such as ``t02``, no final newline,
-      ``.end``) is lexed as every input is (``logicnet._lex``), and a gate
-      line's tokens go to ``parse_gate``; its head is not cached.
+      spaces, leading whitespace, controls out of order, a key such as
+      ``t02``, no final newline, ``.end``) is lexed as every input is
+      (``logicnet._lex``), and a gate line's tokens go to ``parse_gate``,
+      which sorts the controls; its head is not cached.
 
-    ``parse_gate`` is the only code that names a gate-line fault, so a fault
-    after a cached head still fails at its own line.
+    A gate the first three paths append equals the line's gate by value,
+    and ``parse_gate`` is the only code that names a gate-line fault, so a
+    fault after a cached head or inside a replay still fails at its own
+    line.
     """
     width = None
     names: list | None = None
@@ -460,7 +479,7 @@ def read_real(path) -> RevCircuit:
                     fail("bad .constants", lineno)
                 if set(tokens[1]) - set("01-"):
                     fail("constants must be 0, 1 or -", lineno)
-                constants = tuple(None if ch == "-" else int(ch) for ch in tokens[1])
+                constants = tuple(map(_CONSTANT.__getitem__, tokens[1]))
                 continue
             if key == ".garbage":
                 if width is None or len(tokens) != 2 or len(tokens[1]) != width:
@@ -506,14 +525,12 @@ def _read_body(lines, names: list, path: str) -> list[MctGate]:
     def fail(msg, lineno=None):
         raise ParseError(msg, path, lineno)
 
-    index = {name: i for i, name in enumerate(names)}
-    literals = {}
-    for name, i in index.items():
-        literals[name] = i << 1
-        literals["-" + name] = i << 1 | 1
-    # names hold no '#' or whitespace, so "name\n" ends only a comment-free line
-    ends = {name + "\n": i for name, i in index.items()}
-    last_gate: dict[str, MctGate] = {}  # head text -> last gate built from it
+    top = len(names) << 1
+    literals = dict(zip(names, range(0, top, 2)))
+    literals.update(zip(map("-".__add__, names), range(1, top, 2)))
+    # names hold no '#' or whitespace, so "name\n" ends only a comment-free
+    # line, and the names joined by "\n " split at the spaces into those ends
+    ends = dict(zip(("\n ".join(names) + "\n").split(" "), range(len(names))))
 
     def parse_gate(tokens, lineno) -> MctGate:
         """The gate of a body line's comment-free tokens, or a ParseError."""
@@ -535,7 +552,7 @@ def _read_body(lines, names: list, path: str) -> list[MctGate]:
                 fail(f"unknown line {name!r}", lineno)
             controls.append(lit)
         name = operands[-1]
-        target = index.get(name)
+        target = ends.get(name + "\n")
         if target is None:
             if name in literals:  # "-" before a known line
                 fail(f"target {name[1:]!r} cannot be negative", lineno)
@@ -550,31 +567,50 @@ def _read_body(lines, names: list, path: str) -> list[MctGate]:
             fail(f"line {names[twice]!r} named twice in one gate", lineno)
 
     gates: list[MctGate] = []
+    last_at: dict[str, int] = {}  # head text -> index in gates of the last gate read from it
+    # while nonzero, the next line may be gates[replay - 1]: a reversed replay
+    replay = 0
     for lineno, raw in lines:
         head, _, end = raw.rpartition(" ")
         target = ends.get(end)
         if target is not None:
-            gate = last_gate.get(head)
-            if gate is None:
-                # written form: the key counts the words, each one after it a literal
+            at = last_at.get(head)
+            if at is None:
+                gate = None
+                # written form: the key counts the words, each one after it a
+                # literal, ascending as write_real writes them
                 tokens = head.split(" ")
                 if tokens[0] == f"t{len(tokens)}":
                     try:
-                        gate = MctGate(target, tuple(sorted(map(literals.__getitem__, tokens[1:]))))
+                        gate = MctGate(target, tuple(map(literals.__getitem__, tokens[1:])))
                     except (KeyError, ValueError):
-                        pass  # parse_gate names the fault
-            elif target == gate.target:
-                gates.append(gate)
-                continue
+                        pass  # parse_gate sorts, or names the fault
             else:
+                gate = gates[at]
+                if replay:
+                    # this line's gate is MctGate(target, gate.controls), so a
+                    # gate on that very tuple with that target equals it
+                    prev = gates[replay - 1]
+                    if prev.controls is gate.controls and prev.target == target:
+                        gates.append(prev)
+                        replay -= 1
+                        continue
+                if gate.target == target:
+                    # the lines before gates[at] may follow, in reverse
+                    replay = at
+                    last_at[head] = len(gates)
+                    gates.append(gate)
+                    continue
                 try:
                     gate = MctGate(target, gate.controls)
                 except ValueError:
                     gate = None  # parse_gate names the fault
+            replay = 0
             if gate is not None:
-                last_gate[head] = gate
+                last_at[head] = len(gates)
                 gates.append(gate)
                 continue
+        replay = 0
         tokens = _lex(raw)[0].split()
         if not tokens:
             continue

@@ -5,7 +5,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import apply_gate, cnot, random_permutation, reference_gate_error, simulate
+from conftest import HIER_VARIANTS, apply_gate, cnot, random_permutation, reference_gate_error, simulate
+from revflow.arith import Design, DesignSpec, design_xmg
 from revflow.embedding import Permutation, optimum_embed
 from revflow.logicnet import ParseError, TruthTable
 from revflow.revcirc import (
@@ -22,6 +23,7 @@ from revflow.revcirc import (
     write_real,
 )
 from revflow.synth_functional import tbs
+from revflow.synth_hier import hier_synth
 
 
 def test_gate_validation():
@@ -231,11 +233,31 @@ def random_control_runs(rng: random.Random, width: int, length: int) -> list:
 
 def test_run_planes_reuses_fire_exactly():
     rng = random.Random(17)
+    # consecutive gates on one tuple object, and on equal but distinct tuples
+    pairs = {"same": 0, "equal": 0}
     for _ in range(30):
         width = rng.randrange(1, 8)
         gates = random_control_runs(rng, width, 40)
+        for g, h in zip(gates, gates[1:]):
+            if g.controls is h.controls:
+                pairs["same"] += 1
+            elif g.controls == h.controls:
+                pairs["equal"] += 1
         perm = simulate_full(RevCircuit.generic(width, gates))
         assert perm.images == tuple(simulate(RevCircuit.generic(width, gates), w) for w in range(1 << width))
+        # every line's final plane, with the inputs on random lines and the
+        # other lines held at random constants
+        n = rng.randrange(width + 1)
+        roles = [None] * n + [rng.randrange(2) for _ in range(width - n)]
+        rng.shuffle(roles)
+        circ = RevCircuit(width, tuple(gates), tuple(f"l{i}" for i in range(width)), tuple(roles),
+                          (None,) * width)
+        inputs = [line for line in range(width) if roles[line] is None]
+        words = [sum(roles[line] << line for line in range(width) if roles[line])
+                 | sum((x >> k & 1) << line for k, line in enumerate(inputs)) for x in range(1 << n)]
+        finals = [simulate(circ, w) for w in words]
+        planes = simulate_source_batch(circ)
+        assert planes == [sum((y >> line & 1) << x for x, y in enumerate(finals)) for line in range(width)]
         n = rng.randrange(1, width + 1)
         m = rng.randrange(1, width + 1)
         first = rng.randrange(width - m + 1)
@@ -251,6 +273,7 @@ def test_run_planes_reuses_fire_exactly():
         x, j = min(flips)
         got = rows[x] >> j & 1
         assert first_mismatch(circ, TruthTable(n, m, tuple(want))) == (x, j, got, got ^ 1)
+    assert min(pairs.values()) > 50
 
 
 def test_simulate_full_is_bijective_by_construction():
@@ -513,18 +536,71 @@ def test_real_repeated_line_reuses_its_gate(tmp_path):
     assert [gate.target for gate in g] == [1, 1, 2, 2, 1, 2]
 
 
+@pytest.mark.parametrize("inplace_xor", HIER_VARIANTS.values(), ids=HIER_VARIANTS.keys())
+def test_real_replay_shares_the_compute_gates(inplace_xor, tmp_path):
+    """A hier circuit reads back with its reversed compute phase made of
+    the compute phase's own gate objects, as hier_synth built it."""
+    p = tmp_path / "hier.real"
+    for design, ns in ((Design.INTDIV, range(4, 9)), (Design.NEWTON, range(4, 7))):
+        for n in ns:
+            circ = hier_synth(design_xmg(DesignSpec(design, n)), inplace_xor=inplace_xor)
+            write_real(circ, p)
+            back = read_real(p)
+            assert back == circ
+            g, b = circ.gates, back.gates
+            shared = next(i for i in range(len(g)) if g[i] is not g[-1 - i])
+            assert shared > len(g) // 3
+            assert all(b[-1 - i] is b[i] for i in range(shared)), (design, n)
+
+
+def test_real_replay_breaks_and_faults_at_their_lines(tmp_path):
+    p = tmp_path / "replay.real"
+    compute = ["t2 a b", "t3 a b c", "t2 a d", "t1 c", "t3 -b c d"]
+
+    def read(replayed):
+        p.write_text(".numvars 4\n.variables a b c d\n.begin\n"
+                     + "".join(line + "\n" for line in compute + replayed) + ".end\n")
+        return read_real(p)
+
+    gates = [MctGate(1, (0,)), MctGate(2, (0, 2)), MctGate(3, (0,)), MctGate(2), MctGate(3, (3, 4))]
+    b = read(compute[::-1]).gates
+    assert b == tuple(gates + gates[::-1])
+    assert all(b[-1 - i] is b[i] for i in range(len(compute)))
+    # one changed line gets its own gate, and the replay resumes after it
+    changed = compute[::-1]
+    changed[2] = "t2 -a d"
+    b = read(changed).gates
+    assert b == tuple(gates + gates[:2:-1] + [MctGate(3, (1,))] + gates[1::-1])
+    assert all(b[7] is not gate for gate in b[:7])
+    assert b[5] is b[4] and b[6] is b[3] and b[8] is b[1] and b[9] is b[0]
+    # a fault inside a replay fails at its own line
+    for fault, why in (("t2 a a", "'a' named twice"), ("t2 a e", "unknown line 'e'"),
+                       ("t3 a b", "expects 3 operands")):
+        broken = compute[::-1]
+        broken[2] = fault
+        with pytest.raises(ParseError, match=why) as info:
+            read(broken)
+        assert info.value.line == 4 + len(compute) + 2
+
+
 def random_repeating_gates(rng: random.Random, width: int, length: int) -> list:
     """Mixed-polarity gates whose lines recur, the way a hier circuit's do.
 
-    Some steps replay a stretch of earlier gates in reverse, as Bennett
-    cleanup does; some give one controls tuple the targets b, c, b in turn.
+    Some steps replay a stretch of earlier gates in reverse; some replay the
+    whole prefix in reverse after a few gates of their own, the shape of
+    Bennett cleanup; some give one controls tuple the targets b, c, b in turn.
     """
     gates = []
     while len(gates) < length:
-        pick = rng.randrange(3)
+        pick = rng.randrange(4)
         if pick == 0 and gates:
             start = rng.randrange(len(gates))
             gates.extend(reversed(gates[start : start + rng.randrange(1, 6)]))
+            continue
+        if pick == 3 and gates:
+            prefix = gates[:]
+            gates += random_repeating_gates(rng, width, rng.randrange(1, 4))
+            gates.extend(reversed(prefix))
             continue
         lines = rng.sample(range(width), rng.randrange(width - 1))
         controls = tuple(sorted(line << 1 | rng.randrange(2) for line in lines))
@@ -537,15 +613,25 @@ def random_repeating_gates(rng: random.Random, width: int, length: int) -> list:
     return gates
 
 
-def respell_real(text: str, rng: random.Random) -> str:
-    """The same circuit in other REAL spellings, chosen per body line."""
+def respell_real(text: str, rng: random.Random, lines: "set | None" = None) -> str:
+    """The same circuit in other REAL spellings, chosen per body line.
+
+    With `lines`, only the body lines at those indices (0 for the first
+    gate line) are respelled, each in one of the other spellings.
+    """
     out = []
-    body = False
+    body = None
     for line in text.splitlines():
         if line == ".begin":
-            body = True
-        elif body and line != ".end":
-            kind = rng.randrange(10)
+            body = -1  # the index of the body line at hand
+        elif body is not None and line != ".end":
+            body += 1
+            if lines is None:
+                kind = rng.randrange(10)
+            elif body in lines:
+                kind = rng.randrange(1, 9)
+            else:
+                kind = 0
             key, *ops = line.split(" ")
             if kind == 1:
                 line = "\t".join([key] + ops)
@@ -585,6 +671,10 @@ def test_real_reader_differential(tmp_path):
         assert read_real(p) == circ
         for _ in range(4):
             p.write_bytes(respell_real(text, rng).encode())
+            assert read_real(p) == circ
+        # two respelled lines, so that the replays run and some break inside
+        for _ in range(4):
+            p.write_bytes(respell_real(text, rng, set(rng.sample(range(len(gates)), min(2, len(gates))))).encode())
             assert read_real(p) == circ
         # a fault after a cached head: the head is the text up to the last space
         lines = text.splitlines(keepends=True)
