@@ -236,8 +236,11 @@ def cmd_stats(args) -> int:
 def cmd_sweep(args) -> int:
     limit = tt_limit()
     model = CostModel.from_file(args.cost_model) if args.cost_model else DEFAULT_COST_MODEL
-    # the widest spec first, so a range past the width cap fails before any work
+    # the widest spec first, so a range past the width cap, or the table cap
+    # of a flow that tabulates, fails before any work
     DesignSpec(Design(args.design), args.widths[-1])
+    if args.method != "hier":
+        _check_limit(args.widths[-1], limit)
     for n in args.widths:
         t0 = time.perf_counter()
         spec = DesignSpec(Design(args.design), n)

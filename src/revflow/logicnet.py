@@ -14,9 +14,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 # Truth-table expansion guard: 2^n rows get expensive fast.  The CLI can raise
 # this via the REVFLOW_TT_LIMIT environment variable.
@@ -42,20 +40,15 @@ _COMMENT = re.compile(r"#[^\n]*")
 
 
 def _uncomment(text: str) -> str:
-    """An input text with every line break a ``\\n`` and every comment cut."""
-    return _COMMENT.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
-
-
-def _lex(text: str) -> list[str]:
-    """The lines of an input text, comments cut, line 1 first.
+    """An input text with every line break a ``\\n`` and every comment cut.
 
     The four rules of every text input (.pla, .xmg, .real, cost tables): a
     ``#`` starts a comment that runs to the end of its line; lines end only
     at ``\\n``, ``\\r\\n`` or ``\\r``; a numeric field is ASCII decimal
     digits (``_decimal``); a fault of the whole file carries no line
-    number.  The readers keep the last two.
+    number.  This function keeps the first two, the readers the last two.
     """
-    return _uncomment(text).split("\n")
+    return _COMMENT.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _decimal(field: str, fault: str, path: str | None = None, line: int | None = None) -> int:
@@ -351,11 +344,12 @@ def _read_cube_run(run: str, n: int, m: int) -> list[Cube] | None:
 def read_pla(path: str | Path) -> EsopForm:
     """Read an ESOP-dialect PLA file.
 
-    A run of cube lines, from a cube line up to the next line that starts
-    with ``.`` or the end of the text, is first read by
-    ``_read_cube_run``.  A run that step turns down (a blank or comment
-    line, a tab, a bad column, a cube that drives nothing) is read line by
-    line, once; that loop is the only code that names a fault.
+    The headers are read line by line.  At the first cube line, the run of
+    cube lines up to the next line that starts with ``.`` or the end of the
+    text is first read by ``_read_cube_run``.  A run that step turns down
+    (a blank or comment line, a tab, a bad column, a cube that drives
+    nothing), and any later run, is read line by line; that loop is the
+    only code that names a fault.
     """
     name = str(path)
     num_inputs: int | None = None
@@ -363,15 +357,15 @@ def read_pla(path: str | Path) -> EsopForm:
     cubes: list[Cube] = []
     ended = False
     typed = False
-    lines = _lex(Path(path).read_text(encoding="utf-8"))
-    text = "\n".join(lines) + "\n"
-    rows = enumerate(lines, start=1)
-    start = 0  # where the next line starts in text
-    plain = 0  # the last line of a run the column step turned down
-    for lineno, line in rows:
+    tried = False  # whether the cube run went to _read_cube_run
+    text = _uncomment(Path(path).read_text(encoding="utf-8"))
+    lineno = 0
+    start = 0  # where line lineno + 1 starts in text
+    while start < len(text):
         offset = start
-        start += len(line) + 1
-        fields = line.split()
+        start = text.find("\n", offset) + 1 or len(text)
+        lineno += 1
+        fields = text[offset:start].split()
         if not fields:
             continue
         if ended:
@@ -406,16 +400,15 @@ def read_pla(path: str | Path) -> EsopForm:
         if not typed:
             # a plain PLA sums cubes with OR; reading it as ESOP would be wrong
             raise ParseError("cube before .type esop declaration", name, lineno)
-        if lineno > plain:
+        if not tried:
+            tried = True
             end = text.find("\n.", offset) + 1 or len(text)
             run = _read_cube_run(text[offset:end], num_inputs, num_outputs)
             if run is not None:
                 cubes += run
-                # skip the run's other lines (the itertools "consume" recipe)
-                next(islice(rows, len(run) - 1, len(run) - 1), None)
+                lineno += len(run) - 1
                 start = end
                 continue
-            plain = lineno + text.count("\n", offset, end) - 1
         if len(fields) == 1 and num_inputs == 0:
             # a cube with no inputs is its output pattern alone
             fields.insert(0, "")
@@ -461,15 +454,17 @@ class Xmg:
     of their own, they are majorities with a constant operand.  Construction
     folds trivial gates and hashes structurally, so equivalent add_* calls
     return the same literal.  The structural-hash key of a gate is its
-    operand tuple after phase normalisation, which is also what ``fanins``
-    returns: ``(a, b)`` with both phases stripped and a < b for an XOR, and
-    the ascending ``(a, b, c)`` with at most one complemented operand for a
-    MAJ.  A node's kind is the length of its fanin tuple: ``()`` for the
-    constant and the inputs, 2 for an XOR, 3 for a MAJ.
+    operand tuple after phase normalisation, which is also what
+    ``fanins[node]`` holds: ``(a, b)`` with both phases stripped and a < b
+    for an XOR, and the ascending ``(a, b, c)`` with at most one
+    complemented operand for a MAJ.  A node's kind is the length of its
+    fanin tuple: ``()`` for the constant and the inputs, 2 for an XOR, 3
+    for a MAJ.  ``fanins`` is the one node list every pass indexes; only
+    the add_* methods change it.
     """
 
     def __init__(self):
-        self._fanins: list[tuple[int, ...]] = [()]
+        self.fanins: list[tuple[int, ...]] = [()]
         self._strash: dict[tuple[int, ...], int] = {}
         self._num_inputs = 0
         self._outputs: list[int] = []
@@ -485,20 +480,20 @@ class Xmg:
         return 1
 
     def add_input(self) -> int:
-        index = len(self._fanins)
-        self._fanins.append(())
+        index = len(self.fanins)
+        self.fanins.append(())
         self._num_inputs += 1
         return index << 1
 
     def _check_lit(self, literal: int) -> None:
-        if not 0 <= literal < len(self._fanins) << 1:
+        if not 0 <= literal < len(self.fanins) << 1:
             raise ValueError(f"literal {literal} references an unknown node")
 
     # add_xor and add_maj run once per generated or read gate, so they work
     # on the literals directly: x >> 1 is the node, x & 1 the phase.
 
     def add_xor(self, a: int, b: int) -> int:
-        bound = len(self._fanins) << 1
+        bound = len(self.fanins) << 1
         if not 0 <= a < bound:
             raise ValueError(f"literal {a} references an unknown node")
         if not 0 <= b < bound:
@@ -516,12 +511,12 @@ class Xmg:
         node = self._strash.get(key)
         if node is None:
             node = bound >> 1
-            self._fanins.append(key)
+            self.fanins.append(key)
             self._strash[key] = node
         return node << 1 | neg
 
     def add_maj(self, a: int, b: int, c: int) -> int:
-        bound = len(self._fanins) << 1
+        bound = len(self.fanins) << 1
         if not (0 <= a < bound and 0 <= b < bound and 0 <= c < bound):
             for x in (a, b, c):
                 self._check_lit(x)
@@ -554,7 +549,7 @@ class Xmg:
         node = self._strash.get(key)
         if node is None:
             node = bound >> 1
-            self._fanins.append(key)
+            self.fanins.append(key)
             self._strash[key] = node
         return node << 1 | neg
 
@@ -580,19 +575,11 @@ class Xmg:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._fanins)
+        return len(self.fanins)
 
     @property
     def outputs(self) -> tuple[int, ...]:
         return tuple(self._outputs)
-
-    def fanins(self, node: int) -> tuple[int, ...]:
-        return self._fanins[node]
-
-    def gates(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Gate nodes in topological order as (node, fanins)."""
-        for node in range(1 + self.num_inputs, len(self._fanins)):
-            yield node, self._fanins[node]
 
     # -- evaluation --------------------------------------------------------
 
@@ -601,7 +588,7 @@ class Xmg:
         n = self.num_inputs
         _check_limit(n, limit)
         ones = (1 << (1 << n)) - 1
-        values = [0] * len(self._fanins)
+        values = [0] * len(self.fanins)
         for i in range(n):
             values[1 + i] = _input_pattern(i, n)
 
@@ -609,7 +596,7 @@ class Xmg:
             v = values[literal >> 1]
             return v ^ ones if literal & 1 else v
 
-        for node, fi in self.gates():
+        for node, fi in enumerate(self.fanins[1 + n:], start=1 + n):
             if len(fi) == 2:
                 values[node] = edge(fi[0]) ^ edge(fi[1])
             else:
@@ -735,7 +722,7 @@ _GATE_LINES = {2: "xor %d %d\n", 3: "maj %d %d %d\n"}
 
 
 def write_xmg(net: Xmg, path: str | Path) -> None:
-    gates = net._fanins[1 + net.num_inputs:]
+    gates = net.fanins[1 + net.num_inputs:]
     text = [f".xmg {net.num_inputs} {net.num_outputs} {len(gates)}\n"]
     text += [_GATE_LINES[len(fi)] % fi for fi in gates]
     text += ["out %d\n" % out for out in net.outputs]
@@ -769,7 +756,7 @@ def _read_gate_run(net: Xmg, text: str, start: int, end: int) -> bool:
     first, and re-adding them there returns the same nodes.
     """
     add_maj, add_xor = net.add_maj, net.add_xor
-    fresh = len(net._fanins) << 1  # the next fresh node's literal
+    fresh = len(net.fanins) << 1  # the next fresh node's literal
     while start < end:
         stop = text.rfind("\n", start, min(start + _CHUNK, end)) + 1
         if stop <= start or not _GATE_RUN.fullmatch(text, start, stop):

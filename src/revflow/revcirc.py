@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .embedding import Permutation
-from .logicnet import ParseError, TruthTable, _decimal, _input_pattern, _lex, _transpose
+from .logicnet import ParseError, TruthTable, _decimal, _input_pattern, _transpose, _uncomment
 
 # Widths beyond this make full permutation extraction explode; callers that
 # only need input-side behaviour should use simulate_source_batch instead.
@@ -303,7 +303,7 @@ class CostModel:
     @classmethod
     def parse(cls, text: str, path: str = "<cost>") -> "CostModel":
         entries = []
-        for lineno, raw in enumerate(_lex(text), start=1):
+        for lineno, raw in enumerate(_uncomment(text).split("\n"), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -426,9 +426,10 @@ def read_real(path) -> RevCircuit:
       caches its head.
     - full parse: every other line (a comment or blank line, tabs or runs of
       spaces, leading whitespace, controls out of order, a key such as
-      ``t02``, no final newline, ``.end``) is lexed as every input is
-      (``logicnet._lex``), and a gate line's tokens go to ``parse_gate``,
-      which sorts the controls; its head is not cached.
+      ``t02``, no final newline, ``.end``) is lexed as every input is,
+      by ``logicnet._uncomment`` (the file's text mode already ends lines
+      at ``\\n``, ``\\r\\n`` and ``\\r``), and a gate line's tokens go to
+      ``parse_gate``, which sorts the controls; its head is not cached.
 
     A gate the first three paths append equals the line's gate by value,
     and ``parse_gate`` is the only code that names a gate-line fault, so a
@@ -447,7 +448,7 @@ def read_real(path) -> RevCircuit:
     with open(path, encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
         for lineno, raw in lines:
-            tokens = _lex(raw)[0].split()
+            tokens = _uncomment(raw).split()
             if not tokens:
                 continue
             key = tokens[0]
@@ -506,7 +507,7 @@ def read_real(path) -> RevCircuit:
             fail("missing .end")
         gates = _read_body(lines, names, str(path))
         for lineno, raw in lines:
-            if _lex(raw)[0].strip():
+            if _uncomment(raw).strip():
                 fail("content after .end", lineno)
 
     if constants is None:
@@ -611,7 +612,7 @@ def _read_body(lines, names: list, path: str) -> list[MctGate]:
                 gates.append(gate)
                 continue
         replay = 0
-        tokens = _lex(raw)[0].split()
+        tokens = _uncomment(raw).split()
         if not tokens:
             continue
         key = tokens[0]

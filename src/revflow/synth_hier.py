@@ -33,7 +33,7 @@ def _readers(net: Xmg) -> bytearray:
     are stored in topological order, so one backward sweep sees every
     reader of a node before the node itself.
     """
-    fanins = net._fanins
+    fanins = net.fanins
     readers = bytearray(len(fanins))
     for edge in net.outputs:
         readers[edge >> 1] = 2 if readers[edge >> 1] else 1
@@ -62,7 +62,7 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     readers = _readers(net)
     # one control tuple per line for the CNOTs: a line per output and per
     # live node at most, and the two scratch lines
-    fanins = net._fanins
+    fanins = net.fanins
     live = len(fanins) - 1 - n - readers.count(0, 1 + n)
     ctl = [(line << 1,) for line in range(n + m + live + 2)]
     line_of = [0] * len(fanins)  # node -> the line holding its value

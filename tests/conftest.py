@@ -71,7 +71,7 @@ def xmg_kind(net: Xmg, node: int) -> str:
         return "const0"
     if node <= net.num_inputs:
         return "input"
-    return {2: "xor", 3: "maj"}[len(net.fanins(node))]
+    return {2: "xor", 3: "maj"}[len(net.fanins[node])]
 
 
 def naive_xmg_eval(net: Xmg, x: int) -> int:
@@ -83,7 +83,7 @@ def naive_xmg_eval(net: Xmg, x: int) -> int:
             return 0
         if kind == "input":
             return x >> (node - 1) & 1
-        ops = [val(e >> 1) ^ (e & 1) for e in net.fanins(node)]
+        ops = [val(e >> 1) ^ (e & 1) for e in net.fanins[node]]
         if kind == "xor":
             return ops[0] ^ ops[1]
         return int(sum(ops) >= 2)
@@ -272,7 +272,7 @@ def reference_write_pla(esop: EsopForm, path) -> None:
 def reference_write_xmg(net: Xmg, path) -> None:
     """write_xmg's text, one node and one operand at a time."""
     lines = [f".xmg {net.num_inputs} {net.num_outputs} {net.num_nodes - 1 - net.num_inputs}"]
-    for _, fi in net.gates():
+    for fi in net.fanins[1 + net.num_inputs:]:
         word = "maj" if len(fi) == 3 else "xor"
         lines.append(word + " " + " ".join(str(f) for f in fi))
     for out in net.outputs:
@@ -379,7 +379,7 @@ def reachable_gate_counts(net: Xmg) -> tuple:
         node = todo.pop()
         if node not in reached and xmg_kind(net, node) in ("maj", "xor"):
             reached.add(node)
-            todo.extend(e >> 1 for e in net.fanins(node))
+            todo.extend(e >> 1 for e in net.fanins[node])
     maj = sum(1 for node in reached if xmg_kind(net, node) == "maj")
     return maj, len(reached) - maj
 

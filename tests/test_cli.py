@@ -271,6 +271,19 @@ def test_width_cap_bounds_every_design_command(tmp_path, capsys):
     assert info.value.line == 1
 
 
+def test_sweep_checks_the_table_cap_before_its_first_width(capsys, monkeypatch):
+    """A flow that tabulates checks the range end against REVFLOW_TT_LIMIT
+    before it prints a record; hier needs no table, so the cap leaves it be."""
+    monkeypatch.setenv("REVFLOW_TT_LIMIT", "6")
+    for method in ("esop", "functional"):
+        code = main(["sweep", "4..8", "--design", "intdiv", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", method
+        assert "width 8 exceeds the truth-table limit of 6" in captured.err, method
+    assert main(["sweep", "4..7", "--design", "intdiv", "--method", "hier"]) == 0
+    assert [json.loads(ln)["n"] for ln in capsys.readouterr().out.splitlines()] == [4, 5, 6, 7]
+
+
 def test_sweep_requires_design_and_method(capsys):
     for argv in (["4..5", "--design", "intdiv"], ["4..5", "--method", "esop"],
                  ["--design", "intdiv", "--method", "esop"]):
@@ -328,8 +341,8 @@ def test_gen_xmg_files_take_the_gate_run_path(tmp_path, capsys, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(logicnet, "_read_gate_run", lambda *args: False)
                 by_lines = read_xmg(src)
-            assert (net._fanins, net.outputs, net.num_inputs) == (
-                by_lines._fanins, by_lines.outputs, by_lines.num_inputs), (design, n)
+            assert (net.fanins, net.outputs, net.num_inputs) == (
+                by_lines.fanins, by_lines.outputs, by_lines.num_inputs), (design, n)
 
 
 def test_overlong_number_is_a_fault_at_its_place(tmp_path):

@@ -1,9 +1,10 @@
 """Golden outputs: the REAL text of every flow, the generated XMG and PLA
-texts and the NEWTON model's every word, pinned by sha256.
+texts and the NEWTON model's every word, pinned by sha256; and the QoR
+figures of ROADMAP's baseline at larger widths, pinned exactly.
 
 A change meant to leave circuits alone (a refactor, a speed-up) must keep
-every hash.  A change that alters a circuit on purpose updates the table
-below and says why.
+every hash and figure.  A change that alters a circuit on purpose updates
+the tables below and says why.
 """
 
 import hashlib
@@ -13,8 +14,8 @@ import pytest
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg, newton_trace
 from revflow.cli import run_flow
-from revflow.logicnet import esop_from_tt, write_pla, write_xmg
-from revflow.revcirc import read_real, write_real
+from revflow.logicnet import esop_from_tt, esop_minimize, write_pla, write_xmg
+from revflow.revcirc import cost_report, read_real, write_real
 
 GOLDEN = {
     ("intdiv", "functional-optimum", 4): "52acbe3877532346065fb9ea93a4663eaa04c1aecd7336cc8ab394f6b8255ede",
@@ -60,6 +61,24 @@ def test_real_output_unchanged(design, flow, tmp_path):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == GOLDEN[design.value, flow, n], n
         assert read_real(path) == circ, n
+
+
+def test_qor_matches_the_roadmap_baseline():
+    """ROADMAP's baseline through run_flow: esop T and cubes (Reed-Muller,
+    minimized), hier T and qubits, and the functional flow's gates with the
+    optimum embedding; INTDIV unless named."""
+    for n, t_count, cubes in ((6, 2_700, (63, 62)), (8, 22_680, (255, 254)), (10, 154_828, (1022, 1021))):
+        table = design_truth_table(DesignSpec(Design.INTDIV, n))
+        esop = esop_from_tt(table)
+        assert (len(esop.cubes), len(esop_minimize(esop).cubes)) == cubes, n
+        assert cost_report(run_flow("esop", table)).t_count == t_count, n
+    for n, t_count, qubits in ((6, 1_064, 139), (8, 1_876, 249), (10, 2_912, 391)):
+        report = cost_report(run_flow("hier", design_xmg(DesignSpec(Design.INTDIV, n))))
+        assert (report.t_count, report.qubits) == (t_count, qubits), n
+    for n, qubits in ((6, 4_849), (8, 11_018), (10, 16_755)):
+        assert run_flow("hier", design_xmg(DesignSpec(Design.NEWTON, n))).width == qubits, n
+    circ = run_flow("functional", design_truth_table(DesignSpec(Design.INTDIV, 8)))
+    assert len(circ.gates) == 235_431
 
 
 # write_xmg(design_xmg(DesignSpec(design, n))): the node numbering and every

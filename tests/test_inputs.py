@@ -26,7 +26,7 @@ COMMENT_CHARS = "ab 1.e#\t\x0c\u2028"
 
 
 def xmg_structure(net):
-    return net.num_inputs, [net.fanins(node) for node in range(net.num_nodes)], net.outputs
+    return net.num_inputs, [net.fanins[node] for node in range(net.num_nodes)], net.outputs
 
 
 def written_pla(rng, path):

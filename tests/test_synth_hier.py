@@ -40,7 +40,7 @@ def test_maj_operands_ascending_with_at_most_one_negated():
     nets = [random_xmg(rng, rng.randrange(1, 6), 30, 2) for _ in range(300)]
     nets += [design_xmg(DesignSpec(design, 5)) for design in Design]
     for net in nets:
-        for _, fanins in net.gates():
+        for fanins in net.fanins[1 + net.num_inputs:]:
             if len(fanins) == 3:
                 a, b, c = fanins
                 assert a < b < c and (a & 1) + (b & 1) + (c & 1) <= 1
