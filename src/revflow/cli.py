@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from .arith import Design, DesignSpec, design_truth_table, design_xmg
-from .embedding import bennett_embed, optimum_embed
+from .embedding import bennett_embed, optimum_embed, optimum_width
 from .logicnet import (
     DEFAULT_TT_LIMIT,
     EsopForm,
@@ -241,6 +241,12 @@ def cmd_sweep(args) -> int:
     DesignSpec(Design(args.design), args.widths[-1])
     if args.method != "hier":
         _check_limit(args.widths[-1], limit)
+    if args.method == "functional":
+        # an embedding adds lines to the table's: check each before the first record
+        bennett = vars(args).get("embedding") == "bennett"
+        for n in args.widths:
+            tt = design_truth_table(DesignSpec(Design(args.design), n), limit)
+            _check_limit(tt.num_inputs + tt.num_outputs if bennett else optimum_width(tt), limit)
     for n in args.widths:
         t0 = time.perf_counter()
         spec = DesignSpec(Design(args.design), n)

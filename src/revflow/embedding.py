@@ -58,6 +58,11 @@ def min_additional_lines(tt: TruthTable) -> int:
     return (worst - 1).bit_length()
 
 
+def optimum_width(tt: TruthTable) -> int:
+    """The width of ``optimum_embed``'s embedding: max(n, m + min_additional_lines)."""
+    return max(tt.num_inputs, tt.num_outputs + min_additional_lines(tt))
+
+
 def bennett_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation, Embedding]:
     """Width n+m embedding where line n+j returns its own value xor f_j(x).
 
@@ -87,7 +92,7 @@ def optimum_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation
     (default DEFAULT_TT_LIMIT).
     """
     n, m = tt.num_inputs, tt.num_outputs
-    r = max(n, m + min_additional_lines(tt))
+    r = optimum_width(tt)
     _check_limit(r, limit)
     g = r - m
     size = 1 << r

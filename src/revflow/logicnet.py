@@ -338,7 +338,10 @@ def _read_cube_run(run: str, n: int, m: int) -> list[Cube] | None:
     outputs = _transpose(outputs, count)
     if 0 in outputs:
         return None
-    return list(map(Cube, _transpose(masks, count), _transpose(polarities, count), outputs))
+    masks = _transpose(masks, count)
+    # a positive-polarity cube (every Reed-Muller cube) shares its mask's int
+    polarities = [m if p == m else p for m, p in zip(masks, _transpose(polarities, count))]
+    return list(map(Cube, masks, polarities, outputs))
 
 
 def read_pla(path: str | Path) -> EsopForm:

@@ -10,27 +10,20 @@ works on whole input batches at once by keeping one bit-plane per line, in
 the convention of ``logicnet`` (bit x is the line's value under assignment
 x); ``logicnet._transpose`` turns planes into words and back.
 
-A gate keeps its controls as one tuple of line literals, ``line << 1 | neg``
-(the edge encoding of ``logicnet.Xmg``), strictly ascending by line.  A
-literal with ``neg`` set is a negative control: it holds when its line is 0.
-The ascending form is canonical, so equal gates compare equal and REAL files
-write and read the controls in the same order.
-
-``MctGate`` checks that order once per run of gates on one tuple object: a
-module global holds the last controls tuple that passed, and a gate built
-on that very object checks only its target.  The memo is exact because a
-tuple cannot change, only a tuple that passed the check is held, and the
-held reference keeps the tuple alive, so its id cannot pass to another
-object.  An ESOP cube's gates share one tuple, hier's CNOTs on one control
-line share one, and ``read_real`` gives every gate read from one head text
-the same tuple; the plane simulator reuses a fire across a run of gates on
-one tuple object.
+A gate is the pair ``(target, controls)``: the target line, and the controls
+as one tuple of line literals, ``line << 1 | neg`` (the edge encoding of
+``logicnet.Xmg``), strictly ascending by line.  A literal with ``neg`` set is
+a negative control: it holds when its line is 0.  The ascending form is
+canonical, so equal gates compare equal and REAL files write and read the
+controls in the same order.  ``RevCircuit`` checks every gate once, when the
+circuit is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .embedding import Permutation
@@ -57,49 +50,6 @@ def _first_bad_name(names) -> "str | None":
     return next(name for name in names if name.split() != [name] or name.startswith("-") or "#" in name)
 
 
-# the last controls tuple that passed MctGate's order check (module docstring)
-_checked: tuple = ()
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class MctGate:
-    """Flip the target iff every control literal holds.
-
-    Controls on the tuple object that last passed the order check skip it;
-    the target is checked on every gate, and searched for among the
-    controls only when its line is not above the last control's.
-    """
-
-    target: int
-    controls: tuple[int, ...]
-
-    def __init__(self, target: int, controls: tuple[int, ...] = ()):
-        global _checked
-        if target < 0:
-            raise ValueError("negative target line")
-        if controls is not _checked:
-            prev = -1
-            for c in controls:
-                line = c >> 1
-                if line <= prev:
-                    raise ValueError("control lines must be non-negative and in strictly ascending order")
-                prev = line
-            if type(controls) is tuple:
-                _checked = controls
-        # the controls ascend by line, so a target above the last control's
-        # line is none of them: an ESOP gate's output line always is
-        if (controls and target <= controls[-1] >> 1
-                and (target << 1 in controls or target << 1 | 1 in controls)):
-            raise ValueError("target used as its own control")
-        _set_target(self, target)
-        _set_controls(self, controls)
-
-
-# the slot descriptors set the fields past the frozen class's __setattr__
-_set_target = MctGate.target.__set__
-_set_controls = MctGate.controls.__set__
-
-
 @dataclass(frozen=True)
 class RevCircuit:
     """Gate cascade with per-line roles.
@@ -111,7 +61,7 @@ class RevCircuit:
     """
 
     width: int
-    gates: tuple[MctGate, ...]
+    gates: "tuple[tuple[int, tuple[int, ...]], ...]"
     line_names: tuple[str, ...]
     constants: "tuple[int | None, ...]"
     outputs: "tuple[int | None, ...]"
@@ -133,17 +83,30 @@ class RevCircuit:
         declared = [o for o in self.outputs if o is not None]
         if declared != list(range(len(declared))):
             raise ValueError("output indices must be 0..m-1 in line order")
-        # a gate's controls ascend, so its last literal has its highest line,
-        # and that line is below width iff the literal is below width << 1
+        # controls are checked once per run of gates on one tuple object: last
+        # keeps it alive, so no other object takes its id; hi is its top line
         width = self.width
-        top = width << 1
-        for gate in self.gates:
-            controls = gate.controls
-            if gate.target >= width or controls and controls[-1] >= top:
+        last, hi = None, -1
+        for target, controls in self.gates:
+            if target < 0:
+                raise ValueError("negative target line")
+            if controls is not last:
+                if type(controls) is not tuple:
+                    raise ValueError("gate controls must be a tuple")
+                prev = -1
+                for c in controls:
+                    if c >> 1 <= prev:
+                        raise ValueError("control lines must be non-negative and in strictly ascending order")
+                    prev = c >> 1
+                last, hi = controls, prev
+            # the controls ascend, so a target above their highest line is none of them
+            if target <= hi and (target << 1 in controls or target << 1 | 1 in controls):
+                raise ValueError("target used as its own control")
+            if target >= width or hi >= width:
                 raise ValueError("gate uses a line beyond the circuit width")
 
     @classmethod
-    def layout(cls, width: int, gates: Iterable[MctGate], names: Iterable[str],
+    def layout(cls, width: int, gates: Iterable[tuple], names: Iterable[str],
                num_inputs: int, num_outputs: int, first_output: int) -> "RevCircuit":
         """The one line layout of every flow.
 
@@ -160,7 +123,7 @@ class RevCircuit:
         )
 
     @classmethod
-    def generic(cls, width: int, gates: Iterable[MctGate]) -> "RevCircuit":
+    def generic(cls, width: int, gates: Iterable[tuple]) -> "RevCircuit":
         """All lines primary inputs, all lines outputs in place."""
         return cls.layout(width, gates, (f"l{i}" for i in range(width)), width, width, 0)
 
@@ -177,21 +140,21 @@ def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
     """Apply the cascade to per-line bit planes over `batch` assignments.
 
     A gate on the previous gate's controls tuple object reuses its fire:
-    that gate's target is not among those controls (``MctGate`` rejects
+    that gate's target is not among those controls (``RevCircuit`` rejects
     it), so it left their planes unchanged.  The test is identity, not
     equality: a gate on an equal but distinct tuple recomputes the same
     fire, and the flows and ``read_real`` share one tuple where controls
     repeat.
     """
     full = (1 << batch) - 1
-    controls = fire = None
-    for gate in circ.gates:
-        if gate.controls is not controls:
-            controls = gate.controls
+    last = fire = None
+    for target, controls in circ.gates:
+        if controls is not last:
+            last = controls
             fire = full
             for c in controls:
                 fire &= ~planes[c >> 1] if c & 1 else planes[c >> 1]
-        planes[gate.target] ^= fire
+        planes[target] ^= fire
     return planes
 
 
@@ -343,7 +306,7 @@ class CostReport:
 
 
 def cost_report(circ: RevCircuit, model: CostModel = DEFAULT_COST_MODEL) -> CostReport:
-    hist = Counter(len(gate.controls) for gate in circ.gates)
+    hist = Counter(len(controls) for _, controls in circ.gates)
     return CostReport(
         qubits=circ.width,
         gate_count=len(circ.gates),
@@ -372,17 +335,17 @@ def write_real(circ: RevCircuit, path) -> None:
         # each distinct control set is formatted once, as "\ntK c1 .. cK-1 ";
         # a gate on the previous gate's controls object reuses its head unhashed
         heads: dict[tuple[int, ...], str] = {}
-        controls = head = None
+        last = head = None
         write = fh.write
-        for gate in circ.gates:
-            if gate.controls is not controls:
-                controls = gate.controls
+        for target, controls in circ.gates:
+            if controls is not last:
+                last = controls
                 head = heads.get(controls)
                 if head is None:
                     head = heads[controls] = f"\nt{len(controls) + 1} " + "".join(
                         lit_names[c] + " " for c in controls
                     )
-            write(head + names[gate.target])
+            write(head + names[target])
         fh.write("\n.end\n")
 
 
@@ -405,36 +368,38 @@ def read_real(path) -> RevCircuit:
     at none for a fault of the whole file such as a missing ``.end``.
 
     The body has its own loop, cheap for lines in the form ``write_real``
-    writes them: ``tK c1 .. cK-1 target``, single spaces, controls in
-    ascending line order, a newline.  The text up to such a line's last
-    space is its head, and a dict maps each head to the position of the
-    last gate read from it.  A body line takes one of four paths:
+    writes them: ``tK c1 .. cK-1 target``, single spaces, a newline.  The
+    text up to such a line's last space is its head, and a dict maps each
+    head to the position of the last gate read from it.  These lines build
+    their gates unchecked; a body line takes one of four paths:
 
     - replay: Bennett cleanup writes the compute phase again in reverse.
-      A line that repeats its head's last gate starts a replay at that
-      gate's position; while one runs, a line whose target and head's
-      controls tuple are those of the gate just before the replay position
-      appends that very gate object and moves the position back by one.
-      Any other line ends the replay.
+      A line that repeats its head's last gate, or the gate two places
+      before that one on the same controls (where a hier MAJ's last set-up
+      CNOT sits, before the MAJ's Toffoli and its own CNOT on that head),
+      starts a replay at that gate's position; while one runs, a line
+      whose target and head's controls tuple are those of the gate just
+      before the replay position appends that very gate object and moves
+      the position back by one.  Any other line ends the replay.
     - cached head: a line whose head is in the dict and whose last word and
       newline, ``target + "\\n"``, name a line costs two dict hits.  The
       same target appends that very gate again; another target builds one
-      gate on the same ``controls`` tuple, which takes the head's place.
+      pair on the same ``controls`` tuple, which takes the head's place.
     - written form, new head: such a line whose key is ``tK`` for its K
-      words, each word after the key a literal and the literals ascending,
-      builds its gate in one step (``split(" ")``, one ``MctGate``) and
-      caches its head.
+      words, each word after the key a literal, builds its pair in one step
+      (``split(" ")``, one tuple of literals) and caches its head.
     - full parse: every other line (a comment or blank line, tabs or runs of
-      spaces, leading whitespace, controls out of order, a key such as
-      ``t02``, no final newline, ``.end``) is lexed as every input is,
-      by ``logicnet._uncomment`` (the file's text mode already ends lines
-      at ``\\n``, ``\\r\\n`` and ``\\r``), and a gate line's tokens go to
-      ``parse_gate``, which sorts the controls; its head is not cached.
+      spaces, leading whitespace, a key such as ``t02``, no final newline,
+      ``.end``) is lexed by ``logicnet._uncomment`` (text mode already ends
+      lines at ``\\n``, ``\\r\\n`` and ``\\r``), and a gate line's tokens
+      go to ``parse_gate``; its head is not cached.
 
-    A gate the first three paths append equals the line's gate by value,
-    and ``parse_gate`` is the only code that names a gate-line fault, so a
-    fault after a cached head or inside a replay still fails at its own
-    line.
+    A pair these paths append is the line's gate, with its controls in the
+    order written, so it can break a gate rule only by its controls (out of
+    order, a line twice, the target among them), which ``RevCircuit``
+    rejects.  Then, or at any fault in or after the body, the body is read
+    again with every gate line through ``parse_gate``, which sorts the
+    controls and names the first fault at its own line.
     """
     width = None
     names: list | None = None
@@ -505,23 +470,28 @@ def read_real(path) -> RevCircuit:
             if width is None or names is None:
                 fail("missing .numvars/.variables")
             fail("missing .end")
-        gates = _read_body(lines, names, str(path))
-        for lineno, raw in lines:
-            if _uncomment(raw).strip():
-                fail("content after .end", lineno)
-
-    if constants is None:
-        constants = (None,) * width
-    if outputs is None:
-        outputs = tuple(range(width))
+        if constants is None:
+            constants = (None,) * width
+        if outputs is None:
+            outputs = tuple(range(width))
+        if fh.seekable():  # else, a pipe say, the one read is the checked one
+            try:
+                return RevCircuit(width, tuple(_read_body(lines, names, str(path))), tuple(names),
+                                  constants, outputs)
+            except ValueError:
+                pass  # an unchecked gate broke a rule, or a line is a fault: read again
+            fh.seek(0)
+            lines = enumerate(islice(fh, lineno, None), lineno + 1)
+        gates = _read_body(lines, names, str(path), checked=True)
     try:
         return RevCircuit(width, tuple(gates), tuple(names), constants, outputs)
     except ValueError as exc:
         raise ParseError(str(exc), str(path)) from None
 
 
-def _read_body(lines, names: list, path: str) -> list[MctGate]:
-    """The gates of a REAL body, read from `lines` up to and including .end."""
+def _read_body(lines, names: list, path: str, checked: bool = False) -> list:
+    """The gates of a REAL body, read from `lines` to the end of the file;
+    if `checked`, every gate line goes to ``parse_gate`` (see ``read_real``)."""
 
     def fail(msg, lineno=None):
         raise ParseError(msg, path, lineno)
@@ -533,7 +503,7 @@ def _read_body(lines, names: list, path: str) -> list[MctGate]:
     # line, and the names joined by "\n " split at the spaces into those ends
     ends = dict(zip(("\n ".join(names) + "\n").split(" "), range(len(names))))
 
-    def parse_gate(tokens, lineno) -> MctGate:
+    def parse_gate(tokens, lineno) -> tuple:
         """The gate of a body line's comment-free tokens, or a ParseError."""
         key = tokens[0]
         fault = f"unknown gate kind {key!r}"
@@ -559,53 +529,53 @@ def _read_body(lines, names: list, path: str) -> list[MctGate]:
                 fail(f"target {name[1:]!r} cannot be negative", lineno)
             fail(f"unknown line {name!r}", lineno)
         controls = tuple(sorted(controls))
-        try:
-            return MctGate(target, controls)
-        except ValueError:
-            # the lines are known and sorted, so only a repeat is left
-            named = [target] + [c >> 1 for c in controls]
+        # the lines are known and the controls sorted, so only a repeat is left
+        named = [target] + [c >> 1 for c in controls]
+        if len(set(named)) < len(named):
             twice = next(x for x in named if named.count(x) > 1)
             fail(f"line {names[twice]!r} named twice in one gate", lineno)
+        return target, controls
 
-    gates: list[MctGate] = []
+    gates: list = []
     last_at: dict[str, int] = {}  # head text -> index in gates of the last gate read from it
     # while nonzero, the next line may be gates[replay - 1]: a reversed replay
     replay = 0
+    tails = {} if checked else ends  # a checked read takes no written-form path
     for lineno, raw in lines:
         head, _, end = raw.rpartition(" ")
-        target = ends.get(end)
+        target = tails.get(end)
         if target is not None:
             at = last_at.get(head)
             if at is None:
                 gate = None
-                # written form: the key counts the words, each one after it a
-                # literal, ascending as write_real writes them
+                # written form: the key counts the words, each one after it a literal
                 tokens = head.split(" ")
                 if tokens[0] == f"t{len(tokens)}":
                     try:
-                        gate = MctGate(target, tuple(map(literals.__getitem__, tokens[1:])))
-                    except (KeyError, ValueError):
-                        pass  # parse_gate sorts, or names the fault
+                        gate = target, tuple(map(literals.__getitem__, tokens[1:]))
+                    except KeyError:
+                        pass  # parse_gate names the fault
             else:
-                gate = gates[at]
+                controls = gates[at][1]
                 if replay:
-                    # this line's gate is MctGate(target, gate.controls), so a
-                    # gate on that very tuple with that target equals it
+                    # this line's gate is (target, controls), so a gate on
+                    # that very tuple with that target equals it
                     prev = gates[replay - 1]
-                    if prev.controls is gate.controls and prev.target == target:
+                    if prev[1] is controls and prev[0] == target:
                         gates.append(prev)
                         replay -= 1
                         continue
-                if gate.target == target:
-                    # the lines before gates[at] may follow, in reverse
-                    replay = at
+                # the head's last gate, or the one two places before it, if
+                # it is this line's gate: a hier MAJ puts its last set-up
+                # CNOT there, then its Toffoli, then its own CNOT on that head
+                back = at if gates[at][0] == target else at - 2
+                if back >= 0 and gates[back][1] is controls and gates[back][0] == target:
+                    # the lines before gates[back] may follow, in reverse
+                    replay = back
                     last_at[head] = len(gates)
-                    gates.append(gate)
+                    gates.append(gates[back])
                     continue
-                try:
-                    gate = MctGate(target, gate.controls)
-                except ValueError:
-                    gate = None  # parse_gate names the fault
+                gate = target, controls
             replay = 0
             if gate is not None:
                 last_at[head] = len(gates)
@@ -622,6 +592,9 @@ def _read_body(lines, names: list, path: str) -> list[MctGate]:
                 fail(f"{key} after .begin", lineno)
             if len(tokens) != 1:
                 fail(".end takes no fields", lineno)
+            for lineno, raw in lines:
+                if _uncomment(raw).strip():
+                    fail("content after .end", lineno)
             return gates
         gates.append(parse_gate(tokens, lineno))
     fail("missing .end")

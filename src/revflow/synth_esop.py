@@ -8,10 +8,10 @@ form out_j = 0 xor f_j(x) on n + m lines.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 
 from .logicnet import EsopForm
-from .revcirc import MctGate, RevCircuit
+from .revcirc import RevCircuit
 
 
 def _nibble_tables(width: int, item) -> list[list[tuple[int, ...]]]:
@@ -33,13 +33,13 @@ def esop_synth(esop: EsopForm) -> RevCircuit:
     """Cascade with one Toffoli per (cube, output) pair, cubes in form order.
 
     Each cube's controls tuple is built once and shared by its gates, so
-    ``MctGate`` checks its order once per cube.
+    ``RevCircuit`` checks it once per cube; the gates stream into its tuple.
     """
     n, m = esop.num_inputs, esop.num_outputs
     literals = _nibble_tables(n, lambda i, positive: i << 1 | (positive ^ 1))
     targets_of = _nibble_tables(m, lambda j, _: n + j)
-    gates: list[MctGate] = []
-    for cube in esop.cubes:
+
+    def cube_gates(cube):
         mask, polarity, out = cube.mask, cube.polarity, cube.output_mask
         controls = ()
         for table in literals:
@@ -50,6 +50,7 @@ def esop_synth(esop: EsopForm) -> RevCircuit:
         for table in targets_of:
             targets += table[out & 15]
             out >>= 4
-        gates += map(MctGate, targets, repeat(controls))
+        return zip(targets, repeat(controls))
+
     names = [f"x{i}" for i in range(n)] + [f"y{j}" for j in range(m)]
-    return RevCircuit.layout(n + m, gates, names, n, m, n)
+    return RevCircuit.layout(n + m, chain.from_iterable(map(cube_gates, esop.cubes)), names, n, m, n)

@@ -31,8 +31,18 @@ emits.
 from __future__ import annotations
 
 from .embedding import Embedding, Permutation
-from .logicnet import _bits, _input_pattern, _transpose
-from .revcirc import MctGate, RevCircuit
+from .logicnet import _input_pattern, _transpose
+from .revcirc import RevCircuit
+
+
+def _controls_of(literals: list, mask: int) -> tuple[int, ...]:
+    """literals[mask]: the positive literals of mask's set bits, ascending,
+    built as those of mask without its top bit plus the top bit's."""
+    lits = literals[mask]
+    if lits is None:
+        top = mask.bit_length() - 1
+        lits = literals[mask] = _controls_of(literals, mask ^ 1 << top) + (top << 1,)
+    return lits
 
 
 def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
@@ -49,14 +59,9 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     base = 0
     # bit x of patterns[b] is bit b of x, over every row
     patterns = [_input_pattern(b, r) for b in range(r)]
-    literals: dict[int, tuple[int, ...]] = {}
-    emitted: list[MctGate] = []
-
-    def controls_of(mask: int) -> tuple[int, ...]:
-        lits = literals.get(mask)
-        if lits is None:
-            lits = literals[mask] = tuple(c << 1 for c in _bits(mask))
-        return lits
+    # literals[mask], once built (see _controls_of); 2^r entries, as many as rows
+    literals: list = [()] + [None] * ((1 << r) - 1)
+    emitted: list = []
 
     def fire_of(lits: tuple[int, ...]) -> int:
         fire = full
@@ -88,18 +93,24 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
             continue
         up = i & ~y
         if up:
-            fire = fire_of(controls_of(y))
-            for b in _bits(up):
-                emitted.append(MctGate(b, controls_of(y)))
+            fire = fire_of(_controls_of(literals, y))
+            while up:
+                low = up & -up
+                up ^= low
+                b = low.bit_length() - 1
+                emitted.append((b, _controls_of(literals, y)))
                 planes[b] ^= fire
                 fire &= planes[b]
-                y |= 1 << b
+                y |= low
         down = y & ~i
         if down:
-            controls = controls_of(i)
+            controls = _controls_of(literals, i)
             fire = fire_of(controls)
-            for b in _bits(down):
-                emitted.append(MctGate(b, controls))
+            while down:
+                low = down & -down
+                down ^= low
+                b = low.bit_length() - 1
+                emitted.append((b, controls))
                 planes[b] ^= fire
         i += 1
 

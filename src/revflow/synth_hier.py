@@ -22,8 +22,10 @@ topological order; the nodes are then compiled in one forward loop.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .logicnet import Xmg
-from .revcirc import MctGate, RevCircuit
+from .revcirc import RevCircuit
 
 
 def _readers(net: Xmg) -> bytearray:
@@ -69,7 +71,7 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     line_of[1:1 + n] = range(n)
     next_line = n + m
     scratch: list[int] = []  # scratch[k]: the line of a MAJ's k-th input operand
-    compute: list[MctGate] = []
+    compute: list = []
     for node in range(1 + n, len(fanins)):
         if not readers[node]:
             continue
@@ -82,13 +84,13 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
             for dest, src in ((a, b), (b, a)) if inplace_xor else ():
                 if dest >= first_gate_lit and readers[dest >> 1] == 1:
                     line_of[node] = target = line_of[dest >> 1]
-                    compute.append(MctGate(target, ctl[line_of[src >> 1]]))
+                    compute.append((target, ctl[line_of[src >> 1]]))
                     break
             else:
                 line_of[node] = target = next_line
                 next_line += 1
-                compute.append(MctGate(target, ctl[line_of[a >> 1]]))
-                compute.append(MctGate(target, ctl[line_of[b >> 1]]))
+                compute.append((target, ctl[line_of[a >> 1]]))
+                compute.append((target, ctl[line_of[b >> 1]]))
             continue
         line_of[node] = target = next_line
         next_line += 1
@@ -109,7 +111,7 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
         a_const, a_neg = a < 2, a & 1
         if not a_const:
             a_line = line_of[a >> 1]
-        setup: list[MctGate] = []
+        setup: list = []
         controls = []
         k = 0  # input operands of this MAJ seen so far
         for op in (b, c):
@@ -121,28 +123,27 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
                     if k == len(scratch):
                         scratch.append(next_line)
                         next_line += 1
-                    setup.append(MctGate(scratch[k], ctl[op_line]))
-                    setup.append(MctGate(scratch[k], ctl[a_line]))
+                    setup.append((scratch[k], ctl[op_line]))
+                    setup.append((scratch[k], ctl[a_line]))
                     op_line = scratch[k]
                     k += 1
                 else:
-                    setup.append(MctGate(op_line, ctl[a_line]))
+                    setup.append((op_line, ctl[a_line]))
             controls.append(op_line << 1 | (a_neg ^ (op & 1)))
         compute.extend(setup)
         ctl_b, ctl_c = controls
-        compute.append(MctGate(target, (ctl_b, ctl_c) if ctl_b < ctl_c else (ctl_c, ctl_b)))
+        compute.append((target, (ctl_b, ctl_c) if ctl_b < ctl_c else (ctl_c, ctl_b)))
         if not a_const:
-            compute.append(MctGate(target, ctl[a_line]))
+            compute.append((target, ctl[a_line]))
         if a_neg:
-            compute.append(MctGate(target))
+            compute.append((target, ()))
         compute.extend(reversed(setup))
-    gates = list(compute)
+    copies = []
     for j, edge in enumerate(net.outputs):
         if edge >> 1:
-            gates.append(MctGate(n + j, ctl[line_of[edge >> 1]]))
+            copies.append((n + j, ctl[line_of[edge >> 1]]))
         if edge & 1:
-            gates.append(MctGate(n + j))
-    gates.extend(reversed(compute))
+            copies.append((n + j, ()))
     names = [f"x{i}" for i in range(n)] + [f"y{j}" for j in range(m)]
     names += [f"a{k}" for k in range(next_line - n - m)]
-    return RevCircuit.layout(next_line, gates, names, n, m, n)
+    return RevCircuit.layout(next_line, chain(compute, copies, reversed(compute)), names, n, m, n)

@@ -10,7 +10,7 @@ import random
 from revflow.arith import Design
 from revflow.embedding import Permutation
 from revflow.logicnet import Cube, EsopForm, ParseError, TruthTable, Xmg
-from revflow.revcirc import MctGate, RevCircuit, simulate_source_batch
+from revflow.revcirc import RevCircuit, simulate_source_batch
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
 HIER_VARIANTS = {"bennett": False, "inplace_xor": True}
@@ -384,33 +384,40 @@ def reachable_gate_counts(net: Xmg) -> tuple:
     return maj, len(reached) - maj
 
 
-def cnot(control: int, target: int) -> MctGate:
+def cnot(control: int, target: int) -> tuple:
     """Flip target iff control is 1."""
-    return MctGate(target, (control << 1,))
+    return target, (control << 1,)
 
 
-def reference_gate_error(target: int, controls: tuple) -> "str | None":
-    """The message ``MctGate(target, controls)`` must raise, or None.
+def reference_gate_error(target: int, controls, width: int) -> "str | None":
+    """The message ``RevCircuit`` must raise for the gate ``(target, controls)``
+    on `width` lines, or None.
 
-    A negative target is named first, then control lines out of strictly
-    ascending order or below 0, then the target among the control lines.
+    A negative target is named first, then controls that are not a tuple,
+    then control lines out of strictly ascending order or below 0, then the
+    target among the control lines, then a line at or beyond the width.
     """
     if target < 0:
         return "negative target line"
+    if not isinstance(controls, tuple):
+        return "gate controls must be a tuple"
     lines = [c >> 1 for c in controls]
     if any(line < 0 for line in lines) or any(a >= b for a, b in zip(lines, lines[1:])):
         return "control lines must be non-negative and in strictly ascending order"
     if target in lines:
         return "target used as its own control"
+    if max([target] + lines) >= width:
+        return "gate uses a line beyond the circuit width"
     return None
 
 
-def apply_gate(gate: MctGate, word: int) -> int:
+def apply_gate(gate: tuple, word: int) -> int:
     """Flip the gate's target in one r-bit word iff every control literal holds."""
-    for c in gate.controls:
+    target, controls = gate
+    for c in controls:
         if not ((word >> (c >> 1)) ^ c) & 1:
             return word
-    return word ^ 1 << gate.target
+    return word ^ 1 << target
 
 
 def simulate(circ: RevCircuit, word: int) -> int:
@@ -456,7 +463,7 @@ def reference_tbs(perm: Permutation) -> tuple:
     emitted = []
 
     def emit(mask, target):
-        emitted.append(MctGate(target, tuple(c << 1 for c in range(r) if mask >> c & 1)))
+        emitted.append((target, tuple(c << 1 for c in range(r) if mask >> c & 1)))
         images[:] = [y ^ 1 << target if y & mask == mask else y for y in images]
 
     for i in range(len(images)):
@@ -471,7 +478,7 @@ def reference_tbs(perm: Permutation) -> tuple:
 
 
 def toffoli_count(circ: RevCircuit) -> int:
-    return sum(1 for g in circ.gates if len(g.controls) == 2)
+    return sum(1 for _, controls in circ.gates if len(controls) == 2)
 
 
 def clean_ancillas(circ: RevCircuit) -> bool:

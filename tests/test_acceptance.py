@@ -103,7 +103,7 @@ def test_esop_flow_exact():
     for n in range(4, 9):
         tt = design_truth_table(DesignSpec(Design.INTDIV, n))
         circ = run_flow("esop", tt)
-        assert all(len(g.controls) <= n for g in circ.gates)
+        assert all(len(controls) <= n for _, controls in circ.gates)
         assert verify_circuit(circ, tt)
     budget.check()
 

@@ -282,6 +282,14 @@ def test_sweep_checks_the_table_cap_before_its_first_width(capsys, monkeypatch):
         assert "width 8 exceeds the truth-table limit of 6" in captured.err, method
     assert main(["sweep", "4..7", "--design", "intdiv", "--method", "hier"]) == 0
     assert [json.loads(ln)["n"] for ln in capsys.readouterr().out.splitlines()] == [4, 5, 6, 7]
+    # an embedding adds lines to the table's: n=4 fits the cap of 8, but the
+    # optimum embedding of n=5 needs 9 lines and the bennett one 10
+    monkeypatch.setenv("REVFLOW_TT_LIMIT", "8")
+    for switches, width in (([], 9), (["--embedding", "bennett"], 10)):
+        code = main(["sweep", "4..8", "--design", "intdiv", "--method", "functional", *switches])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", switches
+        assert f"width {width} exceeds the truth-table limit of 8" in captured.err, switches
 
 
 def test_sweep_requires_design_and_method(capsys):

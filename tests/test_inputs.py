@@ -19,7 +19,7 @@ from revflow.logicnet import (
     write_pla,
     write_xmg,
 )
-from revflow.revcirc import DEFAULT_COST_MODEL, CostModel, MctGate, RevCircuit, read_real, write_real
+from revflow.revcirc import DEFAULT_COST_MODEL, CostModel, RevCircuit, read_real, write_real
 
 # what a comment may hold: "\x0c" and U+2028 end a line only to str.splitlines
 COMMENT_CHARS = "ab 1.e#\t\x0c\u2028"
@@ -49,7 +49,7 @@ def written_real(rng, path):
     for _ in range(rng.randrange(1, 30)):
         lines = rng.sample(range(width), rng.randrange(1, width + 1))
         controls = tuple(sorted(line << 1 | rng.randrange(2) for line in lines[1:]))
-        gates.append(MctGate(lines[0], controls))
+        gates.append((lines[0], controls))
     names = rng.sample(["a", "b", "c1", "x_2", "y", "z9", "q"], width)
     circ = RevCircuit.layout(width, gates, names, rng.randrange(1, width + 1), 1, 0)
     write_real(circ, path)

@@ -1,7 +1,8 @@
 """Gates, circuits, simulation, cost model, and the REAL file dialect."""
 
+import os
 import random
-from dataclasses import FrozenInstanceError
+import threading
 
 import pytest
 
@@ -12,7 +13,6 @@ from revflow.logicnet import ParseError, TruthTable
 from revflow.revcirc import (
     DEFAULT_COST_MODEL,
     CostModel,
-    MctGate,
     RevCircuit,
     cost_report,
     first_mismatch,
@@ -27,33 +27,35 @@ from revflow.synth_hier import hier_synth
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        MctGate(0, (0 << 1,))                           # target as control
-    with pytest.raises(ValueError):
-        MctGate(2, (1 << 1, 1 << 1 | 1))                # both polarities
-    with pytest.raises(ValueError):
-        MctGate(-1)
+    for gate in ((0, (0 << 1,)),                 # target as control
+                 (2, (1 << 1, 1 << 1 | 1)),      # both polarities
+                 (-1, ())):
+        with pytest.raises(ValueError):
+            RevCircuit.generic(3, [gate])
 
 
 def test_gate_is_immutable():
     # read_real and hier's reversed compute phase put one gate object in
-    # several places of a cascade
-    g = MctGate(2, (0 << 1, 1 << 1 | 1))
-    with pytest.raises(FrozenInstanceError):
-        g.target = 3
-    with pytest.raises(FrozenInstanceError):
-        g.controls = ()
-    assert g == MctGate(2, (0, 3)) and hash(g) == hash(MctGate(2, (0, 3)))
+    # several places of a cascade, so a gate and its controls are tuples
+    g = (2, (0 << 1, 1 << 1 | 1))
+    assert type(RevCircuit.generic(3, [g]).gates[0]) is tuple
+    with pytest.raises(TypeError):
+        g[0] = 3
+    assert g == (2, (0, 3)) and hash(g) == hash((2, (0, 3)))
+    with pytest.raises(ValueError, match="gate controls must be a tuple"):
+        RevCircuit.generic(3, [(2, [0 << 1, 1 << 1 | 1])])
 
 
 def test_gate_checks_match_reference():
-    """Gates built in seeded sequences that reuse the last checked tuple.
+    """Cascades built in seeded sequences that reuse the last checked tuple.
 
     A step reuses the previous tuple object, builds an equal but fresh
     tuple, or draws a new tuple, bad in up to three draws of ten,
     right after good ones; targets include negative lines, the lines of
     the tuple itself, so a self-target lands on a tuple already checked, and
-    the lines just below and just above the tuple's.
+    the lines just below and just above the tuple's.  Each step's gate ends
+    a cascade of the good gates before it, which ``RevCircuit`` accepts or
+    rejects with the reference message.
     """
     rng = random.Random(31)
 
@@ -73,6 +75,7 @@ def test_gate_checks_match_reference():
     for _ in range(300):
         width = rng.randrange(1, 7)
         controls = draw(width)
+        good = []
         for _ in range(rng.randrange(1, 12)):
             pick = rng.randrange(4)
             if pick == 0:
@@ -88,26 +91,21 @@ def test_gate_checks_match_reference():
                 target = min(lines) - 1 if edge == 2 else max(lines) + 1
             else:
                 target = rng.randrange(-1, width)
-            want = reference_gate_error(target, controls)
+            want = reference_gate_error(target, controls, width)
+            gates = good + [(target, controls)]
             if want is None:
-                gate = MctGate(target, controls)
-                assert gate.target == target and gate.controls is controls
+                assert RevCircuit.generic(width, gates).gates[-1][1] is controls
+                good = gates
             else:
                 with pytest.raises(ValueError) as info:
-                    MctGate(target, controls)
+                    RevCircuit.generic(width, gates)
                 assert str(info.value) == want
-    # only a tuple is held: a list that passed is checked again after it changes
-    controls = [0 << 1, 1 << 1]
-    MctGate(2, controls)
-    controls.reverse()
-    with pytest.raises(ValueError, match="strictly ascending"):
-        MctGate(2, controls)
 
 
 def test_circuit_rejects_line_beyond_width_mid_cascade():
     names, consts, outs = ("a", "b", "c"), (None, None, None), (0, 1, 2)
-    good = [cnot(0, 1), MctGate(2, (0 << 1, 1 << 1 | 1)), MctGate(0)]
-    for bad in (MctGate(3), MctGate(0, (1 << 1, 3 << 1 | 1)), MctGate(1, (3 << 1,))):
+    good = [cnot(0, 1), (2, (0 << 1, 1 << 1 | 1)), (0, ())]
+    for bad in ((3, ()), (0, (1 << 1, 3 << 1 | 1)), (1, (3 << 1,))):
         gates = tuple(good[:2] + [bad] + good[2:])
         with pytest.raises(ValueError, match="gate uses a line beyond the circuit width"):
             RevCircuit(3, gates, names, consts, outs)
@@ -115,7 +113,7 @@ def test_circuit_rejects_line_beyond_width_mid_cascade():
 
 
 def test_gate_apply_and_self_inverse():
-    g = MctGate(2, (0 << 1, 1 << 1 | 1))
+    g = (2, (0 << 1, 1 << 1 | 1))
     assert apply_gate(g, 0b001) == 0b101
     assert apply_gate(g, 0b011) == 0b011        # negative control blocks
     rng = random.Random(2)
@@ -127,7 +125,7 @@ def test_gate_apply_and_self_inverse():
         n_ctl = rng.randrange(0, width - 1)
         pos = frozenset(lines[1 : 1 + n_ctl // 2 + 1]) - {t}
         neg = frozenset(lines[1 + len(pos) : 1 + n_ctl]) - pos - {t}
-        g = MctGate(t, tuple(sorted([c << 1 for c in pos] + [c << 1 | 1 for c in neg])))
+        g = (t, tuple(sorted([c << 1 for c in pos] + [c << 1 | 1 for c in neg])))
         w = rng.randrange(1 << width)
         assert apply_gate(g, apply_gate(g, w)) == w
 
@@ -190,7 +188,7 @@ def test_simulate_agrees_with_full(tmp_path):
             k = rng.randrange(0, len(others) + 1)
             pos = frozenset(others[: k // 2])
             neg = frozenset(others[k // 2 : k])
-            gates.append(MctGate(t, tuple(sorted([c << 1 for c in pos] + [c << 1 | 1 for c in neg]))))
+            gates.append((t, tuple(sorted([c << 1 for c in pos] + [c << 1 | 1 for c in neg]))))
         circ = RevCircuit.generic(width, gates)
         perm = simulate_full(circ)
         for w in range(1 << width):
@@ -213,7 +211,7 @@ def random_control_runs(rng: random.Random, width: int, length: int) -> list:
     while len(gates) < length:
         pick = rng.randrange(3)
         if pick == 0 and gates:
-            t = gates[-1].target
+            t = gates[-1][0]
             controls = tuple(sorted(runs[-1] + (t << 1 | rng.randrange(2),)))
         elif pick == 1 and len(runs) > 2:
             controls = runs[-2]
@@ -226,7 +224,7 @@ def random_control_runs(rng: random.Random, width: int, length: int) -> list:
             continue
         share = rng.randrange(2)
         for _ in range(rng.randrange(1, 5)):
-            gates.append(MctGate(rng.choice(free), controls if share else tuple(list(controls))))
+            gates.append((rng.choice(free), controls if share else tuple(list(controls))))
         runs.append(controls)
     return gates
 
@@ -239,9 +237,9 @@ def test_run_planes_reuses_fire_exactly():
         width = rng.randrange(1, 8)
         gates = random_control_runs(rng, width, 40)
         for g, h in zip(gates, gates[1:]):
-            if g.controls is h.controls:
+            if g[1] is h[1]:
                 pairs["same"] += 1
-            elif g.controls == h.controls:
+            elif g[1] == h[1]:
                 pairs["equal"] += 1
         perm = simulate_full(RevCircuit.generic(width, gates))
         assert perm.images == tuple(simulate(RevCircuit.generic(width, gates), w) for w in range(1 << width))
@@ -297,7 +295,7 @@ def test_verify_circuit_positive_and_negative():
     assert verify_circuit(circ, tt)
     broken = RevCircuit(
         circ.width,
-        circ.gates + (MctGate(circ.outputs.index(0)),),
+        circ.gates + ((circ.outputs.index(0), ()),),
         circ.line_names,
         circ.constants,
         circ.outputs,
@@ -317,11 +315,11 @@ def test_first_mismatch_smallest_input_then_output():
     # both outputs fail at x=1: the lower output index wins
     assert first_mismatch(circ(cnot(0, 2), cnot(0, 3)), zero) == (1, 0, 1, 0)
     # y0 = not b fails at x=0
-    assert first_mismatch(circ(cnot(0, 3), MctGate(2, (1 << 1 | 1,))), zero) == (0, 0, 1, 0)
+    assert first_mismatch(circ(cnot(0, 3), (2, (1 << 1 | 1,))), zero) == (0, 0, 1, 0)
 
 
 def test_verify_circuit_shape_mismatch():
-    circ = RevCircuit(3, (MctGate(2, (0 << 1, 1 << 1)),), ("a", "b", "y"), (None, None, 0), (None, None, 0))
+    circ = RevCircuit(3, ((2, (0 << 1, 1 << 1)),), ("a", "b", "y"), (None, None, 0), (None, None, 0))
     with pytest.raises(ValueError):
         verify_circuit(circ, TruthTable(3, 1, (0,) * 8))        # input count differs
     with pytest.raises(ValueError):
@@ -373,18 +371,18 @@ def test_cost_report_matches_per_gate_sum():
         t = rng.randrange(width)
         others = [l for l in range(width) if l != t]
         ctl = rng.sample(others, rng.randrange(len(others) + 1))
-        gates.append(MctGate(t, tuple(sorted(c << 1 | rng.randrange(2) for c in ctl))))
+        gates.append((t, tuple(sorted(c << 1 | rng.randrange(2) for c in ctl))))
     circ = RevCircuit.generic(width, gates)
     rep = cost_report(circ, model)
-    assert rep.t_count == sum(model.t_of_controls(len(g.controls)) for g in gates)
+    assert rep.t_count == sum(model.t_of_controls(len(controls)) for _, controls in gates)
     assert sum(k for _, k in rep.control_histogram) == rep.gate_count == len(gates)
     for c, k in rep.control_histogram:
-        assert k == sum(1 for g in gates if len(g.controls) == c)
+        assert k == sum(1 for _, controls in gates if len(controls) == c)
 
 
 def test_cost_report_counts():
-    circ = RevCircuit.generic(3, [MctGate(0), cnot(1, 0), MctGate(2, (0 << 1, 1 << 1)),
-                                  MctGate(0, (1 << 1, 2 << 1))])
+    circ = RevCircuit.generic(3, [(0, ()), cnot(1, 0), (2, (0 << 1, 1 << 1)),
+                                  (0, (1 << 1, 2 << 1))])
     rep = cost_report(circ)
     assert rep.qubits == 3
     assert rep.gate_count == 4
@@ -404,7 +402,7 @@ def test_real_roundtrip_exact(tmp_path):
 
 
 def test_real_negative_controls_roundtrip(tmp_path):
-    circ = RevCircuit.generic(3, [MctGate(2, (0 << 1, 1 << 1 | 1))])
+    circ = RevCircuit.generic(3, [(2, (0 << 1, 1 << 1 | 1))])
     path = tmp_path / "neg.real"
     write_real(circ, path)
     back = read_real(path)
@@ -512,16 +510,82 @@ def test_real_reader_edge_cases(tmp_path):
     assert info.value.line == 2
 
 
+def test_real_unsorted_controls_read_sorted(tmp_path):
+    """A written-form line with its controls out of order builds a gate
+    ``RevCircuit`` rejects; the body is then read again through parse_gate,
+    which sorts them, so the file reads as the circuit it describes."""
+    p = tmp_path / "unsorted.real"
+    circ = RevCircuit(4, ((2, (0, 3)), (3, (0, 3)), (1, (0,)), (2, (0, 3)), (0, (2, 4, 7))),
+                      ("a", "b", "c", "d"), (None,) * 4, (0, 1, 2, 3))
+    for body in ("t3 -b a c\nt3 -b a d\nt2 a b\nt3 a -b c\nt4 c b -d a\n",
+                 "t3 a -b c\nt3 -b a d\nt2 a b\nt3 -b a c\nt4 b c -d a\n"):
+        p.write_text(".numvars 4\n.variables a b c d\n.begin\n" + body + ".end\n")
+        back = read_real(p)
+        assert back == circ
+        assert all(list(controls) == sorted(controls) for _, controls in back.gates)
+
+
+def test_real_fault_after_unchecked_gate_at_its_line(tmp_path):
+    """A fault is named at its own line, also after a line whose controls
+    are out of order, and also when a later line holds a fault the first
+    read stops at: the first fault in the file is named."""
+    p = tmp_path / "fault.real"
+    head = ".numvars 4\n.variables a b c d\n.begin\n"
+    cases = [
+        ("t3 b a c\nt3 b a b\n.end\n", "'b' named twice", 5),        # cached head, own target
+        ("t3 b a c\nt2 a e\n.end\n", "unknown line 'e'", 5),
+        ("t3 b a c\nt3 a b\n.end\n", "gate t3 expects 3 operands", 5),
+        ("t3 b a c\n.numvars 2\n.end\n", r"\.numvars after \.begin", 5),
+        ("t3 b a c\n.end\nt1 a\n", "content after .end", 6),
+        ("t3 b a c\nt2 a b\n", "missing .end", None),
+        # the first read stops at line 6, but line 5 is the first fault
+        ("t3 a b c\nt3 a b a\nt2 a e\n.end\n", "'a' named twice", 5),
+        ("t3 a b c\nt3 a -a d\n.variables a b c d\n.end\n", "'a' named twice", 5),
+        ("t3 a b c\nt3 a b a\n.end\nt1 a\n", "'a' named twice", 5),
+    ]
+    for body, why, line in cases:
+        p.write_text(head + body)
+        with pytest.raises(ParseError, match=why) as info:
+            read_real(p)
+        assert info.value.line == line, body
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_real_from_a_pipe_is_read_checked(tmp_path):
+    """A stream that cannot be read twice, a pipe say, is read checked in one
+    pass: controls out of order read sorted, and a fault after a gate that
+    would be built unchecked is named at its own line."""
+    p = tmp_path / "pipe.real"
+    head = ".numvars 3\n.variables a b c\n.begin\n"
+    for body, why in (("t3 b a c\nt2 a b\n.end\n", None),
+                      ("t3 a b c\nt3 a b a\nt2 a e\n.end\n", "'a' named twice")):
+        os.mkfifo(p)
+        # one short write, so it completes whatever the reader does
+        writer = threading.Thread(target=p.write_text, args=(head + body,), daemon=True)
+        writer.start()
+        try:
+            if why is None:
+                assert read_real(p).gates == ((2, (0, 2)), (1, (0,)))
+            else:
+                with pytest.raises(ParseError, match=why) as info:
+                    read_real(p)
+                assert info.value.line == 5
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        p.unlink()
+
+
 def test_real_equal_controls_share_one_tuple(tmp_path):
     ab = (0 << 1, 1 << 1)
-    circ = RevCircuit.generic(4, [MctGate(2, ab), MctGate(3, ab), MctGate(3, (0 << 1 | 1,)), MctGate(2, ab)])
+    circ = RevCircuit.generic(4, [(2, ab), (3, ab), (3, (0 << 1 | 1,)), (2, ab)])
     p = tmp_path / "shared.real"
     write_real(circ, p)
     back = read_real(p)
     assert back == circ
     g = back.gates
-    assert g[0].controls is g[1].controls is g[3].controls
-    assert g[0].controls is not g[2].controls
+    assert g[0][1] is g[1][1] is g[3][1]
+    assert g[0][1] is not g[2][1]
 
 
 def test_real_repeated_line_reuses_its_gate(tmp_path):
@@ -530,16 +594,18 @@ def test_real_repeated_line_reuses_its_gate(tmp_path):
                  "t2 a b\nt2 a b\nt2 a c\nt2 a c\nt2 a b\nt1 c\n.end\n")
     g = read_real(p).gates
     assert g[1] is g[0]                           # same head, same target
-    assert (g[2].target, g[4].target) == (2, 1)   # same head, new target
-    assert g[2].controls is g[0].controls
+    assert (g[2][0], g[4][0]) == (2, 1)   # same head, new target
+    assert g[2][1] is g[0][1]
     assert g[3] is g[2]                           # the head now stands for the c gate
-    assert [gate.target for gate in g] == [1, 1, 2, 2, 1, 2]
+    assert [target for target, _ in g] == [1, 1, 2, 2, 1, 2]
 
 
 @pytest.mark.parametrize("inplace_xor", HIER_VARIANTS.values(), ids=HIER_VARIANTS.keys())
 def test_real_replay_shares_the_compute_gates(inplace_xor, tmp_path):
     """A hier circuit reads back with its reversed compute phase made of
-    the compute phase's own gate objects, as hier_synth built it."""
+    the compute phase's own gate objects, as hier_synth built it, and a
+    MAJ's reversed set-up CNOTs made of its set-up's: the reader builds no
+    more gate objects than hier_synth."""
     p = tmp_path / "hier.real"
     for design, ns in ((Design.INTDIV, range(4, 9)), (Design.NEWTON, range(4, 7))):
         for n in ns:
@@ -551,6 +617,7 @@ def test_real_replay_shares_the_compute_gates(inplace_xor, tmp_path):
             shared = next(i for i in range(len(g)) if g[i] is not g[-1 - i])
             assert shared > len(g) // 3
             assert all(b[-1 - i] is b[i] for i in range(shared)), (design, n)
+            assert len(set(map(id, b))) <= len(set(map(id, g))), (design, n)
 
 
 def test_real_replay_breaks_and_faults_at_their_lines(tmp_path):
@@ -562,7 +629,7 @@ def test_real_replay_breaks_and_faults_at_their_lines(tmp_path):
                      + "".join(line + "\n" for line in compute + replayed) + ".end\n")
         return read_real(p)
 
-    gates = [MctGate(1, (0,)), MctGate(2, (0, 2)), MctGate(3, (0,)), MctGate(2), MctGate(3, (3, 4))]
+    gates = [(1, (0,)), (2, (0, 2)), (3, (0,)), (2, ()), (3, (3, 4))]
     b = read(compute[::-1]).gates
     assert b == tuple(gates + gates[::-1])
     assert all(b[-1 - i] is b[i] for i in range(len(compute)))
@@ -570,7 +637,7 @@ def test_real_replay_breaks_and_faults_at_their_lines(tmp_path):
     changed = compute[::-1]
     changed[2] = "t2 -a d"
     b = read(changed).gates
-    assert b == tuple(gates + gates[:2:-1] + [MctGate(3, (1,))] + gates[1::-1])
+    assert b == tuple(gates + gates[:2:-1] + [(3, (1,))] + gates[1::-1])
     assert all(b[7] is not gate for gate in b[:7])
     assert b[5] is b[4] and b[6] is b[3] and b[8] is b[1] and b[9] is b[0]
     # a fault inside a replay fails at its own line
@@ -607,9 +674,9 @@ def random_repeating_gates(rng: random.Random, width: int, length: int) -> list:
         free = [line for line in range(width) if line not in lines]
         if pick == 1:
             b, c = rng.sample(free, 2)
-            gates += [MctGate(b, controls), MctGate(c, controls), MctGate(b, controls)]
+            gates += [(b, controls), (c, controls), (b, controls)]
         else:
-            gates.append(MctGate(rng.choice(free), controls))
+            gates.append((rng.choice(free), controls))
     return gates
 
 

@@ -16,7 +16,7 @@ def test_single_cube_is_one_toffoli():
     assert circ.width == 3
     assert len(circ.gates) == 1
     g = circ.gates[0]
-    assert g.target == 2 and g.controls == (0 << 1, 1 << 1)
+    assert g == (2, (0 << 1, 1 << 1))
     assert verify_circuit(circ, TruthTable(2, 1, (0, 0, 0, 1)))
 
 
@@ -24,7 +24,7 @@ def test_mixed_polarity_controls():
     form = EsopForm(2, 1, (Cube(mask=0b11, polarity=0b01, output_mask=1),))
     circ = esop_synth(form)
     g = circ.gates[0]
-    assert g.controls == (0 << 1, 1 << 1 | 1)
+    assert g[1] == (0 << 1, 1 << 1 | 1)
     assert verify_circuit(circ, TruthTable(2, 1, (0, 1, 0, 0)))
 
 
@@ -40,8 +40,8 @@ def test_intdiv_flow(n):
     esop = esop_minimize(esop_from_tt(tt))
     circ = esop_synth(esop)
     assert circ.width == 2 * n
-    assert all(len(g.controls) <= n for g in circ.gates)
-    assert all(g.target >= n for g in circ.gates)     # inputs never targeted
+    assert all(len(controls) <= n for _, controls in circ.gates)
+    assert all(target >= n for target, _ in circ.gates)     # inputs never targeted
     assert verify_circuit(circ, tt)
 
 

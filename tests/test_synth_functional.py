@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_tbs_settles_rows, random_permutation, reference_tbs, simulate
 from revflow.arith import Design, DesignSpec, design_truth_table
 from revflow.embedding import Permutation, bennett_embed, optimum_embed
-from revflow.revcirc import MctGate, simulate_full, verify_circuit
+from revflow.revcirc import simulate_full, verify_circuit
 from revflow.synth_functional import tbs
 
 
@@ -20,7 +20,7 @@ def test_single_not():
     perm = Permutation(1, (1, 0))
     circ = tbs(perm)
     assert len(circ.gates) == 1
-    assert circ.gates[0].controls == ()
+    assert circ.gates[0][1] == ()
     assert simulate_full(circ).images == (1, 0)
 
 
@@ -108,7 +108,7 @@ def test_invariant_check_rejects_bad_trace():
     with pytest.raises(AssertionError, match="unsettled"):
         assert_tbs_settles_rows(perm, emitted[:-1])
     with pytest.raises(AssertionError, match="settled row moved"):
-        assert_tbs_settles_rows(perm, emitted + [MctGate(0)])
+        assert_tbs_settles_rows(perm, emitted + [(0, ())])
 
 
 def test_embedding_roles_stamped():

@@ -84,7 +84,7 @@ def test_random_nets(variant):
         assert verify_circuit(circ, _net_table(net))
         assert clean_ancillas(circ)
         # inputs sit on the low lines (RevCircuit.layout)
-        assert all(g.target >= circ.num_inputs for g in circ.gates)
+        assert all(target >= circ.num_inputs for target, _ in circ.gates)
         maj, _ = reachable_gate_counts(net)
         assert toffoli_count(circ) == 2 * maj
         assert cost_report(circ).t_count == 7 * toffoli_count(circ)
