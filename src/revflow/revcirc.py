@@ -17,13 +17,32 @@ a negative control: it holds when its line is 0.  The ascending form is
 canonical, so equal gates compare equal and REAL files write and read the
 controls in the same order.  ``RevCircuit`` checks every gate once, when the
 circuit is built.
+
+Bennett cleanup, as in ``hier_synth``, gives a circuit the shape A · B · A⁻¹,
+and since every gate is its own inverse, A⁻¹ is A's gates in reverse.  A
+circuit finds its mirror once, when it is built: the longest prefix A, at
+most half the cascade, whose gates recur at the end in reverse as the same
+objects (``hier_synth`` and ``read_real`` build the cleanup half from the
+compute half's own gates; a gate equal to its mirror but a distinct object
+ends the mirror there).  Then:
+
+- the gate check skips the suffix, which holds gates already checked;
+- ``cost_report`` counts A once and doubles it;
+- the simulator runs only A · B when B writes no line that A reads or
+  writes, and then sets every line B does not write back to its starting
+  plane.  That is exact: A⁻¹ reads and writes only A's lines, which B left
+  as A left them, so A⁻¹ returns them to their start, and it touches no
+  other line, so a line outside A's and B's was never written at all.
+  B's lines keep what B wrote.  A circuit whose B does write one of A's
+  lines runs every gate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, count, islice
+from operator import is_not, itemgetter
 from typing import Iterable
 
 from .embedding import Permutation
@@ -83,11 +102,19 @@ class RevCircuit:
         declared = [o for o in self.outputs if o is not None]
         if declared != list(range(len(declared))):
             raise ValueError("output indices must be 0..m-1 in line order")
+        gates = self.gates
+        half = len(gates) // 2
+        # the mirror: the first position, up to half, whose gate is not the
+        # very object at its place from the end
+        mirror = next(compress(count(), map(is_not, islice(gates, half), reversed(gates))), half)
+        object.__setattr__(self, "_mirror", mirror)
+        # the suffix of `mirror` gates holds objects checked in the prefix,
+        # so the first fault, and its message, lies before it
         # controls are checked once per run of gates on one tuple object: last
         # keeps it alive, so no other object takes its id; hi is its top line
         width = self.width
         last, hi = None, -1
-        for target, controls in self.gates:
+        for target, controls in islice(gates, len(gates) - mirror):
             if target < 0:
                 raise ValueError("negative target line")
             if controls is not last:
@@ -136,8 +163,8 @@ class RevCircuit:
         return sum(1 for o in self.outputs if o is not None)
 
 
-def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
-    """Apply the cascade to per-line bit planes over `batch` assignments.
+def _apply(gates, planes: list, full: int) -> None:
+    """Apply `gates` in order to the per-line bit planes, `full` a plane of ones.
 
     A gate on the previous gate's controls tuple object reuses its fire:
     that gate's target is not among those controls (``RevCircuit`` rejects
@@ -146,15 +173,49 @@ def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
     fire, and the flows and ``read_real`` share one tuple where controls
     repeat.
     """
-    full = (1 << batch) - 1
     last = fire = None
-    for target, controls in circ.gates:
+    for target, controls in gates:
         if controls is not last:
             last = controls
             fire = full
             for c in controls:
                 fire &= ~planes[c >> 1] if c & 1 else planes[c >> 1]
         planes[target] ^= fire
+
+
+def _run_planes(circ: RevCircuit, planes: list, batch: int) -> list:
+    """Apply the cascade to per-line bit planes over `batch` assignments.
+
+    A cascade A · B · A⁻¹ over its mirror A runs A · B only, when B writes
+    no line that A reads or writes; then every line B does not write takes
+    its starting plane back.  That is exact: A⁻¹ would return A's lines,
+    which B left as A left them, to their start, and touch no other line.
+    The check costs nothing per gate: while A runs, B's lines hold None, so
+    A's first read or write of one raises TypeError, and then every gate
+    runs from the start.
+    """
+    full = (1 << batch) - 1
+    gates = circ.gates
+    mirror = circ._mirror
+    if mirror:
+        middle = gates[mirror:len(gates) - mirror]
+        written = {target for target, _ in middle}
+        start = planes[:]
+        for line in written:
+            planes[line] = None
+        try:
+            _apply(islice(gates, mirror), planes, full)
+        except TypeError:
+            planes[:] = start  # A uses a line B writes
+        else:
+            for line in written:
+                planes[line] = start[line]
+            _apply(middle, planes, full)
+            for line in written:
+                start[line] = planes[line]
+            planes[:] = start
+            return planes
+    _apply(gates, planes, full)
     return planes
 
 
@@ -306,7 +367,13 @@ class CostReport:
 
 
 def cost_report(circ: RevCircuit, model: CostModel = DEFAULT_COST_MODEL) -> CostReport:
-    hist = Counter(len(controls) for _, controls in circ.gates)
+    gates = circ.gates
+    sizes = map(len, map(itemgetter(1), gates))
+    # the mirror's suffix repeats its prefix: count the prefix twice, then the middle
+    hist = Counter(islice(sizes, circ._mirror))
+    for c in hist:
+        hist[c] *= 2
+    hist.update(islice(sizes, len(gates) - 2 * circ._mirror))
     return CostReport(
         qubits=circ.width,
         gate_count=len(circ.gates),

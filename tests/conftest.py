@@ -1,16 +1,17 @@
 """Shared test helpers: the flow table, random nets and permutations, and
 the independent references the library is checked against (scalar
-simulator, scalar TBS, naive XMG and ESOP evaluators, a position-scanning
-ESOP minimizer, a plain strash builder, reachable gate counts, per-bit
-transpose, a row-word Reed-Muller butterfly, per-cube PLA and per-node XMG
-writers, a per-character PLA reader and the gate checks)."""
+simulator, a plane simulator that runs every gate, scalar TBS, naive XMG
+and ESOP evaluators, a position-scanning ESOP minimizer, a plain strash
+builder, reachable gate counts, per-bit transpose, a row-word Reed-Muller
+butterfly, per-cube PLA and per-node XMG writers, a per-character PLA
+reader and the gate checks)."""
 
 import random
 
 from revflow.arith import Design
 from revflow.embedding import Permutation
-from revflow.logicnet import Cube, EsopForm, ParseError, TruthTable, Xmg
-from revflow.revcirc import RevCircuit, simulate_source_batch
+from revflow.logicnet import Cube, EsopForm, ParseError, TruthTable, Xmg, _input_pattern
+from revflow.revcirc import RevCircuit
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
 HIER_VARIANTS = {"bennett": False, "inplace_xor": True}
@@ -481,9 +482,33 @@ def toffoli_count(circ: RevCircuit) -> int:
     return sum(1 for _, controls in circ.gates if len(controls) == 2)
 
 
+def reference_run_planes(gates, planes: list, batch: int) -> list:
+    """The per-line bit planes over `batch` assignments after every one of
+    `gates`, in order, each gate's fire computed afresh: no mirror, no
+    shared fire."""
+    planes = list(planes)
+    for target, controls in gates:
+        fire = (1 << batch) - 1
+        for c in controls:
+            fire &= ~planes[c >> 1] if c & 1 else planes[c >> 1]
+        planes[target] ^= fire
+    return planes
+
+
+def reference_source_planes(circ: RevCircuit) -> list:
+    """simulate_source_batch by reference_run_planes: bit x of entry L is
+    line L's final value when the inputs, in line order, spell x."""
+    n = circ.num_inputs
+    inputs = iter(range(n))
+    ones = (1 << (1 << n)) - 1
+    planes = [_input_pattern(next(inputs), n) if c is None else ones * c for c in circ.constants]
+    return reference_run_planes(circ.gates, planes, 1 << n)
+
+
 def clean_ancillas(circ: RevCircuit) -> bool:
-    """True iff every constant non-output line ends at its initial value."""
-    planes = simulate_source_batch(circ)
+    """True iff every constant non-output line ends at its initial value,
+    every gate simulated (reference_source_planes)."""
+    planes = reference_source_planes(circ)
     batch = 1 << circ.num_inputs
     full = (1 << batch) - 1
     for line in range(circ.width):

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS, clean_ancillas
-from revflow.arith import DesignSpec, design_truth_table, design_xmg
+from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
 from revflow.cli import run_flow
 from revflow.revcirc import read_real, simulate_source_batch, write_real
 
@@ -29,6 +29,35 @@ def test_flows_match_oracle(design, flow):
             assert planes[circ.outputs.index(j)] == columns[j], (n, j)
         if method == "hier":
             assert clean_ancillas(circ)
+
+
+@pytest.mark.parametrize("design,flow", DESIGN_FLOWS, ids=DESIGN_FLOW_IDS)
+def test_mirror_is_the_compute_half(design, flow, tmp_path):
+    """A hier circuit's cleanup half is its compute half's own gate objects
+    in reverse, as built and as read back, so the mirror RevCircuit finds
+    spans the compute half: all but the copy gates, halved.  A table flow's
+    circuit has no mirror."""
+    method, options, _ = FLOWS[flow]
+    path = tmp_path / "c.real"
+    if method != "hier":
+        ns = range(4, 7)
+    else:
+        ns = range(4, 9) if design is Design.NEWTON else range(4, 13)
+    for n in ns:
+        spec = DesignSpec(design, n)
+        if method == "hier":
+            net = design_xmg(spec)
+            circ = run_flow(method, net, **options)
+            # an output copies its node's line with a CNOT, and a NOT complements it
+            copies = sum((edge >> 1 != 0) + (edge & 1) for edge in net.outputs)
+            mirror = (len(circ.gates) - copies) // 2
+            assert mirror > 0
+        else:
+            circ = run_flow(method, design_truth_table(spec), **options)
+            mirror = 0
+        write_real(circ, path)
+        for c in (circ, read_real(path)):
+            assert c._mirror == mirror, (n, flow)
 
 
 

@@ -3,10 +3,22 @@
 import os
 import random
 import threading
+from collections import Counter
 
 import pytest
 
-from conftest import HIER_VARIANTS, apply_gate, cnot, random_permutation, reference_gate_error, simulate
+from conftest import (
+    HIER_VARIANTS,
+    apply_gate,
+    clean_ancillas,
+    cnot,
+    random_permutation,
+    random_xmg,
+    reference_gate_error,
+    reference_run_planes,
+    reference_source_planes,
+    simulate,
+)
 from revflow.arith import Design, DesignSpec, design_xmg
 from revflow.embedding import Permutation, optimum_embed
 from revflow.logicnet import ParseError, TruthTable
@@ -272,6 +284,205 @@ def test_run_planes_reuses_fire_exactly():
         got = rows[x] >> j & 1
         assert first_mismatch(circ, TruthTable(n, m, tuple(want))) == (x, j, got, got ^ 1)
     assert min(pairs.values()) > 50
+
+
+def random_gate(rng: random.Random, targets, reads) -> tuple:
+    """A mixed-polarity gate, its target drawn from `targets` and up to
+    three controls from the other lines of `reads`."""
+    target = rng.choice(targets)
+    others = [line for line in reads if line != target]
+    lines = sorted(rng.sample(others, rng.randrange(min(len(others), 3) + 1)))
+    return target, tuple(line << 1 | rng.randrange(2) for line in lines)
+
+
+def random_mirrored(rng: random.Random, width: int, fault: "str | None" = None) -> tuple:
+    """(A, B) for a cascade A · B · A⁻¹ on `width` lines, A⁻¹ to be made of
+    A's own objects.
+
+    B writes one or two random lines and reads any; A reads and writes only
+    the others, and half its steps reuse the previous gate's controls tuple.
+    With `fault` "control", one gate of A also reads a line B writes; with
+    "target", one gate of A writes it.
+    """
+    lines = list(range(width))
+    rng.shuffle(lines)
+    cut = rng.randrange(1, 3)
+    middle, rest = lines[:cut], lines[cut:]
+    a = []
+    for _ in range(rng.randrange(1, 10)):
+        if a and rng.randrange(2):
+            controls = a[-1][1]
+            free = [line for line in rest if line << 1 not in controls and line << 1 | 1 not in controls]
+            a.append((rng.choice(free), controls))
+        else:
+            a.append(random_gate(rng, rest, rest))
+    b = [random_gate(rng, middle, range(width)) for _ in range(rng.randrange(2, 5))]
+    if fault:
+        i = rng.randrange(len(a))
+        target, controls = a[i]
+        line = middle[0]
+        if fault == "target":
+            target = line
+        else:
+            controls = tuple(sorted(controls + (line << 1 | rng.randrange(2),)))
+        a[i] = (target, controls)
+    return a, b
+
+
+def reference_table(circ: RevCircuit) -> TruthTable:
+    """The table of the circuit's outputs, by reference_source_planes."""
+    outs = [plane for plane, o in zip(reference_source_planes(circ), circ.outputs) if o is not None]
+    n = circ.num_inputs
+    return TruthTable(n, len(outs), tuple(sum((plane >> x & 1) << j for j, plane in enumerate(outs))
+                                          for x in range(1 << n)))
+
+
+def reference_first_mismatch(circ: RevCircuit, tt: TruthTable) -> "tuple | None":
+    """first_mismatch by reference_source_planes, one input x, then one
+    output j, at a time."""
+    planes = reference_source_planes(circ)
+    outs = [plane for plane, o in zip(planes, circ.outputs) if o is not None]
+    for x, row in enumerate(tt.rows):
+        for j, plane in enumerate(outs):
+            got, want = plane >> x & 1, row >> j & 1
+            if got != want:
+                return x, j, got, want
+    return None
+
+
+def assert_simulates_every_gate(circ: RevCircuit, rng: random.Random) -> None:
+    """simulate_source_batch, simulate_full and first_mismatch give what
+    the references give, which simulate every gate."""
+    assert simulate_source_batch(circ) == reference_source_planes(circ)
+    assert simulate_full(circ).images == tuple(simulate(circ, w) for w in range(1 << circ.width))
+    tt = reference_table(circ)
+    assert first_mismatch(circ, tt) is None
+    # the same table with a few bits flipped
+    rows = list(tt.rows)
+    for x, j in {(rng.randrange(len(rows)), rng.randrange(tt.num_outputs)) for _ in range(3)}:
+        rows[x] ^= 1 << j
+    tt = TruthTable(tt.num_inputs, tt.num_outputs, tuple(rows))
+    assert first_mismatch(circ, tt) == reference_first_mismatch(circ, tt) is not None
+
+
+def mirrored_circuit(rng: random.Random, width: int, gates) -> RevCircuit:
+    """The gates on `width` lines with some inputs low, some outputs in a
+    row, and the other lines constant 0."""
+    n = rng.randrange(width + 1)
+    m = rng.randrange(1, width + 1)
+    return RevCircuit.layout(width, gates, (f"l{i}" for i in range(width)), n, m, rng.randrange(width - m + 1))
+
+
+def test_mirror_simulates_like_every_gate():
+    """On seeded A · B · A⁻¹ cascades whose A⁻¹ is A's own gate objects,
+    the simulator matches the references bit for bit.  So it does when B
+    writes a line A reads or writes; there, running A · B and resetting the
+    other lines would be wrong on some seeds, which shows the check bites."""
+    rng = random.Random(26)
+    wrong_fold = Counter()
+    for fault in (None, "control", "target"):
+        for _ in range(60):
+            width = rng.randrange(3, 8)
+            a, b = random_mirrored(rng, width, fault)
+            circ = mirrored_circuit(rng, width, a + b + a[::-1])
+            assert circ._mirror == len(a)
+            assert_simulates_every_gate(circ, rng)
+            # A · B, then every line B does not write reset to its start
+            start = reference_source_planes(RevCircuit(width, (), circ.line_names, circ.constants, circ.outputs))
+            folded = reference_run_planes(a + b, start, 1 << circ.num_inputs)
+            written = {target for target, _ in b}
+            folded = [folded[line] if line in written else start[line] for line in range(width)]
+            wrong_fold[fault] += folded != reference_source_planes(circ)
+    assert wrong_fold[None] == 0 and wrong_fold["control"] > 10 and wrong_fold["target"] > 10
+
+
+def test_mirror_edge_cases():
+    """The mirror stops at a gate equal to its mirror but a distinct object,
+    and is capped at half the cascade: a whole palindrome, with a middle of
+    no gate or one, and the cascade [g, g]."""
+    rng = random.Random(27)
+    for _ in range(40):
+        width = rng.randrange(3, 7)
+        a, b = random_mirrored(rng, width)
+        copies = [(target, controls) for target, controls in a[::-1]]
+        assert all(g is not h for g, h in zip(copies, a[::-1]))
+        cases = [
+            (a + b + copies, 0),                        # equal by value only
+            (a + b + copies[:-1] + [a[0]], 1),          # the outermost gate shared
+            (a + a[::-1], len(a)),                      # |B| = 0
+            (a + b[:1] + a[::-1], len(a)),              # |B| = 1
+            (a + b[:1] + b[:1] + a[::-1], len(a) + 1),  # B's own pair joins A
+            (a[:1] * 2, 1),                             # [g, g]
+        ]
+        for gates, mirror in cases:
+            circ = mirrored_circuit(rng, width, gates)
+            assert circ._mirror == mirror
+            assert_simulates_every_gate(circ, rng)
+
+
+@pytest.mark.parametrize("inplace_xor", HIER_VARIANTS.values(), ids=HIER_VARIANTS.keys())
+def test_mirror_ends_at_a_changed_cleanup_gate(inplace_xor):
+    """A hier circuit with one cleanup gate changed, at several depths from
+    the end: the mirror ends at the change, and the simulator still finds
+    the reference's counterexample and a dirtied ancilla."""
+    rng = random.Random(28)
+    nets = [design_xmg(DesignSpec(Design.INTDIV, 4))]
+    nets += [random_xmg(rng, rng.randrange(2, 6), 20, rng.randrange(1, 4)) for _ in range(10)]
+    dirty = 0
+    for net in nets:
+        circ = hier_synth(net, inplace_xor=inplace_xor)
+        gates, k = list(circ.gates), circ._mirror
+        if not k:
+            continue
+        tt = reference_table(circ)
+        ancillas = [line for line in range(circ.width) if circ.constants[line] is not None
+                    and circ.outputs[line] is None]
+        for depth in sorted({0, 1, k // 2, k - 1} - {k}):
+            target, controls = gates[-1 - depth]
+            # the compute half never reads an output, so y0 is free to target
+            for gate in ((circ.num_inputs, controls), (target, ())):
+                changed = RevCircuit(circ.width, tuple(gates[:-1 - depth] + [gate] + gates[len(gates) - depth:]),
+                                     circ.line_names, circ.constants, circ.outputs)
+                assert changed._mirror == depth
+                planes = simulate_source_batch(changed)
+                assert planes == reference_source_planes(changed)
+                assert first_mismatch(changed, tt) == reference_first_mismatch(changed, tt)
+                clean = all(planes[line] == 0 for line in ancillas)
+                assert clean == clean_ancillas(changed)
+                dirty += not clean
+    assert dirty > 10
+
+
+def test_mirror_cost_report_counts_every_gate():
+    rng = random.Random(29)
+    model = CostModel(((2, 4), (3, 9)))
+    circuits = [hier_synth(design_xmg(DesignSpec(Design.NEWTON, 4)))]
+    for _ in range(40):
+        width = rng.randrange(3, 8)
+        a, b = random_mirrored(rng, width, rng.choice((None, "control", "target")))
+        gates = rng.choice((a + b + a[::-1], a + a[::-1], a + b[:1] + a[::-1], a + b))
+        circuits.append(RevCircuit.generic(width, gates))
+    for circ in circuits:
+        hist = Counter(len(controls) for _, controls in circ.gates)
+        for m in (DEFAULT_COST_MODEL, model):
+            rep = cost_report(circ, m)
+            assert rep.gate_count == len(circ.gates)
+            assert rep.control_histogram == tuple(sorted(hist.items()))
+            assert rep.t_count == sum(m.t_of_controls(len(controls)) for _, controls in circ.gates)
+
+
+def test_mirror_gate_check_names_the_first_fault():
+    """A bad gate in the compute half sits in the cleanup half too: the
+    circuit fails with the reference's message for it, the first fault."""
+    rng = random.Random(30)
+    bad_gates = [(-1, ()), (1, [0]), (2, (2, 0)), (1, (0, 2)), (1, (0, 3 << 1)), (3, ())]
+    for _ in range(60):
+        a, b = random_mirrored(rng, 3)
+        bad = rng.choice(bad_gates)
+        a.insert(rng.randrange(len(a) + 1), bad)
+        with pytest.raises(ValueError) as info:
+            RevCircuit.generic(3, a + b + a[::-1])
+        assert str(info.value) == reference_gate_error(*bad, 3)
 
 
 def test_simulate_full_is_bijective_by_construction():
