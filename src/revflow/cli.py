@@ -169,12 +169,6 @@ def run_flow(
     raise CliError(f"unknown method {method!r}")
 
 
-def _flow_kwargs(args, limit: int) -> dict:
-    """run_flow's keywords: the flow switches given on the command line, and the limit."""
-    given = {k: v for k, v in vars(args).items() if k in ("embedding", "inplace_xor")}
-    return dict(given, limit=limit)
-
-
 # --- subcommands ----------------------------------------------------------
 
 
@@ -195,7 +189,8 @@ def cmd_synth(args) -> int:
     path = Path(args.input)
     limit = tt_limit()
     design, n = _sniff_stamp(path)
-    circ = run_flow(args.method, _load_source(path), **_flow_kwargs(args, limit))
+    circ = run_flow(args.method, _load_source(path), embedding=args.embedding,
+                    inplace_xor=args.inplace_xor, limit=limit)
     write_real(circ, args.output)
     _report_flow(circ, DEFAULT_COST_MODEL, design, n, args.method, t0)
     return 0
@@ -243,7 +238,7 @@ def cmd_sweep(args) -> int:
         _check_limit(args.widths[-1], limit)
     if args.method == "functional":
         # an embedding adds lines to the table's: check each before the first record
-        bennett = vars(args).get("embedding") == "bennett"
+        bennett = args.embedding == "bennett"
         for n in args.widths:
             tt = design_truth_table(DesignSpec(Design(args.design), n), limit)
             _check_limit(tt.num_inputs + tt.num_outputs if bennett else optimum_width(tt), limit)
@@ -251,20 +246,21 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         spec = DesignSpec(Design(args.design), n)
         source = design_xmg(spec) if args.method == "hier" else design_truth_table(spec, limit)
-        circ = run_flow(args.method, source, **_flow_kwargs(args, limit))
+        circ = run_flow(args.method, source, embedding=args.embedding,
+                        inplace_xor=args.inplace_xor, limit=limit)
         _report_flow(circ, model, args.design, n, args.method, t0)
     return 0
 
 
 def _add_flow_options(parser: argparse.ArgumentParser) -> None:
-    """synth's and sweep's flow switches; run_flow gets only those given."""
+    """synth's and sweep's flow switches; an absent one is None or False, as in run_flow."""
     parser.add_argument("--method", choices=("functional", "esop", "hier"), required=True)
-    parser.add_argument("--embedding", choices=tuple(_EMBEDDINGS), default=argparse.SUPPRESS,
+    parser.add_argument("--embedding", choices=tuple(_EMBEDDINGS),
                         help="functional flow: embedding (default optimum)")
     # bennett is the only cleanup left; the switch stays for scripts that name it
     parser.add_argument("--cleanup", choices=("bennett",),
                         help="ancilla cleanup strategy; every method accepts it")
-    parser.add_argument("--inplace-xor", action="store_true", default=argparse.SUPPRESS,
+    parser.add_argument("--inplace-xor", action="store_true",
                         help="hier flow: fuse single-reader xor operands in place")
 
 

@@ -441,17 +441,15 @@ def read_real(path) -> RevCircuit:
     their gates unchecked; a body line takes one of four paths:
 
     - replay: Bennett cleanup writes the compute phase again in reverse.
-      A line that repeats its head's last gate, or the gate two places
-      before that one on the same controls (where a hier MAJ's last set-up
-      CNOT sits, before the MAJ's Toffoli and its own CNOT on that head),
-      starts a replay at that gate's position; while one runs, a line
+      A line that repeats its head's last gate appends that very gate
+      object and starts a replay at its position; while one runs, a line
       whose target and head's controls tuple are those of the gate just
       before the replay position appends that very gate object and moves
       the position back by one.  Any other line ends the replay.
     - cached head: a line whose head is in the dict and whose last word and
-      newline, ``target + "\\n"``, name a line costs two dict hits.  The
-      same target appends that very gate again; another target builds one
-      pair on the same ``controls`` tuple, which takes the head's place.
+      newline, ``target + "\\n"``, name a line costs two dict hits.  A new
+      target builds one pair on the same ``controls`` tuple, which takes
+      the head's place.
     - written form, new head: such a line whose key is ``tK`` for its K
       words, each word after the key a literal, builds its pair in one step
       (``split(" ")``, one tuple of literals) and caches its head.
@@ -632,15 +630,11 @@ def _read_body(lines, names: list, path: str, checked: bool = False) -> list:
                         gates.append(prev)
                         replay -= 1
                         continue
-                # the head's last gate, or the one two places before it, if
-                # it is this line's gate: a hier MAJ puts its last set-up
-                # CNOT there, then its Toffoli, then its own CNOT on that head
-                back = at if gates[at][0] == target else at - 2
-                if back >= 0 and gates[back][1] is controls and gates[back][0] == target:
-                    # the lines before gates[back] may follow, in reverse
-                    replay = back
+                if gates[at][0] == target:
+                    # the head's last gate again: the lines before it may follow, in reverse
+                    replay = at
                     last_at[head] = len(gates)
-                    gates.append(gates[back])
+                    gates.append(gates[at])
                     continue
                 gate = target, controls
             replay = 0

@@ -14,17 +14,17 @@ from .logicnet import EsopForm
 from .revcirc import RevCircuit
 
 
-def _nibble_tables(width: int, item) -> list[list[tuple[int, ...]]]:
-    """tables[k][key]: item(4k + i, key >> 4 + i & 1) for each set bit i of
-    key & 15, ascending.
+def _nibble_tables(width: int) -> list[list[tuple[int, ...]]]:
+    """tables[k][key]: the literal of input 4k + i for each set bit i of
+    key & 15, ascending, positive iff bit 4 + i of key is set.
 
-    Looking up nibble k of a word (and nibble k of a flag word shifted above
-    it) in tables[k], for every k, and joining the tuples in order gives the
-    items of every set bit of the word: a few lookups instead of a step per
-    bit.
+    Looking up nibble k of a cube's mask, with nibble k of its polarity
+    shifted above it, in tables[k], for every k, and joining the tuples in
+    order gives the cube's controls: a few lookups instead of a step per bit.
     """
     return [
-        [tuple(item(base + i, key >> 4 + i & 1) for i in range(4) if key >> i & 1) for key in range(256)]
+        [tuple(base + i << 1 | (key >> 4 + i & 1 ^ 1) for i in range(4) if key >> i & 1)
+         for key in range(256)]
         for base in range(0, width, 4)
     ]
 
@@ -36,8 +36,10 @@ def esop_synth(esop: EsopForm) -> RevCircuit:
     ``RevCircuit`` checks it once per cube; the gates stream into its tuple.
     """
     n, m = esop.num_inputs, esop.num_outputs
-    literals = _nibble_tables(n, lambda i, positive: i << 1 | (positive ^ 1))
-    targets_of = _nibble_tables(m, lambda j, _: n + j)
+    literals = _nibble_tables(n)
+    # targets_of[k][key]: the line of output 4k + i for each set bit i of key
+    targets_of = [[tuple(n + j + i for i in range(4) if key >> i & 1) for key in range(16)]
+                  for j in range(0, m, 4)]
 
     def cube_gates(cube):
         mask, polarity, out = cube.mask, cube.polarity, cube.output_mask

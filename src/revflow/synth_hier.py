@@ -10,6 +10,13 @@ the next node is compiled, so hier uses at most two scratch lines: the k-th
 input operand of a MAJ takes scratch line k, allocated the first time some
 MAJ needs it.
 
+A MAJ's gates come as one group: the factor set-up CNOTs, the Toffoli, the
+set-up in reverse (the tear-down), then the node's own gates, the CNOT from
+a and the NOT of a negated a.  The own gates write only the node's line,
+which the tear-down neither reads nor writes, so they may come last.  There
+they keep the last set-up CNOT the last gate on its controls until the
+tear-down repeats it, which is where ``read_real``'s replay starts.
+
 Cleanup is Bennett's: compute every node, copy the outputs out, then run
 the compute phase in reverse, which leaves every ancilla at 0.  With
 in-place XOR, an XOR node whose gate operand has no other reader is
@@ -137,11 +144,12 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
         compute.extend(setup)
         ctl_b, ctl_c = controls
         compute.append((target, (ctl_b, ctl_c) if ctl_b < ctl_c else (ctl_c, ctl_b)))
+        compute.extend(reversed(setup))
+        # the own gates write only target, which the tear-down never touches
         if not a_const:
             compute.append((target, ctl[a_line]))
         if a_neg:
             compute.append((target, ()))
-        compute.extend(reversed(setup))
     copies = []
     for j, edge in enumerate(net.outputs):
         if edge >> 1:

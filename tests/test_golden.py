@@ -27,18 +27,18 @@ GOLDEN = {
     ("intdiv", "esop", 4): "de8ed99b7278763699c743bfc19fedacb9b7d42cfdef0293840aa1ebe4d47901",
     ("intdiv", "esop", 5): "95b0981e718652a010026c6568fab7e322fb743acf6620b01fedb3ef83ff0fae",
     ("intdiv", "esop", 6): "6034918006a3fc7cf50ec082aac2867581f2b3ae8a083df505a02d5ad14001ca",
-    ("intdiv", "hier-bennett", 4): "74e7a0ce94f2a60429b5d14f94449be370b78bc34867a448938838be07c6b06d",
-    ("intdiv", "hier-bennett", 5): "87d26287c69511bf35c999179aad0709673d2b34b57a22d0ab6e67c0f2b5ef4d",
-    ("intdiv", "hier-bennett", 6): "c84448b1e274e71442078faca6ac3d05e30a4bade2b4e3de9a9f2776ae288a47",
-    ("intdiv", "hier-inplace_xor", 4): "935eac8b81da1147bbee0075406033589627019aef1017690b58af38550a03d8",
-    ("intdiv", "hier-inplace_xor", 5): "99833a30e235d1dbfa51baae8c043094f8760ee3fc87cf15efdd4316beda760a",
-    ("intdiv", "hier-inplace_xor", 6): "a164f5cdebe836bf4fa4b77e0a9ef5daafd0afa51fc80a796a38e703df6662ae",
-    ("newton", "hier-bennett", 4): "41b0ca2759e14762fa4e334eb0757759c7f1ed3f18ec9a3bd7e1297ac4d72c93",
-    ("newton", "hier-bennett", 5): "86a8ed6297bd50ca2e507bf848e1c2de463abcefdaa08199c6a89100ae966094",
-    ("newton", "hier-bennett", 6): "425abd1ce82e9d5b1c9f49be70496a5a0d0ac2eb2d324dbd978425fc25ace947",
-    ("newton", "hier-inplace_xor", 4): "33e670b4fc8be35b9e17376209edaface450d74200a3cb98c88b79f767858ad1",
-    ("newton", "hier-inplace_xor", 5): "0fc0e34352cb6c82d76c0e063fa565bd05548e3ba3ced6d198e0606acca56625",
-    ("newton", "hier-inplace_xor", 6): "eb682982eaa8d843702703ac96391f501c0f02a93b7368a1efd49005fd9f0f16",
+    ("intdiv", "hier-bennett", 4): "c29f15090df63f6a62bda655c3df867d224afd246f0cb16dbebfdaac97275adf",
+    ("intdiv", "hier-bennett", 5): "d6f6fe0fc032aa0364f119bc0bd157f4eae447e83dc5cc1edda88918feb93d0f",
+    ("intdiv", "hier-bennett", 6): "fe9aaf29bab02951046cf5e989803d78dc8f55dd0f65b751233fc5f59dbd85cd",
+    ("intdiv", "hier-inplace_xor", 4): "27776d9a02cef885170db979b876cc8b24ac73b1786c405a59179079e370a85c",
+    ("intdiv", "hier-inplace_xor", 5): "318488f616c531d7127f3051ded65d190abdbd99cf7975390280c5667870c0af",
+    ("intdiv", "hier-inplace_xor", 6): "66b41ee37115bb8f3885f21bd27c13838a7dfb0282ce48c4d30d90b4aaea90a4",
+    ("newton", "hier-bennett", 4): "c2b5c87943083804cc2d0af2bce7dc50970bd198861643e1afc11b3e56a71f29",
+    ("newton", "hier-bennett", 5): "2c5a540b3330a62a1b4ed1c6c8b5e9303779f87cd8722f4bf9c1432e76dad078",
+    ("newton", "hier-bennett", 6): "6da8a74d2b987c52d6ab5d5fd3c3021fe6a955e2581fac5006a9f091827ca1e6",
+    ("newton", "hier-inplace_xor", 4): "6d72592cc6105e1b14e4f3fdee331ad09b2950d0f250631392a44c4d9bcc984f",
+    ("newton", "hier-inplace_xor", 5): "ca09242d404ff64bc0868fc4e0e1ae3edba5c1f2e9bb91964c852650e6784390",
+    ("newton", "hier-inplace_xor", 6): "943ab1a00960aee8beeef0ad0410d8ffe9867a147aec9c29a1bbc6c359f10ca3",
 }
 
 

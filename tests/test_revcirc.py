@@ -815,20 +815,26 @@ def test_real_repeated_line_reuses_its_gate(tmp_path):
 def test_real_replay_shares_the_compute_gates(inplace_xor, tmp_path):
     """A hier circuit reads back with its reversed compute phase made of
     the compute phase's own gate objects, as hier_synth built it, and a
-    MAJ's reversed set-up CNOTs made of its set-up's: the reader builds no
-    more gate objects than hier_synth."""
+    MAJ's tear-down made of its set-up's.  The reader builds one object per
+    gate object of hier's compute and copy halves, except that a gate equal
+    to the last gate on its controls is read as that very object."""
     p = tmp_path / "hier.real"
-    for design, ns in ((Design.INTDIV, range(4, 9)), (Design.NEWTON, range(4, 7))):
+    for design, ns in ((Design.INTDIV, range(4, 13)), (Design.NEWTON, range(4, 9))):
         for n in ns:
             circ = hier_synth(design_xmg(DesignSpec(design, n)), inplace_xor=inplace_xor)
             write_real(circ, p)
             back = read_real(p)
             assert back == circ
-            g, b = circ.gates, back.gates
-            shared = next(i for i in range(len(g)) if g[i] is not g[-1 - i])
-            assert shared > len(g) // 3
-            assert all(b[-1 - i] is b[i] for i in range(shared)), (design, n)
-            assert len(set(map(id, b))) <= len(set(map(id, g))), (design, n)
+            g, mirror = circ.gates, circ._mirror
+            assert mirror > len(g) // 3
+            assert back._mirror == mirror, (design, n)
+            last, seen, merged = {}, set(), 0  # controls -> the last gate on them
+            for gate in g[:len(g) - mirror]:
+                if id(gate) not in seen and last.get(gate[1]) == gate:
+                    merged += 1
+                seen.add(id(gate))
+                last[gate[1]] = gate
+            assert len(set(map(id, back.gates))) == len(seen) - merged, (design, n)
 
 
 def test_real_replay_breaks_and_faults_at_their_lines(tmp_path):
@@ -859,6 +865,20 @@ def test_real_replay_breaks_and_faults_at_their_lines(tmp_path):
         with pytest.raises(ParseError, match=why) as info:
             read(broken)
         assert info.value.line == 4 + len(compute) + 2
+    # a MAJ whose own CNOT, on its last set-up gate's head, sits between its
+    # Toffoli and its tear-down: the tear-down's lines on that head get new
+    # gates, and the cleanup half still replays every compute gate
+    maj = ["t2 b s", "t2 a s", "t2 a c", "t3 c s t", "t2 a t", "t2 a c", "t2 a s", "t2 b s"]
+    p.write_text(".numvars 6\n.variables a b c s t y\n.begin\n"
+                 + "".join(line + "\n" for line in maj + ["t2 t y"] + maj[::-1]) + ".end\n")
+    back = read_real(p)
+    setup = [(3, (2,)), (3, (0,)), (2, (0,))]
+    gates = setup + [(4, (4, 6)), (4, (0,))] + setup[::-1]
+    b = back.gates
+    assert b == tuple(gates + [(5, (8,))] + gates[::-1])
+    assert back._mirror == len(maj)
+    assert b[5] is not b[2] and b[6] is not b[1] and b[7] is b[0]
+    assert len(set(map(id, b))) == 8
 
 
 def random_repeating_gates(rng: random.Random, width: int, length: int) -> list:
