@@ -158,32 +158,30 @@ def newton_trace(spec: DesignSpec, x: int) -> NewtonTrace:
 # Bit-vector construction helpers.  A word is a list of literals, LSB first.
 
 
-def _bv_const(net: Xmg, raw: int, width: int) -> list[int]:
-    raw &= (1 << width) - 1
-    return [net.const1 if raw >> i & 1 else net.const0 for i in range(width)]
+def _bv_const(raw: int, width: int) -> list[int]:
+    return [raw >> i & 1 for i in range(width)]
 
 
-def _bv_add(net: Xmg, a: list[int], b: list[int], carry: int | None = None) -> list[int]:
+def _bv_add(net: Xmg, a: list[int], b: list[int], carry: int = 0) -> list[int]:
     if len(a) != len(b):
         raise ValueError("width mismatch")
-    c = net.const0 if carry is None else carry
     out = []
     for ai, bi in zip(a, b):
         axb = net.add_xor(ai, bi)
-        out.append(net.add_xor(axb, c))
-        c = net.add_maj(ai, bi, c)
+        out.append(net.add_xor(axb, carry))
+        carry = net.add_maj(ai, bi, carry)
     return out
 
 
 def _bv_sub(net: Xmg, a: list[int], b: list[int]) -> list[int]:
-    return _bv_add(net, a, [x ^ 1 for x in b], net.const1)
+    return _bv_add(net, a, [x ^ 1 for x in b], 1)
 
 
 def _bv_mul_lowbits(net: Xmg, a: list[int], b: list[int], width: int) -> list[int]:
     """Low `width` bits of a*b; operands must already be width literals long."""
-    acc = [net.const0] * width
+    acc = [0] * width
     for j in range(width):
-        if b[j] == net.const0:
+        if b[j] == 0:
             continue
         row = [net.add_and(a[i], b[j]) for i in range(width - j)]
         acc[j:] = _bv_add(net, acc[j:], row)
@@ -203,8 +201,8 @@ def _bv_mul_trunc(net: Xmg, a: list[int], b: list[int], frac_bits: int) -> list[
 def _one_hot_msb(net: Xmg, xs: list[int]) -> list[int]:
     """h[k] = 1 iff bit k is the most significant set bit of the input word."""
     n = len(xs)
-    hs = [net.const0] * n
-    none_above = net.const1
+    hs = [0] * n
+    none_above = 1
     for k in range(n - 1, -1, -1):
         hs[k] = net.add_and(xs[k], none_above)
         none_above = net.add_and(none_above, xs[k] ^ 1)
@@ -223,12 +221,12 @@ def gen_intdiv_xmg(spec: DesignSpec) -> Xmg:
     net = Xmg()
     xs = [net.add_input() for _ in range(n)]
     width = n + 1
-    divisor = xs + [net.const0]
-    rem = [net.const0] * width
+    divisor = xs + [0]
+    rem = [0] * width
     qbits: dict[int, int] = {}
     for k in range(n, -1, -1):
-        shifted = [net.const1 if k == n else net.const0] + rem[:-1]
-        borrow = net.const0
+        shifted = [1 if k == n else 0] + rem[:-1]
+        borrow = 0
         sel = []
         for i in range(width):
             sel.append(net.add_xor(divisor[i], borrow))
@@ -259,20 +257,20 @@ def gen_newton_xmg(spec: DesignSpec) -> Xmg:
     hs = _one_hot_msb(net, xs)
 
     # x' = x << (P - e) with e = k + 1 when h[k] fires; fractional bits only
-    xp = [net.const0] * w
+    xp = [0] * w
     for i in range(p - n, p):
         terms = []
         for k in range(n):
             src = i - p + k + 1  # bit of x that lands at position i
             if 0 <= src < n:
                 terms.append(net.add_and(hs[k], xs[src]))
-        acc = net.const0
+        acc = 0
         for t in terms:
             acc = net.add_or(acc, t)
         xp[i] = acc
 
-    c48, c32 = (_bv_const(net, raw, w) for raw in _seed_words(p))
-    one = _bv_const(net, 1 << p, w)
+    c48, c32 = (_bv_const(raw, w) for raw in _seed_words(p))
+    one = _bv_const(1 << p, w)
 
     seed_t = _bv_mul_trunc(net, c32, xp, p)
     xi = _bv_sub(net, c48, seed_t)
@@ -286,14 +284,14 @@ def gen_newton_xmg(spec: DesignSpec) -> Xmg:
     ybits = []
     for j in range(n):
         i = p - n + j  # fractional bit of y' that becomes output j
-        acc = net.const0
+        acc = 0
         for k in range(n):
             src = i + k + 1
             bit = xi[src] if src < w else xi[w - 1]
             acc = net.add_or(acc, net.add_and(hs[k], bit))
         ybits.append(acc)
 
-    any_input = net.const0
+    any_input = 0
     for x in xs:
         any_input = net.add_or(any_input, x)
     is_zero = any_input ^ 1

@@ -474,14 +474,6 @@ class Xmg:
 
     # -- construction ------------------------------------------------------
 
-    @property
-    def const0(self) -> int:
-        return 0
-
-    @property
-    def const1(self) -> int:
-        return 1
-
     def add_input(self) -> int:
         index = len(self.fanins)
         self.fanins.append(())
@@ -507,7 +499,7 @@ class Xmg:
         if a == b:
             return neg
         if a == 0:
-            return b | neg  # a is const0 once phases are stripped
+            return b | neg  # a is the constant 0 once phases are stripped
         if b == 0:
             return a | neg
         key = (a, b) if a < b else (b, a)

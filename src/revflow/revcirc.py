@@ -21,10 +21,9 @@ circuit is built.
 Bennett cleanup, as in ``hier_synth``, gives a circuit the shape A · B · A⁻¹,
 and since every gate is its own inverse, A⁻¹ is A's gates in reverse.  A
 circuit finds its mirror once, when it is built: the longest prefix A, at
-most half the cascade, whose gates recur at the end in reverse as the same
-objects (``hier_synth`` and ``read_real`` build the cleanup half from the
-compute half's own gates; a gate equal to its mirror but a distinct object
-ends the mirror there).  Then:
+most half the cascade, whose gates equal the gates at the mirrored places
+from the end.  Gates are compared by value, so the mirror does not depend
+on how the gates were built or spelled.  Then:
 
 - the gate check skips the suffix, which holds gates already checked;
 - ``cost_report`` counts A once and doubles it;
@@ -42,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from operator import is_not, itemgetter
+from operator import itemgetter, ne
 from typing import Iterable
 
 from .embedding import Permutation
@@ -104,12 +103,13 @@ class RevCircuit:
             raise ValueError("output indices must be 0..m-1 in line order")
         gates = self.gates
         half = len(gates) // 2
-        # the mirror: the first position, up to half, whose gate is not the
-        # very object at its place from the end
-        mirror = next(compress(count(), map(is_not, islice(gates, half), reversed(gates))), half)
+        # the mirror: the first position, up to half, whose gate differs from
+        # the gate at its place from the end
+        mirror = next(compress(count(), map(ne, islice(gates, half), reversed(gates))), half)
         object.__setattr__(self, "_mirror", mirror)
-        # the suffix of `mirror` gates holds objects checked in the prefix,
-        # so the first fault, and its message, lies before it
+        # the suffix of `mirror` gates equals gates checked in the prefix, and
+        # each rule is a function of a plain int pair's value, so the first
+        # fault, and its message, lies before it
         # controls are checked once per run of gates on one tuple object: last
         # keeps it alive, so no other object takes its id; hi is its top line
         width = self.width
@@ -440,12 +440,14 @@ def read_real(path) -> RevCircuit:
     head to the position of the last gate read from it.  These lines build
     their gates unchecked; a body line takes one of four paths:
 
-    - replay: Bennett cleanup writes the compute phase again in reverse.
-      A line that repeats its head's last gate appends that very gate
-      object and starts a replay at its position; while one runs, a line
-      whose target and head's controls tuple are those of the gate just
-      before the replay position appends that very gate object and moves
-      the position back by one.  Any other line ends the replay.
+    - replay: Bennett cleanup writes the compute phase again in reverse,
+      and the replay shares the compute half's gate objects with it, which
+      saves allocation (the mirror is found by value either way).  A line
+      that repeats its head's last gate appends that very gate object and
+      starts a replay at its position; while one runs, a line whose target
+      and head's controls tuple are those of the gate just before the
+      replay position appends that very gate object and moves the position
+      back by one.  Any other line ends the replay.
     - cached head: a line whose head is in the dict and whose last word and
       newline, ``target + "\\n"``, name a line costs two dict hits.  A new
       target builds one pair on the same ``controls`` tuple, which takes

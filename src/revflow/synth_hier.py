@@ -60,10 +60,6 @@ def hier_synth(net: Xmg, strategy: str = "bennett", *, inplace_xor: bool = False
     constant 0).  Output j ends as the j-th output function; every other
     non-input line returns to 0 on every input.  With ``inplace_xor``,
     single-reader XOR operands are overwritten instead of given a new line.
-
-    The cleanup half must stay the compute half's own gate objects in
-    reverse: ``RevCircuit`` finds that mirror by identity, and only then
-    checks, simulates and counts just the compute and copy halves.
     """
     # Bennett cleanup is the only strategy; the argument stays only for
     # perfbench/pipeline.py, which passes "bennett", and goes once that

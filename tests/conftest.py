@@ -47,7 +47,7 @@ def random_xmg(rng: random.Random, num_inputs: int, num_gates: int, num_outputs:
     """
     net = Xmg()
     lits = [net.add_input() for _ in range(num_inputs)]
-    lits.append(net.const0)
+    lits.append(0)
     for _ in range(num_gates):
         op = rng.randrange(4)
         pick = lambda: lits[rng.randrange(len(lits))] ^ rng.randrange(2)
@@ -493,6 +493,15 @@ def reference_run_planes(gates, planes: list, batch: int) -> list:
             fire &= ~planes[c >> 1] if c & 1 else planes[c >> 1]
         planes[target] ^= fire
     return planes
+
+
+def reference_mirror(gates) -> int:
+    """The longest prefix, at most half of `gates`, equal by value to the
+    gates at the mirrored places from the end."""
+    k = 0
+    while k < len(gates) // 2 and gates[k] == gates[-1 - k]:
+        k += 1
+    return k
 
 
 def reference_source_planes(circ: RevCircuit) -> list:

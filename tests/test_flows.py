@@ -33,10 +33,10 @@ def test_flows_match_oracle(design, flow):
 
 @pytest.mark.parametrize("design,flow", DESIGN_FLOWS, ids=DESIGN_FLOW_IDS)
 def test_mirror_is_the_compute_half(design, flow, tmp_path):
-    """A hier circuit's cleanup half is its compute half's own gate objects
-    in reverse, as built and as read back, so the mirror RevCircuit finds
-    spans the compute half: all but the copy gates, halved.  A table flow's
-    circuit has no mirror."""
+    """A hier circuit's cleanup half is its compute half in reverse, as
+    built and as read back, so the mirror RevCircuit finds spans the
+    compute half: all but the copy gates, halved.  A table flow's circuit
+    has no mirror."""
     method, options, _ = FLOWS[flow]
     path = tmp_path / "c.real"
     if method != "hier":

@@ -15,6 +15,7 @@ from conftest import (
     random_permutation,
     random_xmg,
     reference_gate_error,
+    reference_mirror,
     reference_run_planes,
     reference_source_planes,
     simulate,
@@ -296,8 +297,7 @@ def random_gate(rng: random.Random, targets, reads) -> tuple:
 
 
 def random_mirrored(rng: random.Random, width: int, fault: "str | None" = None) -> tuple:
-    """(A, B) for a cascade A · B · A⁻¹ on `width` lines, A⁻¹ to be made of
-    A's own objects.
+    """(A, B) for a cascade A · B · A⁻¹ on `width` lines.
 
     B writes one or two random lines and reads any; A reads and writes only
     the others, and half its steps reuse the previous gate's controls tuple.
@@ -374,10 +374,11 @@ def mirrored_circuit(rng: random.Random, width: int, gates) -> RevCircuit:
 
 
 def test_mirror_simulates_like_every_gate():
-    """On seeded A · B · A⁻¹ cascades whose A⁻¹ is A's own gate objects,
-    the simulator matches the references bit for bit.  So it does when B
-    writes a line A reads or writes; there, running A · B and resetting the
-    other lines would be wrong on some seeds, which shows the check bites."""
+    """On seeded A · B · A⁻¹ cascades, the mirror is the value reference's
+    and the simulator matches the references bit for bit.  So it does when
+    B writes a line A reads or writes; there, running A · B and resetting
+    the other lines would be wrong on some seeds, which shows the check
+    bites."""
     rng = random.Random(26)
     wrong_fold = Counter()
     for fault in (None, "control", "target"):
@@ -385,7 +386,8 @@ def test_mirror_simulates_like_every_gate():
             width = rng.randrange(3, 8)
             a, b = random_mirrored(rng, width, fault)
             circ = mirrored_circuit(rng, width, a + b + a[::-1])
-            assert circ._mirror == len(a)
+            # B's outer gates may be equal too, and then they join the mirror
+            assert circ._mirror == reference_mirror(circ.gates) >= len(a)
             assert_simulates_every_gate(circ, rng)
             # A · B, then every line B does not write reset to its start
             start = reference_source_planes(RevCircuit(width, (), circ.line_names, circ.constants, circ.outputs))
@@ -397,18 +399,23 @@ def test_mirror_simulates_like_every_gate():
 
 
 def test_mirror_edge_cases():
-    """The mirror stops at a gate equal to its mirror but a distinct object,
-    and is capped at half the cascade: a whole palindrome, with a middle of
-    no gate or one, and the cascade [g, g]."""
+    """The mirror compares gates by value, so distinct but equal objects
+    extend it; it stops at a gate that differs from its mirror, and is
+    capped at half the cascade: a whole palindrome, with a middle of no
+    gate or one, and the cascade [g, g]."""
     rng = random.Random(27)
     for _ in range(40):
         width = rng.randrange(3, 7)
         a, b = random_mirrored(rng, width)
         copies = [(target, controls) for target, controls in a[::-1]]
         assert all(g is not h for g, h in zip(copies, a[::-1]))
+        # past A, the mirror of A · B · A⁻¹ goes on into B as far as B's own
+        full = len(a) + reference_mirror(b)
         cases = [
-            (a + b + copies, 0),                        # equal by value only
-            (a + b + copies[:-1] + [a[0]], 1),          # the outermost gate shared
+            (a + b + copies, full),                     # equal by value only
+            (a + b + copies[:-1] + [a[0]], full),       # the outermost gate shared
+            (a + b + copies[:-1] + b[:1], 0),           # the outermost gate differs
+            (a + b + b[:1] + copies[1:], len(a) - 1),   # the innermost gate differs
             (a + a[::-1], len(a)),                      # |B| = 0
             (a + b[:1] + a[::-1], len(a)),              # |B| = 1
             (a + b[:1] + b[:1] + a[::-1], len(a) + 1),  # B's own pair joins A
@@ -416,7 +423,7 @@ def test_mirror_edge_cases():
         ]
         for gates, mirror in cases:
             circ = mirrored_circuit(rng, width, gates)
-            assert circ._mirror == mirror
+            assert circ._mirror == mirror == reference_mirror(gates)
             assert_simulates_every_gate(circ, rng)
 
 
@@ -424,7 +431,8 @@ def test_mirror_edge_cases():
 def test_mirror_ends_at_a_changed_cleanup_gate(inplace_xor):
     """A hier circuit with one cleanup gate changed, at several depths from
     the end: the mirror ends at the change, and the simulator still finds
-    the reference's counterexample and a dirtied ancilla."""
+    the reference's counterexample and a dirtied ancilla.  A change to an
+    equal gate (a NOT over a NOT, say) is no change, and is skipped."""
     rng = random.Random(28)
     nets = [design_xmg(DesignSpec(Design.INTDIV, 4))]
     nets += [random_xmg(rng, rng.randrange(2, 6), 20, rng.randrange(1, 4)) for _ in range(10)]
@@ -441,6 +449,8 @@ def test_mirror_ends_at_a_changed_cleanup_gate(inplace_xor):
             target, controls = gates[-1 - depth]
             # the compute half never reads an output, so y0 is free to target
             for gate in ((circ.num_inputs, controls), (target, ())):
+                if gate == (target, controls):
+                    continue
                 changed = RevCircuit(circ.width, tuple(gates[:-1 - depth] + [gate] + gates[len(gates) - depth:]),
                                      circ.line_names, circ.constants, circ.outputs)
                 assert changed._mirror == depth
@@ -881,6 +891,29 @@ def test_real_replay_breaks_and_faults_at_their_lines(tmp_path):
     assert len(set(map(id, b))) == 8
 
 
+@pytest.mark.parametrize("inplace_xor", HIER_VARIANTS.values(), ids=HIER_VARIANTS.keys())
+def test_real_respelled_cleanup_keeps_the_mirror(inplace_xor, tmp_path):
+    """A hier file whose cleanup lines are spelled another way (a doubled
+    space, tabs, controls in another order, ...) reads back with the
+    written circuit's full mirror, cost and planes: the mirror is a
+    property of the gates' values, not of how the reader built them."""
+    rng = random.Random(32)
+    p = tmp_path / "respelled.real"
+    for design, ns in ((Design.NEWTON, range(4, 7)), (Design.INTDIV, range(4, 9))):
+        for n in ns:
+            circ = hier_synth(design_xmg(DesignSpec(design, n)), inplace_xor=inplace_xor)
+            write_real(circ, p)
+            g, mirror = circ.gates, circ._mirror
+            # every fifth cleanup line, the innermost and the outermost
+            picked = {len(g) - 1 - i for i in (*range(0, mirror, 5), mirror - 1)}
+            p.write_bytes(respell_real(p.read_text(), rng, picked).encode())
+            back = read_real(p)
+            assert back == circ
+            assert back._mirror == mirror, (design, n)
+            assert cost_report(back) == cost_report(circ)
+            assert simulate_source_batch(back) == reference_source_planes(circ)
+
+
 def random_repeating_gates(rng: random.Random, width: int, length: int) -> list:
     """Mixed-polarity gates whose lines recur, the way a hier circuit's do.
 
@@ -925,9 +958,9 @@ def respell_real(text: str, rng: random.Random, lines: "set | None" = None) -> s
         elif body is not None and line != ".end":
             body += 1
             if lines is None:
-                kind = rng.randrange(10)
+                kind = rng.randrange(11)
             elif body in lines:
-                kind = rng.randrange(1, 9)
+                kind = rng.randrange(1, 10)
             else:
                 kind = 0
             key, *ops = line.split(" ")
@@ -949,6 +982,8 @@ def respell_real(text: str, rng: random.Random, lines: "set | None" = None) -> s
                 line = " ".join(["t0" + key[1:]] + ops)
             elif kind == 8:
                 line = "\t".join([key] + ops[:-1]) + " " + ops[-1]
+            elif kind == 9:
+                line = " ".join([key] + ops[:-1]) + "  " + ops[-1]
         out.append(line)
     newline = rng.choice(("\n", "\r\n"))
     return newline.join(out) + rng.choice(("", newline))

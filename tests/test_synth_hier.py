@@ -68,8 +68,8 @@ def test_complemented_output():
 def test_constant_output():
     net = Xmg()
     net.add_input()
-    net.add_output(net.const1)
-    net.add_output(net.const0)
+    net.add_output(1)
+    net.add_output(0)
     circ = hier_synth(net)
     assert verify_circuit(circ, TruthTable(1, 2, (1, 1)))
 
