@@ -13,7 +13,9 @@ import json
 import re
 import sys
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 # Truth-table expansion guard: 2^n rows get expensive fast.  The CLI can raise
@@ -208,56 +210,88 @@ def _combine_identical(cubes: list[Cube]) -> list[Cube]:
     return [Cube(m, p, w) for (m, p), w in acc.items() if w]
 
 
-def _find_distance1_merge(cubes: list[Cube], index: dict, n: int) -> tuple[int, int, Cube] | None:
-    # Two cubes whose literal maps differ in exactly one input position merge
-    # into one: opposite phases drop the literal, literal-vs-absent flips it.
-    # index maps each cube's key, mask << n | polarity, to its position; no
-    # key repeats.  A partner's key is the cube's with one or two bits flipped.
-    for k, c in enumerate(cubes):
-        m, p = c.mask, c.polarity
-        key = m << n | p
-        for i in _bits(m):
-            bit = 1 << i
-            # partner has the opposite phase at i
-            other = index.get(key ^ bit)
-            if other is not None and other > k and cubes[other].output_mask == c.output_mask:
-                merged = Cube(m & ~bit, p & ~bit, c.output_mask)
-                return k, other, merged
-            # partner lacks the literal at i entirely
-            other = index.get(key ^ (bit << n | p & bit))
-            if other is not None and cubes[other].output_mask == c.output_mask:
-                lo, hi = (other, k) if other < k else (k, other)
-                merged = Cube(m, p ^ bit, c.output_mask)
-                return lo, hi, merged
-    return None
-
-
 def esop_minimize(esop: EsopForm) -> EsopForm:
     """Reduce a cube list by exact cancellation and distance-1 merging.
 
     Runs to a fixpoint: identical literal sets XOR-combine (cancelling when the
     combined output mask is empty), and cube pairs at literal distance one fuse
-    into a single cube.  The result computes the same function with at most as
-    many cubes.  Each pass indexes the literal sets once, each as the one int
-    ``mask << n | polarity`` (polarity lies within the mask, so below 2^n):
-    if one repeats, the repeats combine; else the index finds the first
-    mergeable pair.  Every pass restarts from the first cube, which fixes
-    the order in which pairs merge.
+    into one cube at the earlier place; the result computes the same function.
+    Pairs merge as a scan restarted after each change finds them: the first
+    cube by place, its first literal, ascending, with a partner of the same
+    output mask and that literal's phase flipped or else left out.  So a pass
+    sorts the places stably by output mask and each run, a group, finds its
+    first merge, a pair by one XOR test, more cubes by lookups in an index of
+    literal sets (each the int ``mask << n | polarity``); the least place goes
+    first.  A merge blanks the deleted place and leaves the other groups and
+    their first merges alone; its group searches again from that place and at
+    the merged cube's neighbours.  Repeats combine and start a new pass.
     """
     n = esop.num_inputs
-    cubes = list(esop.cubes)
+    cubes: list[Cube | None] = list(esop.cubes)
+    lits = [(1 << i + n, 1 << i + n | 1 << i) for i in range(n)]  # literal i's key bits, - and +
+
+    def pair_merge(k: int, other: int) -> tuple[int, int, Cube] | None:
+        # a group of two merges iff the literal maps differ in one bit
+        c, d = cubes[k], cubes[other]
+        bit = c.mask ^ d.mask | c.polarity ^ d.polarity
+        if bit & (bit - 1):
+            return None
+        if c.mask == d.mask:
+            return k, other, Cube(c.mask & ~bit, c.polarity & ~bit, c.output_mask)
+        if d.mask & bit:  # found at the cube with the literal
+            k, other, c = other, k, d
+        return k, other, Cube(c.mask, c.polarity ^ bit, c.output_mask)
+
+    def scan(places) -> tuple[int, int, Cube] | None:
+        # the first merge at one group's ascending places: its place, the partner's, the merged cube
+        for k in places:
+            if (c := cubes[k]) is None:
+                continue
+            m, p, w = c.mask, c.polarity, c.output_mask
+            key = m << n | p
+            for i in _bits(m):
+                bit = 1 << i
+                # partner has the opposite phase at i
+                other = index.get(key ^ bit)
+                if other is not None and other > k and cubes[other].output_mask == w:
+                    return k, other, Cube(m & ~bit, p & ~bit, w)
+                # partner lacks the literal at i entirely
+                other = index.get(key ^ (bit << n | p & bit))
+                if other is not None and cubes[other].output_mask == w:
+                    return k, other, Cube(m, p ^ bit, w)
+        return None
+
     while True:
         index = {c.mask << n | c.polarity: k for k, c in enumerate(cubes)}
         if len(index) < len(cubes):
             cubes = _combine_identical(cubes)
             continue
-        found = _find_distance1_merge(cubes, index, n)
-        if found is None:
-            break
-        k, other, merged = found
-        cubes[k] = merged
-        del cubes[other]
-    return EsopForm(esop.num_inputs, esop.num_outputs, tuple(cubes))
+        order = sorted(index.values(), key=lambda k: cubes[k].output_mask)
+        pending, s = [], 0  # each group's first merge, least place first
+        for e in range(1, len(order) + 1):
+            if e == len(order) or cubes[order[e]].output_mask != cubes[order[s]].output_mask:
+                if found := pair_merge(*order[s:e]) if e - s == 2 else e - s > 2 and scan(order[s:e]):
+                    pending.append((*found, s, e))
+                s = e
+        pending.sort()
+        while pending:
+            k, other, merged, s, e = pending.pop(0)
+            lo, hi = (other, k) if other < k else (k, other)
+            for c in cubes[lo], cubes[hi]:
+                del index[c.mask << n | c.polarity]
+            cubes[lo], cubes[hi] = merged, None
+            if (key := merged.mask << n | merged.polarity) in index:
+                break
+            index[key] = lo
+            # no pair was found before place k; a new one holds the merged cube,
+            # so it or a cube one literal's state away (a miss reads k) is there
+            near = {index.get(key & ~pos | state, k) for neg, pos in lits for state in (0, neg, pos)}
+            before = sorted(x for x in near if x < k and cubes[x].output_mask == merged.output_mask)
+            if found := scan(chain(before, islice(order, bisect_left(order, k, s, e), e))):
+                insort(pending, (*found, s, e))
+        else:
+            return EsopForm(esop.num_inputs, esop.num_outputs, tuple(filter(None, cubes)))
+        cubes = _combine_identical(list(filter(None, cubes)))
 
 
 # ---------------------------------------------------------------------------

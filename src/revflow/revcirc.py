@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, islice
-from operator import itemgetter, ne
+from itertools import compress, count, islice, repeat
+from operator import is_not, itemgetter, ne
 from typing import Iterable
 
 from .embedding import Permutation
@@ -104,12 +104,18 @@ class RevCircuit:
         gates = self.gates
         half = len(gates) // 2
         # the mirror: the first position, up to half, whose gate differs from
-        # the gate at its place from the end
-        mirror = next(compress(count(), map(ne, islice(gates, half), reversed(gates))), half)
+        # the gate at its place from the end, or whose suffix gate's controls
+        # is not a plain tuple (a type is no value; the check below names it).
+        # The `same` gates shared with the prefix need neither test.
+        same = next(compress(count(), map(is_not, islice(gates, half), reversed(gates))), half)
+        pairs = map(ne, islice(gates, same, half), islice(reversed(gates), same, None))
+        mirror = next(compress(count(same), pairs), half)
+        kinds = map(type, map(itemgetter(1), islice(reversed(gates), same, mirror)))
+        mirror = next(compress(count(same), map(is_not, kinds, repeat(tuple))), mirror)
         object.__setattr__(self, "_mirror", mirror)
         # the suffix of `mirror` gates equals gates checked in the prefix, and
-        # each rule is a function of a plain int pair's value, so the first
-        # fault, and its message, lies before it
+        # each other rule is a function of a plain int pair's value, so the
+        # first fault, and its message, lies before it
         # controls are checked once per run of gates on one tuple object: last
         # keeps it alive, so no other object takes its id; hi is its top line
         width = self.width
@@ -409,8 +415,8 @@ def write_real(circ: RevCircuit, path) -> None:
                 last = controls
                 head = heads.get(controls)
                 if head is None:
-                    head = heads[controls] = f"\nt{len(controls) + 1} " + "".join(
-                        lit_names[c] + " " for c in controls
+                    head = heads[controls] = " ".join(
+                        (f"\nt{len(controls) + 1}", *map(lit_names.__getitem__, controls), "")
                     )
             write(head + names[target])
         fh.write("\n.end\n")

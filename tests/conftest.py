@@ -394,13 +394,14 @@ def reference_gate_error(target: int, controls, width: int) -> "str | None":
     """The message ``RevCircuit`` must raise for the gate ``(target, controls)``
     on `width` lines, or None.
 
-    A negative target is named first, then controls that are not a tuple,
-    then control lines out of strictly ascending order or below 0, then the
-    target among the control lines, then a line at or beyond the width.
+    A negative target is named first, then controls that are not a plain
+    tuple (a subclass neither), then control lines out of strictly ascending
+    order or below 0, then the target among the control lines, then a line
+    at or beyond the width.
     """
     if target < 0:
         return "negative target line"
-    if not isinstance(controls, tuple):
+    if type(controls) is not tuple:
         return "gate controls must be a tuple"
     lines = [c >> 1 for c in controls]
     if any(line < 0 for line in lines) or any(a >= b for a, b in zip(lines, lines[1:])):

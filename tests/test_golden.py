@@ -81,6 +81,22 @@ def test_qor_matches_the_roadmap_baseline():
     assert len(circ.gates) == 235_431
 
 
+# esop_minimize(esop_from_tt(design_truth_table(DesignSpec(INTDIV, n)))): the
+# repr of its (mask, polarity, output_mask) list, past the reference's reach
+GOLDEN_MINIMIZED = {
+    11: (2_045, "dbbfb4bb769b817651bfbde884e2725ce5b7f82931f545b34c5661a1d1ca6069"),
+    12: (4_093, "52ab7790df05625556e0f855925f57e618b88749057436884b720304e1b027db"),
+    13: (8_189, "7e85aaf2b668ae48e8f1f1e80256bf3ab1f0e6500f6861c1f705ab3069982b3b"),
+}
+
+
+def test_minimized_cubes_unchanged():
+    for n, (count, digest) in GOLDEN_MINIMIZED.items():
+        out = esop_minimize(esop_from_tt(design_truth_table(DesignSpec(Design.INTDIV, n))))
+        cubes = [(c.mask, c.polarity, c.output_mask) for c in out.cubes]
+        assert (len(cubes), hashlib.sha256(repr(cubes).encode()).hexdigest()) == (count, digest), n
+
+
 # write_xmg(design_xmg(DesignSpec(design, n))): the node numbering and every
 # fanin of the generated networks
 GOLDEN_XMG = {

@@ -1,6 +1,7 @@
 """Tables, ESOP forms and their minimizer, the strashed net, and file I/O."""
 
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -181,13 +182,13 @@ def test_combine_identical_keeps_a_list_without_repeats():
     assert out == [Cube(1, 1, 2), c]
 
 
-def _random_mixed_form(rng: random.Random) -> EsopForm:
+def _random_mixed_form(rng: random.Random, max_inputs: int = 5, max_cubes: int = 12) -> EsopForm:
     """Random literals in both phases, with exact copies (which cancel) and
     same-literal cubes on other outputs (which combine) mixed in."""
-    n = rng.randrange(1, 6)
+    n = rng.randrange(1, max_inputs + 1)
     m = rng.randrange(1, 4)
     cubes = []
-    for _ in range(rng.randrange(13)):
+    for _ in range(rng.randrange(max_cubes + 1)):
         mask = rng.randrange(1 << n)
         cubes.append(Cube(mask, rng.randrange(1 << n) & mask, rng.randrange(1, 1 << m)))
     for _ in range(rng.randrange(4) if cubes else 0):
@@ -207,6 +208,39 @@ def test_minimize_matches_reference_on_mixed_polarity():
         assert out.to_truth_table().rows == form.to_truth_table().rows
         repeats += len({(c.mask, c.polarity) for c in form.cubes}) < len(form.cubes)
     assert repeats > 1000  # the combine step ran on these at least
+
+
+def _negative_reed_muller(tt: TruthTable) -> EsopForm:
+    """The table's Reed-Muller form with every literal negative: the positive
+    form of the table with every input complemented, its rows reversed."""
+    form = esop_from_tt(TruthTable(tt.num_inputs, tt.num_outputs, tt.rows[::-1]))
+    return EsopForm(form.num_inputs, form.num_outputs, tuple(Cube(c.mask, 0, c.output_mask) for c in form.cubes))
+
+
+def test_minimize_matches_reference_on_larger_forms(monkeypatch):
+    """Up to 7 inputs and 60 cubes, and the all-negative INTDIV forms at
+    n=2..8: one-output forms (one output-mask group), groups of three cubes
+    or more, and merged cubes that repeat a literal set in mid-run, where
+    the combine step runs after a merge."""
+    combines = []
+    monkeypatch.setattr(logicnet, "_combine_identical", lambda cubes: combines.append(1) or _combine_identical(cubes))
+    rng = random.Random(2901)
+    forms = [_random_mixed_form(rng, 7, 60) for _ in range(500)]
+    forms += [_negative_reed_muller(design_truth_table(DesignSpec(Design.INTDIV, n))) for n in range(2, 9)]
+    one_output = big_groups = mid_run = 0
+    for form in forms:
+        combines.clear()
+        out = esop_minimize(form)
+        assert out == reference_esop_minimize(form), form
+        assert out.to_truth_table().rows == form.to_truth_table().rows
+        one_output += form.num_outputs == 1
+        sizes = Counter(c.output_mask for c in form.cubes)
+        big_groups += max(sizes.values(), default=0) >= 3
+        repeats = len({(c.mask, c.polarity) for c in form.cubes}) < len(form.cubes)
+        mid_run += len(combines) > repeats
+    assert one_output > 100 and big_groups > 400 and mid_run > 150, (one_output, big_groups, mid_run)
+    # the INTDIV forms merge: 50 cubes at n=8 minimize to 42
+    assert len(esop_minimize(forms[-1]).cubes) == 42
 
 
 def test_minimize_preserves_function_never_grows():

@@ -495,6 +495,31 @@ def test_mirror_gate_check_names_the_first_fault():
         assert str(info.value) == reference_gate_error(*bad, 3)
 
 
+class _Controls(tuple):
+    """Controls equal by value to a plain tuple, but of another type."""
+
+
+def test_mirror_ends_at_controls_of_another_type():
+    """A gate whose controls is a tuple subclass equals its mirrored gate by
+    value, but the type rule is no function of value: the mirror ends there,
+    so the circuit fails as a full check fails, naming the first such gate,
+    on either side of the mirror."""
+    with pytest.raises(ValueError, match="gate controls must be a tuple"):
+        RevCircuit.generic(2, [(1, (0,)), (1, _Controls((0,)))])
+    rng = random.Random(29)
+    for _ in range(60):
+        width = rng.randrange(3, 7)
+        a, b = random_mirrored(rng, width)
+        gates = a + b + a[::-1]
+        place = rng.choice((rng.randrange(len(a)), len(gates) - 1 - rng.randrange(len(a))))
+        target, controls = gates[place]
+        gates[place] = (target, _Controls(controls))
+        assert reference_mirror(gates) >= len(a)
+        with pytest.raises(ValueError) as info:
+            RevCircuit.generic(width, gates)
+        assert str(info.value) == next(filter(None, (reference_gate_error(*g, width) for g in gates)))
+
+
 def test_simulate_full_is_bijective_by_construction():
     rng = random.Random(31)
     perm = Permutation(5, random_permutation(rng, 5))
