@@ -5,6 +5,11 @@ A table is held either as row words (bit j of row x is output j under input
 assignment x) or as bit-planes, one big integer per output or line whose bit
 x is its value under row or assignment x.  ``_transpose`` is the one
 conversion between the two layouts, in both directions.
+
+A cube of an ESOP form is a plain ``(mask, polarity, output_mask)`` tuple.
+The code that builds or rebuilds cubes (Reed-Muller expansion, the
+minimizer, the .pla reader) checks none of them; ``EsopForm`` checks each
+cube once, when a form is made.
 """
 
 from __future__ import annotations
@@ -111,53 +116,35 @@ class TruthTable:
         return _transpose(self.rows, self.num_outputs)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Cube:
-    """Product term of an ESOP: a set of literals and the outputs it feeds.
-
-    mask bit i set means input i appears as a literal; polarity bit i (always a
-    subset of mask) gives that literal's phase, 1 for positive.  output_mask
-    bit j set means the cube is XORed into output j.
-    """
-
-    mask: int
-    polarity: int
-    output_mask: int
-
-    def __init__(self, mask: int, polarity: int, output_mask: int):
-        if mask < 0 or polarity < 0:
-            raise ValueError("negative literal masks")
-        if polarity & ~mask:
-            raise ValueError("polarity bits outside the literal mask")
-        if output_mask <= 0:
-            raise ValueError("cube must drive at least one output")
-        _set_mask(self, mask)
-        _set_polarity(self, polarity)
-        _set_output_mask(self, output_mask)
-
-
-# the slot descriptors set the fields past the frozen class's __setattr__
-_set_mask = Cube.mask.__set__
-_set_polarity = Cube.polarity.__set__
-_set_output_mask = Cube.output_mask.__set__
-
-
 @dataclass(frozen=True)
 class EsopForm:
-    """Exclusive-or sum of products over num_inputs inputs and num_outputs outputs."""
+    """Exclusive-or sum of products over num_inputs inputs and num_outputs outputs.
+
+    Each cube, a product term and the outputs it feeds, is the triple
+    ``(mask, polarity, output_mask)``: mask bit i set means input i appears
+    as a literal; polarity bit i (always a subset of mask) gives that
+    literal's phase, 1 for positive.  output_mask bit j set means the cube
+    is XORed into output j.
+    """
 
     num_inputs: int
     num_outputs: int
-    cubes: tuple[Cube, ...]
+    cubes: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         if self.num_inputs < 0 or self.num_outputs < 0:
             raise ValueError("negative arity")
-        # bit lengths, not 2^n bounds: a header's counts may be far too large to shift by
-        for k, c in enumerate(self.cubes):
-            if c.mask.bit_length() > self.num_inputs:
+        for k, (mask, polarity, output_mask) in enumerate(self.cubes):
+            if mask < 0 or polarity < 0:
+                raise ValueError("negative literal masks")
+            if polarity & ~mask:
+                raise ValueError("polarity bits outside the literal mask")
+            if output_mask <= 0:
+                raise ValueError("cube must drive at least one output")
+            # bit lengths, not 2^n bounds: a header's counts may be far too large to shift by
+            if mask.bit_length() > self.num_inputs:
                 raise ValueError(f"cube {k} uses inputs beyond {self.num_inputs}")
-            if c.output_mask.bit_length() > self.num_outputs:
+            if output_mask.bit_length() > self.num_outputs:
                 raise ValueError(f"cube {k} drives outputs beyond {self.num_outputs}")
 
     def to_truth_table(self, limit: int | None = None) -> TruthTable:
@@ -167,11 +154,11 @@ class EsopForm:
         ones = (1 << (1 << n)) - 1
         inputs = [_input_pattern(i, n) for i in range(n)]
         cols = [0] * self.num_outputs
-        for c in self.cubes:
+        for mask, polarity, output_mask in self.cubes:
             product = ones
-            for i in _bits(c.mask):
-                product &= inputs[i] if c.polarity >> i & 1 else ~inputs[i]
-            for j in _bits(c.output_mask):
+            for i in _bits(mask):
+                product &= inputs[i] if polarity >> i & 1 else ~inputs[i]
+            for j in _bits(output_mask):
                 cols[j] ^= product
         return TruthTable(n, self.num_outputs, tuple(_transpose(cols, 1 << n)))
 
@@ -192,22 +179,18 @@ def esop_from_tt(tt: TruthTable) -> EsopForm:
         keep = full ^ _input_pattern(i, n)
         shift = 1 << i
         cols = [col ^ (col & keep) << shift for col in cols]
-    cubes = [
-        Cube(mask=s, polarity=s, output_mask=w)
-        for s, w in enumerate(_transpose(cols, 1 << n))
-        if w
-    ]
+    cubes = [(s, s, w) for s, w in enumerate(_transpose(cols, 1 << n)) if w]
     return EsopForm(n, tt.num_outputs, tuple(cubes))
 
 
-def _combine_identical(cubes: list[Cube]) -> list[Cube]:
+def _combine_identical(cubes: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     # XOR-combine cubes with identical literal sets at the first one's place;
     # drop cancelled ones.
     acc: dict[tuple[int, int], int] = {}
-    for c in cubes:
-        key = (c.mask, c.polarity)
-        acc[key] = acc.get(key, 0) ^ c.output_mask
-    return [Cube(m, p, w) for (m, p), w in acc.items() if w]
+    for m, p, w in cubes:
+        key = m, p
+        acc[key] = acc.get(key, 0) ^ w
+    return [(m, p, w) for (m, p), w in acc.items() if w]
 
 
 def esop_minimize(esop: EsopForm) -> EsopForm:
@@ -227,49 +210,50 @@ def esop_minimize(esop: EsopForm) -> EsopForm:
     the merged cube's neighbours.  Repeats combine and start a new pass.
     """
     n = esop.num_inputs
-    cubes: list[Cube | None] = list(esop.cubes)
+    # a cube is (mask, polarity, output_mask), so cube[2] is its output mask
+    cubes: list[tuple[int, int, int] | None] = list(esop.cubes)
     lits = [(1 << i + n, 1 << i + n | 1 << i) for i in range(n)]  # literal i's key bits, - and +
 
-    def pair_merge(k: int, other: int) -> tuple[int, int, Cube] | None:
+    def pair_merge(k: int, other: int) -> tuple[int, int, tuple[int, int, int]] | None:
         # a group of two merges iff the literal maps differ in one bit
-        c, d = cubes[k], cubes[other]
-        bit = c.mask ^ d.mask | c.polarity ^ d.polarity
+        (m, p, w), (dm, dp, _) = cubes[k], cubes[other]
+        bit = m ^ dm | p ^ dp
         if bit & (bit - 1):
             return None
-        if c.mask == d.mask:
-            return k, other, Cube(c.mask & ~bit, c.polarity & ~bit, c.output_mask)
-        if d.mask & bit:  # found at the cube with the literal
-            k, other, c = other, k, d
-        return k, other, Cube(c.mask, c.polarity ^ bit, c.output_mask)
+        if m == dm:
+            return k, other, (m & ~bit, p & ~bit, w)
+        if dm & bit:  # found at the cube with the literal
+            return other, k, (dm, dp ^ bit, w)
+        return k, other, (m, p ^ bit, w)
 
-    def scan(places) -> tuple[int, int, Cube] | None:
+    def scan(places) -> tuple[int, int, tuple[int, int, int]] | None:
         # the first merge at one group's ascending places: its place, the partner's, the merged cube
         for k in places:
             if (c := cubes[k]) is None:
                 continue
-            m, p, w = c.mask, c.polarity, c.output_mask
+            m, p, w = c
             key = m << n | p
             for i in _bits(m):
                 bit = 1 << i
                 # partner has the opposite phase at i
                 other = index.get(key ^ bit)
-                if other is not None and other > k and cubes[other].output_mask == w:
-                    return k, other, Cube(m & ~bit, p & ~bit, w)
+                if other is not None and other > k and cubes[other][2] == w:
+                    return k, other, (m & ~bit, p & ~bit, w)
                 # partner lacks the literal at i entirely
                 other = index.get(key ^ (bit << n | p & bit))
-                if other is not None and cubes[other].output_mask == w:
-                    return k, other, Cube(m, p ^ bit, w)
+                if other is not None and cubes[other][2] == w:
+                    return k, other, (m, p ^ bit, w)
         return None
 
     while True:
-        index = {c.mask << n | c.polarity: k for k, c in enumerate(cubes)}
+        index = {m << n | p: k for k, (m, p, _) in enumerate(cubes)}
         if len(index) < len(cubes):
             cubes = _combine_identical(cubes)
             continue
-        order = sorted(index.values(), key=lambda k: cubes[k].output_mask)
+        order = sorted(index.values(), key=lambda k: cubes[k][2])
         pending, s = [], 0  # each group's first merge, least place first
         for e in range(1, len(order) + 1):
-            if e == len(order) or cubes[order[e]].output_mask != cubes[order[s]].output_mask:
+            if e == len(order) or cubes[order[e]][2] != cubes[order[s]][2]:
                 if found := pair_merge(*order[s:e]) if e - s == 2 else e - s > 2 and scan(order[s:e]):
                     pending.append((*found, s, e))
                 s = e
@@ -277,16 +261,17 @@ def esop_minimize(esop: EsopForm) -> EsopForm:
         while pending:
             k, other, merged, s, e = pending.pop(0)
             lo, hi = (other, k) if other < k else (k, other)
-            for c in cubes[lo], cubes[hi]:
-                del index[c.mask << n | c.polarity]
+            for m, p, _ in cubes[lo], cubes[hi]:
+                del index[m << n | p]
             cubes[lo], cubes[hi] = merged, None
-            if (key := merged.mask << n | merged.polarity) in index:
+            m, p, w = merged
+            if (key := m << n | p) in index:
                 break
             index[key] = lo
             # no pair was found before place k; a new one holds the merged cube,
             # so it or a cube one literal's state away (a miss reads k) is there
             near = {index.get(key & ~pos | state, k) for neg, pos in lits for state in (0, neg, pos)}
-            before = sorted(x for x in near if x < k and cubes[x].output_mask == merged.output_mask)
+            before = sorted(x for x in near if x < k and cubes[x][2] == w)
             if found := scan(chain(before, islice(order, bisect_left(order, k, s, e), e))):
                 insort(pending, (*found, s, e))
         else:
@@ -322,14 +307,13 @@ def write_pla(esop: EsopForm, path: str | Path) -> None:
     if cubes:
         text[stride - 1::stride] = b"\n" * count
         digits = f"0{count}b"
-        masks = _transpose([c.mask for c in cubes], n)
-        polarities = _transpose([c.polarity for c in cubes], n)
+        masks, polarities, outputs = zip(*cubes)
         # the texts lead with the last cube, so the sum's bytes go out little-endian
-        for i, (mask, polarity) in enumerate(zip(masks, polarities)):
+        for i, (mask, polarity) in enumerate(zip(_transpose(masks, n), _transpose(polarities, n))):
             sums = (int.from_bytes(format(mask, digits).encode(), "big")
                     + int.from_bytes(format(polarity, digits).encode(), "big"))
             text[i::stride] = sums.to_bytes(count, "little").translate(_LITERAL_CHARS)
-        for j, plane in enumerate(_transpose([c.output_mask for c in cubes], m)):
+        for j, plane in enumerate(_transpose(outputs, m)):
             text[n + 1 + j::stride] = format(plane, digits)[::-1].encode()
     Path(path).write_text(f".i {n}\n.o {m}\n.type esop\n{text.decode()}.e\n", encoding="utf-8")
 
@@ -342,7 +326,7 @@ _OUTPUT_COLUMNS = str.maketrans("", "", "01")
 _LITERAL_BITS = str.maketrans("01-", "110")
 
 
-def _read_cube_run(run: str, n: int, m: int) -> list[Cube] | None:
+def _read_cube_run(run: str, n: int, m: int) -> list[tuple[int, int, int]] | None:
     """The cubes of a run of cube lines, read a column at a time, or None.
 
     None unless every line of the run is in the form ``write_pla`` writes,
@@ -372,10 +356,12 @@ def _read_cube_run(run: str, n: int, m: int) -> list[Cube] | None:
     outputs = _transpose(outputs, count)
     if 0 in outputs:
         return None
+    # equal output masks share one int, so the form holds fewer (INTDIV n=13: 6,086 for 8,190 cubes)
+    outputs = list(map({}.setdefault, outputs, outputs))
     masks = _transpose(masks, count)
     # a positive-polarity cube (every Reed-Muller cube) shares its mask's int
     polarities = [m if p == m else p for m, p in zip(masks, _transpose(polarities, count))]
-    return list(map(Cube, masks, polarities, outputs))
+    return list(zip(masks, polarities, outputs))
 
 
 def read_pla(path: str | Path) -> EsopForm:
@@ -391,7 +377,7 @@ def read_pla(path: str | Path) -> EsopForm:
     name = str(path)
     num_inputs: int | None = None
     num_outputs: int | None = None
-    cubes: list[Cube] = []
+    cubes: list[tuple[int, int, int]] = []
     ended = False
     typed = False
     tried = False  # whether the cube run went to _read_cube_run
@@ -469,7 +455,7 @@ def read_pla(path: str | Path) -> EsopForm:
         output_mask = int(outs[::-1], 2)
         if not output_mask:
             raise ParseError("cube drives no outputs", name, lineno)
-        cubes.append(Cube(mask, polarity, output_mask))
+        cubes.append((mask, polarity, output_mask))
     if num_inputs is None or num_outputs is None:
         raise ParseError("missing .i/.o headers", name)
     if not ended:

@@ -42,7 +42,7 @@ def esop_synth(esop: EsopForm) -> RevCircuit:
                   for j in range(0, m, 4)]
 
     def cube_gates(cube):
-        mask, polarity, out = cube.mask, cube.polarity, cube.output_mask
+        mask, polarity, out = cube
         controls = ()
         for table in literals:
             controls += table[mask & 15 | (polarity & 15) << 4]

@@ -10,7 +10,7 @@ import random
 
 from revflow.arith import Design
 from revflow.embedding import Permutation
-from revflow.logicnet import Cube, EsopForm, ParseError, TruthTable, Xmg, _input_pattern
+from revflow.logicnet import EsopForm, ParseError, TruthTable, Xmg, _input_pattern
 from revflow.revcirc import RevCircuit
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
@@ -177,10 +177,10 @@ def naive_transpose(words, width: int) -> list:
 def naive_esop_eval(esop: EsopForm, x: int) -> int:
     """Output word at one assignment: the XOR of every cube whose literals all hold."""
     word = 0
-    for cube in esop.cubes:
-        literals = [i for i in range(esop.num_inputs) if cube.mask >> i & 1]
-        if all(x >> i & 1 == cube.polarity >> i & 1 for i in literals):
-            word ^= cube.output_mask
+    for mask, polarity, output_mask in esop.cubes:
+        literals = [i for i in range(esop.num_inputs) if mask >> i & 1]
+        if all(x >> i & 1 == polarity >> i & 1 for i in literals):
+            word ^= output_mask
     return word
 
 
@@ -198,7 +198,7 @@ def reference_esop_minimize(esop: EsopForm) -> EsopForm:
     """
     cubes = list(esop.cubes)
     while True:
-        keys = [(c.mask, c.polarity) for c in cubes]
+        keys = [(mask, polarity) for mask, polarity, _ in cubes]
         if any(keys.count(key) > 1 for key in keys):
             combined = []
             for k, key in enumerate(keys):
@@ -206,9 +206,9 @@ def reference_esop_minimize(esop: EsopForm) -> EsopForm:
                     word = 0
                     for j in range(k, len(keys)):
                         if keys[j] == key:
-                            word ^= cubes[j].output_mask
+                            word ^= cubes[j][2]
                     if word:
-                        combined.append(Cube(key[0], key[1], word))
+                        combined.append((*key, word))
             cubes = combined
             continue
         merge = _first_distance1_merge(cubes, esop.num_inputs)
@@ -220,13 +220,13 @@ def reference_esop_minimize(esop: EsopForm) -> EsopForm:
 
 
 def _first_distance1_merge(cubes, num_inputs):
-    for k, c in enumerate(cubes):
+    for k, (mask, polarity, output_mask) in enumerate(cubes):
         for i in range(num_inputs):
             bit = 1 << i
-            if not c.mask & bit:
+            if not mask & bit:
                 continue
-            flipped = Cube(c.mask, c.polarity ^ bit, c.output_mask)
-            dropped = Cube(c.mask & ~bit, c.polarity & ~bit, c.output_mask)
+            flipped = (mask, polarity ^ bit, output_mask)
+            dropped = (mask & ~bit, polarity & ~bit, output_mask)
             # a flipped phase merges to the literal left out, and the reverse
             for partner, merged in ((flipped, dropped), (dropped, flipped)):
                 for j, d in enumerate(cubes):
@@ -246,24 +246,24 @@ def reference_esop_from_tt(tt: TruthTable) -> EsopForm:
         for x in range(1 << n):
             if x & bit:
                 coeff[x] ^= coeff[x ^ bit]
-    cubes = tuple(Cube(mask=s, polarity=s, output_mask=w) for s, w in enumerate(coeff) if w)
+    cubes = tuple((s, s, w) for s, w in enumerate(coeff) if w)
     return EsopForm(n, tt.num_outputs, cubes)
 
 
 def reference_write_pla(esop: EsopForm, path) -> None:
     """write_pla's text, spelled one cube and one character at a time."""
     lines = [f".i {esop.num_inputs}", f".o {esop.num_outputs}", ".type esop"]
-    for c in esop.cubes:
+    for mask, polarity, output_mask in esop.cubes:
         ins = []
         for i in range(esop.num_inputs):
             bit = 1 << i
-            if not c.mask & bit:
+            if not mask & bit:
                 ins.append("-")
-            elif c.polarity & bit:
+            elif polarity & bit:
                 ins.append("1")
             else:
                 ins.append("0")
-        outs = ["1" if c.output_mask >> j & 1 else "0" for j in range(esop.num_outputs)]
+        outs = ["1" if output_mask >> j & 1 else "0" for j in range(esop.num_outputs)]
         lines.append("".join(ins) + " " + "".join(outs))
     lines.append(".e")
     with open(path, "w", encoding="utf-8") as fh:
@@ -364,7 +364,7 @@ def reference_read_pla(path) -> EsopForm:
             output_mask |= (ch == "1") << j
         if not output_mask:
             raise ParseError("cube drives no outputs", name, lineno)
-        cubes.append(Cube(mask, polarity, output_mask))
+        cubes.append((mask, polarity, output_mask))
     if n is None or m is None:
         raise ParseError("missing .i/.o headers", name)
     if not ended:

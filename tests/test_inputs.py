@@ -9,7 +9,6 @@ import pytest
 
 from conftest import random_xmg
 from revflow.logicnet import (
-    Cube,
     EsopForm,
     ParseError,
     TruthTable,
@@ -134,7 +133,7 @@ def test_cost_entries_take_ascii_digits(entry):
 def test_comments_and_line_breaks_by_example(tmp_path):
     p = tmp_path / "f.pla"
     p.write_text(".i 2\n.o 1\n.type esop\n11 1 # the AND\n.e\n")
-    assert read_pla(p) == EsopForm(2, 1, (Cube(0b11, 0b11, 1),))
+    assert read_pla(p) == EsopForm(2, 1, ((0b11, 0b11, 1),))
     # "\x0c" is whitespace inside a line, so the bad cube is line 5
     p.write_text(".i 2\n.o 1\n.type esop\n11 1\x0c\n1x 1\n.e\n")
     with pytest.raises(ParseError, match="bad input column character 'x'") as info:

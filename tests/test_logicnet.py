@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -22,7 +21,6 @@ from conftest import (
 from revflow import logicnet
 from revflow.arith import Design, DesignSpec, design_truth_table
 from revflow.logicnet import (
-    Cube,
     EsopForm,
     ParseError,
     TableLimitError,
@@ -85,24 +83,24 @@ def test_table_limit_guard():
 
 def test_cube_matching():
     # x0 and not x2 holds at x = 0b001 and 0b011 only
-    c = Cube(mask=0b101, polarity=0b001, output_mask=1)
+    c = (0b101, 0b001, 1)
     assert EsopForm(3, 1, (c,)).to_truth_table().rows == (0, 1, 0, 1, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        Cube(mask=0b01, polarity=0b10, output_mask=1)  # polarity outside mask
-    with pytest.raises(ValueError):
-        Cube(mask=0, polarity=0, output_mask=0)
-    with pytest.raises(ValueError, match="negative literal masks"):
-        Cube(-1, 0, 1)
-    with pytest.raises(ValueError, match="negative literal masks"):
-        Cube(1, -1, 1)
-    # a slotted frozen cube: fields are read-only, equal cubes hash equal
-    assert (c.mask, c.polarity, c.output_mask) == (0b101, 0b001, 1)
-    assert not hasattr(c, "__dict__")
-    for field in ("mask", "polarity", "output_mask"):
-        with pytest.raises(FrozenInstanceError):
-            setattr(c, field, 0)
-    assert c == Cube(0b101, 0b001, 1) and hash(c) == hash(Cube(0b101, 0b001, 1))
-    assert c != Cube(0b101, 0b001, 2)
+    # EsopForm checks every cube; a faulty one behind a good one is caught
+    for cube, message in [
+        ((-1, 0, 1), "negative literal masks"),
+        ((1, -1, 1), "negative literal masks"),
+        ((0b01, 0b10, 1), "polarity bits outside the literal mask"),
+        ((0, 0, 0), "cube must drive at least one output"),
+        ((0b1000, 0, 1), "cube 1 uses inputs beyond 3"),
+        ((0b1, 0b1, 2), "cube 1 drives outputs beyond 1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            EsopForm(3, 1, (c, cube))
+        assert str(info.value) == message
+    # cubes are checked in order: cube 0's bit-length fault comes before cube 1's negative mask
+    with pytest.raises(ValueError) as info:
+        EsopForm(3, 1, ((0b1000, 0, 1), (-1, 0, 1)))
+    assert str(info.value) == "cube 0 uses inputs beyond 3"
 
 
 def test_pprm_is_positive_polarity_and_exact():
@@ -110,8 +108,8 @@ def test_pprm_is_positive_polarity_and_exact():
     for n, m in [(1, 1), (3, 2), (5, 3), (6, 1)]:
         tt = TruthTable(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n)))
         esop = esop_from_tt(tt)
-        assert all(c.polarity == c.mask for c in esop.cubes)
-        masks = [c.mask for c in esop.cubes]
+        assert all(polarity == mask for mask, polarity, _ in esop.cubes)
+        masks = [mask for mask, _, _ in esop.cubes]
         assert len(set(masks)) == len(masks)   # canonical: one cube per monomial
         assert esop.to_truth_table().rows == tt.rows
 
@@ -119,13 +117,13 @@ def test_pprm_is_positive_polarity_and_exact():
 def test_pprm_known_forms():
     # AND: single top cube
     esop = esop_from_tt(TruthTable(2, 1, (0, 0, 0, 1)))
-    assert [(c.mask, c.polarity) for c in esop.cubes] == [(0b11, 0b11)]
+    assert [(m, p) for m, p, _ in esop.cubes] == [(0b11, 0b11)]
     # XOR: the two singletons
     esop = esop_from_tt(TruthTable(2, 1, (0, 1, 1, 0)))
-    assert sorted(c.mask for c in esop.cubes) == [0b01, 0b10]
+    assert sorted(m for m, _, _ in esop.cubes) == [0b01, 0b10]
     # OR = x + y + xy over GF(2)
     esop = esop_from_tt(TruthTable(2, 1, (0, 1, 1, 1)))
-    assert sorted(c.mask for c in esop.cubes) == [0b01, 0b10, 0b11]
+    assert sorted(m for m, _, _ in esop.cubes) == [0b01, 0b10, 0b11]
 
 
 def _random_tables(seed: int):
@@ -147,26 +145,26 @@ def test_pprm_matches_reference():
 def test_minimize_merges_distance_one():
     # x0 xor x0x1 == x0 and-not x1
     form = EsopForm(2, 1, (
-        Cube(mask=0b01, polarity=0b01, output_mask=1),
-        Cube(mask=0b11, polarity=0b11, output_mask=1),
+        (0b01, 0b01, 1),
+        (0b11, 0b11, 1),
     ))
     out = esop_minimize(form)
-    assert out.cubes == (Cube(mask=0b11, polarity=0b01, output_mask=1),)
+    assert out.cubes == ((0b11, 0b01, 1),)
     assert out.to_truth_table().rows == form.to_truth_table().rows
 
 
 def test_minimize_opposite_polarities_drop_literal():
     # x0x1 xor x0'x1 == x1
     form = EsopForm(2, 1, (
-        Cube(mask=0b11, polarity=0b11, output_mask=1),
-        Cube(mask=0b11, polarity=0b10, output_mask=1),
+        (0b11, 0b11, 1),
+        (0b11, 0b10, 1),
     ))
     out = esop_minimize(form)
-    assert out.cubes == (Cube(mask=0b10, polarity=0b10, output_mask=1),)
+    assert out.cubes == ((0b10, 0b10, 1),)
 
 
 def test_minimize_cancels_identical_cubes():
-    c = Cube(mask=1, polarity=1, output_mask=1)
+    c = (1, 1, 1)
     out = esop_minimize(EsopForm(1, 1, (c, c)))
     assert out.cubes == ()
     assert out.to_truth_table().rows == (0, 0)
@@ -174,12 +172,36 @@ def test_minimize_cancels_identical_cubes():
 
 def test_combine_identical_keeps_a_list_without_repeats():
     # no literal set repeats and no pair merges: the very same cubes come back
-    a, b, c = Cube(1, 1, 1), Cube(3, 1, 2), Cube(2, 0, 3)
+    a, b, c = (1, 1, 1), (3, 1, 2), (2, 0, 3)
     out = esop_minimize(EsopForm(2, 2, (a, b, c)))
     assert len(out.cubes) == 3 and all(x is y for x, y in zip(out.cubes, (a, b, c)))
     # repeats XOR their output masks at the first one's place; a cancelled key drops
-    out = _combine_identical([a, b, Cube(1, 1, 3), c, Cube(3, 1, 2)])
-    assert out == [Cube(1, 1, 2), c]
+    out = _combine_identical([a, b, (1, 1, 3), c, (3, 1, 2)])
+    assert out == [(1, 1, 2), c]
+
+
+def test_producers_build_plain_tuples(tmp_path, monkeypatch):
+    """Every cube producer hands EsopForm plain tuples: the Reed-Muller
+    expansion, both .pla reader paths, and the minimizer with a combine
+    step in mid-run."""
+    def plain(form):
+        return form.cubes and all(type(c) is tuple for c in form.cubes)
+
+    assert plain(esop_from_tt(TruthTable(2, 2, (0, 1, 3, 2))))
+    runs = []
+    read_run = logicnet._read_cube_run
+    monkeypatch.setattr(logicnet, "_read_cube_run", lambda *args: runs.append(read_run(*args)) or runs[-1])
+    p = tmp_path / "f.pla"
+    write_pla(EsopForm(2, 1, ((0b11, 0b11, 1), (0b01, 0b00, 1))), p)
+    assert plain(read_pla(p))
+    p.write_text(".i 2\n.o 1\n.type esop\n11 1\n# a comment line\n-0 1\n.e\n")
+    assert plain(read_pla(p))
+    assert runs[0] is not None and runs[1] is None  # the column step, then the per-line loop
+    # x0x1 and x0x1' merge to x0, which repeats cube 0's literals: combine runs after the merge
+    combines = []
+    monkeypatch.setattr(logicnet, "_combine_identical", lambda cubes: combines.append(1) or _combine_identical(cubes))
+    out = esop_minimize(EsopForm(2, 2, ((0b01, 0b01, 3), (0b11, 0b11, 1), (0b11, 0b01, 1))))
+    assert out.cubes == ((0b01, 0b01, 2),) and combines == [1] and plain(out)
 
 
 def _random_mixed_form(rng: random.Random, max_inputs: int = 5, max_cubes: int = 12) -> EsopForm:
@@ -190,10 +212,10 @@ def _random_mixed_form(rng: random.Random, max_inputs: int = 5, max_cubes: int =
     cubes = []
     for _ in range(rng.randrange(max_cubes + 1)):
         mask = rng.randrange(1 << n)
-        cubes.append(Cube(mask, rng.randrange(1 << n) & mask, rng.randrange(1, 1 << m)))
+        cubes.append((mask, rng.randrange(1 << n) & mask, rng.randrange(1, 1 << m)))
     for _ in range(rng.randrange(4) if cubes else 0):
         c = rng.choice(cubes)
-        copy = c if rng.randrange(2) else Cube(c.mask, c.polarity, rng.randrange(1, 1 << m))
+        copy = c if rng.randrange(2) else (c[0], c[1], rng.randrange(1, 1 << m))
         cubes.insert(rng.randrange(len(cubes) + 1), copy)
     return EsopForm(n, m, tuple(cubes))
 
@@ -206,7 +228,7 @@ def test_minimize_matches_reference_on_mixed_polarity():
         out = esop_minimize(form)
         assert out == reference_esop_minimize(form), form
         assert out.to_truth_table().rows == form.to_truth_table().rows
-        repeats += len({(c.mask, c.polarity) for c in form.cubes}) < len(form.cubes)
+        repeats += len({(m, p) for m, p, _ in form.cubes}) < len(form.cubes)
     assert repeats > 1000  # the combine step ran on these at least
 
 
@@ -214,7 +236,7 @@ def _negative_reed_muller(tt: TruthTable) -> EsopForm:
     """The table's Reed-Muller form with every literal negative: the positive
     form of the table with every input complemented, its rows reversed."""
     form = esop_from_tt(TruthTable(tt.num_inputs, tt.num_outputs, tt.rows[::-1]))
-    return EsopForm(form.num_inputs, form.num_outputs, tuple(Cube(c.mask, 0, c.output_mask) for c in form.cubes))
+    return EsopForm(form.num_inputs, form.num_outputs, tuple((m, 0, w) for m, _, w in form.cubes))
 
 
 def test_minimize_matches_reference_on_larger_forms(monkeypatch):
@@ -234,9 +256,9 @@ def test_minimize_matches_reference_on_larger_forms(monkeypatch):
         assert out == reference_esop_minimize(form), form
         assert out.to_truth_table().rows == form.to_truth_table().rows
         one_output += form.num_outputs == 1
-        sizes = Counter(c.output_mask for c in form.cubes)
+        sizes = Counter(w for _, _, w in form.cubes)
         big_groups += max(sizes.values(), default=0) >= 3
-        repeats = len({(c.mask, c.polarity) for c in form.cubes}) < len(form.cubes)
+        repeats = len({(m, p) for m, p, _ in form.cubes}) < len(form.cubes)
         mid_run += len(combines) > repeats
     assert one_output > 100 and big_groups > 400 and mid_run > 150, (one_output, big_groups, mid_run)
     # the INTDIV forms merge: 50 cubes at n=8 minimize to 42
@@ -260,7 +282,7 @@ def test_pla_roundtrip_identity(tmp_path):
     tt = TruthTable(4, 3, tuple(rng.randrange(8) for _ in range(16)))
     # under .i 0 a cube line is its output pattern alone
     constant = esop_from_tt(TruthTable(0, 2, (3,)))
-    assert constant.cubes == (Cube(0, 0, 3),)
+    assert constant.cubes == ((0, 0, 3),)
     path = tmp_path / "f.pla"
     for esop in (esop_minimize(esop_from_tt(tt)), constant, EsopForm(0, 2, ()), EsopForm(0, 0, ())):
         write_pla(esop, path)
@@ -283,9 +305,9 @@ def test_pla_writer_matches_reference(tmp_path):
         cubes = []
         for _ in range(rng.choice((1, 7, 64, 65, 1500))):
             mask = rng.getrandbits(n)
-            cubes.append(Cube(mask, rng.getrandbits(n) & mask, rng.randrange(1, 1 << m)))
+            cubes.append((mask, rng.getrandbits(n) & mask, rng.randrange(1, 1 << m)))
         forms.append(EsopForm(n, m, tuple(cubes)))
-    assert any(c.polarity != c.mask for form in forms for c in form.cubes)
+    assert any(p != m for form in forms for m, p, _ in form.cubes)
     got, want = tmp_path / "got.pla", tmp_path / "want.pla"
     for form in forms:
         write_pla(form, got)
@@ -376,7 +398,7 @@ def _random_form(rng: random.Random, n: int, m: int, count: int) -> EsopForm:
     cubes = []
     for _ in range(count):
         mask = rng.getrandbits(n)
-        cubes.append(Cube(mask, rng.getrandbits(n) & mask, rng.randrange(1, 1 << m)))
+        cubes.append((mask, rng.getrandbits(n) & mask, rng.randrange(1, 1 << m)))
     return EsopForm(n, m, tuple(cubes))
 
 
@@ -392,7 +414,7 @@ def test_pla_reader_differential(tmp_path, monkeypatch):
     rng = random.Random(41)
     p = tmp_path / "m.pla"
     outcomes = set()
-    forms = [EsopForm(0, 2, (Cube(0, 0, 1), Cube(0, 0, 3)))]
+    forms = [EsopForm(0, 2, ((0, 0, 1), (0, 0, 3)))]
     for _ in range(100):
         n, m = rng.randrange(1, 6), rng.randrange(1, 4)
         tt = TruthTable(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n)))
@@ -528,7 +550,7 @@ def test_esop_table_agrees_with_naive():
         cubes = []
         for _ in range(rng.randrange(0, 12)):
             mask = rng.randrange(1 << n)
-            cubes.append(Cube(mask, rng.randrange(1 << n) & mask, rng.randrange(1, 1 << m)))
+            cubes.append((mask, rng.randrange(1 << n) & mask, rng.randrange(1, 1 << m)))
         esop = EsopForm(n, m, tuple(cubes))
         tt = esop.to_truth_table()
         assert tt.rows == tuple(naive_esop_eval(esop, x) for x in range(1 << n))

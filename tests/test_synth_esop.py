@@ -5,13 +5,13 @@ import random
 import pytest
 
 from revflow.arith import Design, DesignSpec, design_truth_table
-from revflow.logicnet import Cube, EsopForm, TruthTable, esop_from_tt, esop_minimize
+from revflow.logicnet import EsopForm, TruthTable, esop_from_tt, esop_minimize
 from revflow.revcirc import verify_circuit
 from revflow.synth_esop import esop_synth
 
 
 def test_single_cube_is_one_toffoli():
-    form = EsopForm(2, 1, (Cube(mask=0b11, polarity=0b11, output_mask=1),))
+    form = EsopForm(2, 1, ((0b11, 0b11, 1),))
     circ = esop_synth(form)
     assert circ.width == 3
     assert len(circ.gates) == 1
@@ -21,7 +21,7 @@ def test_single_cube_is_one_toffoli():
 
 
 def test_mixed_polarity_controls():
-    form = EsopForm(2, 1, (Cube(mask=0b11, polarity=0b01, output_mask=1),))
+    form = EsopForm(2, 1, ((0b11, 0b01, 1),))
     circ = esop_synth(form)
     g = circ.gates[0]
     assert g[1] == (0 << 1, 1 << 1 | 1)
