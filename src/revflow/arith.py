@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .logicnet import MAX_NET_WIDTH, TruthTable, Xmg, _check_limit
+from .logicnet import MAX_NET_WIDTH, TruthTable, Xmg, _Record, _check_limit
 
 
 def oracle_reciprocal(n: int, x: int) -> int:
@@ -69,8 +68,7 @@ class Design(enum.Enum):
     NEWTON = "newton"
 
 
-@dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(_Record):
     """A reciprocal design instance: which datapath and its width.
 
     NEWTON carries a fractional width of precision = 2n bits through
@@ -107,8 +105,7 @@ class DesignSpec:
 # Software Newton model, the reference for the NEWTON datapath.
 
 
-@dataclass(frozen=True)
-class NewtonTrace:
+class NewtonTrace(_Record):
     """Everything the fixed-point iteration produced for one input.
 
     ``normalized`` and each of ``iterates`` are raw words at

@@ -13,13 +13,11 @@ in its top m bits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .logicnet import TruthTable, _check_limit
+from .logicnet import TruthTable, _Record, _check_limit
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """Bijection on r-bit words, stored as the image list."""
 
     width: int
@@ -36,8 +34,7 @@ class Permutation:
             seen[y] = 1
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(_Record):
     """Shape of an embedding: n source inputs and m outputs on r lines.
 
     The line roles follow from the shape (see the module docstring).

@@ -14,14 +14,11 @@ cube once, when a form is made.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import chain, islice
-from pathlib import Path
 
 # Truth-table expansion guard: 2^n rows get expensive fast.  The CLI can raise
 # this via the REVFLOW_TT_LIMIT environment variable.
@@ -87,8 +84,71 @@ def _check_limit(width: int, limit: int | None) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class _Record:
+    """Base of revflow's frozen records, written out once instead of
+    generated per class.
+
+    A record's fields are its class annotations, in order, and a class
+    attribute of the same name is that field's default.  The fields are set
+    once, by position or keyword, when the record is built; then
+    ``__post_init__`` checks them.  Any later assignment or deletion raises
+    AttributeError.  Records of one class compare and hash by their field
+    values and print as ``Name(field=value, ...)``.  Each keeps its
+    ``__dict__``, so copy, deepcopy and pickle restore it as they would any
+    object.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # object's setter, not an update of __dict__: an instance whose
+        # __dict__ is never asked for keeps CPython's faster attribute layout
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in order, from positional, keyword and default values."""
+        fields = cls._fields
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}, each at most once")
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__} is missing the fields {', '.join(missing)}")
+        return [values[name] for name in fields]
+
+    def __post_init__(self):
+        """Check the fields; a record with nothing to check keeps this."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class TruthTable(_Record):
     """Complete multi-output truth table.
 
     rows[x] is the m-bit output word for input assignment x; bit i of x is
@@ -116,8 +176,7 @@ class TruthTable:
         return _transpose(self.rows, self.num_outputs)
 
 
-@dataclass(frozen=True)
-class EsopForm:
+class EsopForm(_Record):
     """Exclusive-or sum of products over num_inputs inputs and num_outputs outputs.
 
     Each cube, a product term and the outputs it feeds, is the triple
@@ -289,7 +348,7 @@ def esop_minimize(esop: EsopForm) -> EsopForm:
 _LITERAL_CHARS = bytes.maketrans(b"`ab", b"-01")
 
 
-def write_pla(esop: EsopForm, path: str | Path) -> None:
+def write_pla(esop: EsopForm, path) -> None:
     """Write the form a column at a time.
 
     The cubes' masks, polarities and output masks are turned into planes
@@ -315,7 +374,8 @@ def write_pla(esop: EsopForm, path: str | Path) -> None:
             text[i::stride] = sums.to_bytes(count, "little").translate(_LITERAL_CHARS)
         for j, plane in enumerate(_transpose(outputs, m)):
             text[n + 1 + j::stride] = format(plane, digits)[::-1].encode()
-    Path(path).write_text(f".i {n}\n.o {m}\n.type esop\n{text.decode()}.e\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f".i {n}\n.o {m}\n.type esop\n{text.decode()}.e\n")
 
 
 # translate tables: the first two delete the characters a column may hold,
@@ -364,7 +424,7 @@ def _read_cube_run(run: str, n: int, m: int) -> list[tuple[int, int, int]] | Non
     return list(zip(masks, polarities, outputs))
 
 
-def read_pla(path: str | Path) -> EsopForm:
+def read_pla(path) -> EsopForm:
     """Read an ESOP-dialect PLA file.
 
     The headers are read line by line.  At the first cube line, the run of
@@ -381,7 +441,8 @@ def read_pla(path: str | Path) -> EsopForm:
     ended = False
     typed = False
     tried = False  # whether the cube run went to _read_cube_run
-    text = _uncomment(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        text = _uncomment(fh.read())
     lineno = 0
     start = 0  # where line lineno + 1 starts in text
     while start < len(text):
@@ -736,13 +797,14 @@ def _input_pattern(i: int, n: int) -> int:
 _GATE_LINES = {2: "xor %d %d\n", 3: "maj %d %d %d\n"}
 
 
-def write_xmg(net: Xmg, path: str | Path) -> None:
+def write_xmg(net: Xmg, path) -> None:
     gates = net.fanins[1 + net.num_inputs:]
     text = [f".xmg {net.num_inputs} {net.num_outputs} {len(gates)}\n"]
     text += [_GATE_LINES[len(fi)] % fi for fi in gates]
     text += ["out %d\n" % out for out in net.outputs]
     text.append(".end\n")
-    Path(path).write_text("".join(text), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(text))
 
 
 # the written form of a run of gate lines, one regex step a chunk
@@ -770,6 +832,8 @@ def _read_gate_run(net: Xmg, text: str, start: int, end: int) -> bool:
     other text.  The gates added before it are those the per-line loop adds
     first, and re-adding them there returns the same nodes.
     """
+    import json  # this reader's alone, so importing revflow does not load it
+
     add_maj, add_xor = net.add_maj, net.add_xor
     fresh = len(net.fanins) << 1  # the next fresh node's literal
     while start < end:
@@ -789,7 +853,7 @@ def _read_gate_run(net: Xmg, text: str, start: int, end: int) -> bool:
     return True
 
 
-def read_xmg(path: str | Path) -> Xmg:
+def read_xmg(path) -> Xmg:
     """Read a network in the text format above.
 
     The header, comments and ``revflow gen``'s ``# design=... n=...`` stamp
@@ -808,7 +872,8 @@ def read_xmg(path: str | Path) -> Xmg:
     by_id: list[int] = [0]
     ended = False
     tried = False  # whether the gate run went to _read_gate_run
-    text = _uncomment(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        text = _uncomment(fh.read())
     lineno = 0
     start = 0  # where line lineno + 1 starts in text
     while start < len(text):

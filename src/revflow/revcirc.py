@@ -39,13 +39,12 @@ on how the gates were built or spelled.  Then:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import compress, count, islice, repeat
 from operator import is_not, itemgetter, ne
-from typing import Iterable
 
 from .embedding import Permutation
-from .logicnet import ParseError, TruthTable, _decimal, _input_pattern, _transpose, _uncomment
+from .logicnet import ParseError, TruthTable, _Record, _decimal, _input_pattern, _transpose, _uncomment
 
 # Widths beyond this make full permutation extraction explode; callers that
 # only need input-side behaviour should use simulate_source_batch instead.
@@ -68,8 +67,7 @@ def _first_bad_name(names) -> "str | None":
     return next(name for name in names if name.split() != [name] or name.startswith("-") or "#" in name)
 
 
-@dataclass(frozen=True)
-class RevCircuit:
+class RevCircuit(_Record):
     """Gate cascade with per-line roles.
 
     constants[i] is None for a primary input line and 0/1 for a constant.
@@ -298,8 +296,7 @@ def _default_t_cost(controls: int) -> int:
     return 8 * (controls - 2) + 7
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(_Record):
     """T-gate cost per Toffoli as a function of its control count.
 
     Entries in overrides replace the built-in schedule at those control
@@ -356,8 +353,7 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(_Record):
     qubits: int
     gate_count: int
     t_count: int

@@ -1,5 +1,7 @@
 """Tables, ESOP forms and their minimizer, the strashed net, and file I/O."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -19,7 +21,8 @@ from conftest import (
     xmg_kind,
 )
 from revflow import logicnet
-from revflow.arith import Design, DesignSpec, design_truth_table
+from revflow.arith import Design, DesignSpec, NewtonTrace, design_truth_table
+from revflow.embedding import Embedding, Permutation
 from revflow.logicnet import (
     EsopForm,
     ParseError,
@@ -35,6 +38,7 @@ from revflow.logicnet import (
     write_pla,
     write_xmg,
 )
+from revflow.revcirc import CostModel, CostReport, RevCircuit
 
 
 def test_truth_table_validation():
@@ -44,6 +48,45 @@ def test_truth_table_validation():
         TruthTable(1, 1, (0, 2))             # row out of range
     tt = TruthTable(2, 2, (0, 1, 2, 3))
     assert tt.columns() == [0b1010, 0b1100]
+
+
+# each record's fields by keyword, in order, and one field changed
+RECORDS = [
+    (TruthTable, dict(num_inputs=1, num_outputs=1, rows=(0, 1)), "rows", (1, 0)),
+    (EsopForm, dict(num_inputs=2, num_outputs=1, cubes=((1, 1, 1),)), "cubes", ((3, 1, 1),)),
+    (DesignSpec, dict(design=Design.INTDIV, bitwidth=4), "bitwidth", 5),
+    (NewtonTrace, dict(exponent=1, normalized=2, iterates=(3, 4), output=5), "output", 6),
+    (Permutation, dict(width=1, images=(1, 0)), "images", (0, 1)),
+    (Embedding, dict(source_inputs=2, source_outputs=1, width=3), "width", 4),
+    (RevCircuit, dict(width=2, gates=((0, (2,)), (1, ()), (0, (2,))), line_names=("a", "b"),
+                      constants=(None, 0), outputs=(0, None)), "line_names", ("a", "c")),
+    (CostModel, dict(overrides=((2, 6),)), "overrides", ((2, 7),)),
+    (CostReport, dict(qubits=3, gate_count=2, t_count=14, control_histogram=((2, 2),)), "t_count", 15),
+]
+
+
+@pytest.mark.parametrize("cls, fields, name, other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_frozen_values(cls, fields, name, other):
+    """Every record is built by keyword or position, compares, hashes and
+    prints by its field values, refuses assignment and deletion, and comes
+    back equal from copy, deepcopy and pickle."""
+    record = cls(**fields)
+    assert record == cls(*fields.values()) and hash(record) == hash(cls(**fields))
+    changed = cls(**{**fields, name: other})
+    assert record != changed and changed != record and record != tuple(fields.values())
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, fields[field])
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert [getattr(record, field) for field in fields] == list(fields.values())
+    for back in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(back) is cls and back == record
+        if cls is RevCircuit:
+            assert back._mirror == record._mirror == 1
+    if cls is CostModel:
+        assert CostModel() == CostModel(overrides=()) and CostModel().overrides == ()
 
 
 # every lane boundary (8, 16, 32 and 64 bits) on either side of the matrix,

@@ -3,8 +3,11 @@ nothing it does not use, and defines nothing that only tests use; README's
 commands and example run as written."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import revflow
@@ -39,6 +42,19 @@ def test_one_public_list():
             if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
                 assigners.append(path.name)
     assert assigners == ["__init__.py"]
+
+
+def test_import_loads_no_unused_stdlib():
+    """``import revflow`` loads no standard-library module that revflow never
+    calls, or calls in one reader only.  ``-S`` keeps site from preloading
+    typing and pathlib; revflow's parent directory on PYTHONPATH finds the
+    package in src/ and installed alike."""
+    unused = ("dataclasses", "inspect", "json", "typing", "pathlib")
+    code = f"import sys, revflow; print(sorted(sys.modules.keys() & {set(unused)!r}))"
+    env = dict(os.environ, PYTHONPATH=str(Path(revflow.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def _unused_imports(path: Path) -> list:
