@@ -12,8 +12,6 @@ equals ``oracle_reciprocal`` at every x, so the exact oracle is every
 design's truth table.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 

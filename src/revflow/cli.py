@@ -6,8 +6,6 @@ success, 1 verification mismatch, 2 operational error (bad arguments,
 unreadable files, size limits).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

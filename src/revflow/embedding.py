@@ -10,8 +10,6 @@ embedding word is just the input assignment x, and its image carries f(x)
 in its top m bits.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 
 from .logicnet import TruthTable, _Record, _check_limit

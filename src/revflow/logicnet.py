@@ -12,8 +12,6 @@ minimizer, the .pla reader) checks none of them; ``EsopForm`` checks each
 cube once, when a form is made.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from array import array

@@ -36,8 +36,6 @@ on how the gates were built or spelled.  Then:
   lines runs every gate.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Iterable
 from itertools import compress, count, islice, repeat
@@ -313,13 +311,11 @@ class CostModel(_Record):
             if c in seen:
                 raise ValueError(f"duplicate cost entry for {c} controls")
             seen.add(c)
-        limit = max((c for c, _ in self.overrides), default=0) + 2
-        prev = self.t_of_controls(0)
-        for c in range(1, limit + 1):
-            cur = self.t_of_controls(c)
-            if cur < prev:
+        # the default schedule never decreases, so a decrease from c - 1 to c
+        # has an override at c - 1 or at c
+        for c in {d for o, _ in self.overrides for d in (o, o + 1) if d}:
+            if self.t_of_controls(c) < self.t_of_controls(c - 1):
                 raise ValueError("cost must not decrease with more controls")
-            prev = cur
 
     def t_of_controls(self, controls: int) -> int:
         for c, t in self.overrides:

@@ -6,8 +6,6 @@ the low n lines and are never written, so the result is the out-of-place
 form out_j = 0 xor f_j(x) on n + m lines.
 """
 
-from __future__ import annotations
-
 from itertools import chain, repeat
 
 from .logicnet import EsopForm

@@ -28,8 +28,6 @@ so they change no plane, and the gate list is the one a row-by-row scan
 emits.
 """
 
-from __future__ import annotations
-
 from .embedding import Embedding, Permutation
 from .logicnet import _input_pattern, _transpose
 from .revcirc import RevCircuit

@@ -27,8 +27,6 @@ counts in-place XOR needs, come from one reverse sweep over the nodes in
 topological order; the nodes are then compiled in one forward loop.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 
 from .logicnet import Xmg

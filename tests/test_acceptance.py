@@ -32,7 +32,7 @@ from revflow.arith import (
 )
 from revflow.cli import run_flow
 from revflow.embedding import Permutation, optimum_embed
-from revflow.logicnet import esop_from_tt, esop_minimize, read_pla, write_pla
+from revflow.logicnet import EsopForm, TruthTable, esop_from_tt, esop_minimize, read_pla, write_pla
 from revflow.revcirc import cost_report, read_real, simulate_full, verify_circuit, write_real
 from revflow.synth_functional import tbs
 
@@ -106,6 +106,20 @@ def test_esop_flow_exact():
         assert all(len(controls) <= n for _, controls in circ.gates)
         assert verify_circuit(circ, tt)
     budget.check()
+
+
+def test_esop_minimize_one_large_group():
+    """INTDIV n=12's first output alone: 2,049 Reed-Muller cubes on one
+    output mask, so one group for the minimizer, which an all-pairs search
+    of each pass would not finish in the budget."""
+    tt = design_truth_table(DesignSpec(Design.INTDIV, 12))
+    cut = EsopForm(12, 1, tuple((m, p, 1) for m, p, w in esop_from_tt(tt).cubes if w & 1))
+    assert len(cut.cubes) == 2049
+    budget = Budget(5.0)
+    out = esop_minimize(cut)
+    budget.check()
+    assert len(out.cubes) == 946
+    assert out.to_truth_table() == TruthTable(12, 1, tuple(row & 1 for row in tt.rows))
 
 
 @pytest.mark.parametrize("variant", HIER_VARIANTS)

@@ -253,6 +253,20 @@ def test_network_width_cap_exits_2(tmp_path):
     assert not (tmp_path / "d.real").exists() and not (tmp_path / "x.xmg").exists()
 
 
+def test_cost_model_of_a_large_count_exits_at_once(tmp_path):
+    # a check of every count up to the entry would not finish: the timeout
+    # fails the test instead of hanging it
+    real = tmp_path / "c.real"
+    real.write_text(".numvars 2\n.variables a b\n.begin\nt2 a b\n.end\n", encoding="utf-8")
+    model = tmp_path / "costs.txt"
+    for entry, code in ((f"{10**12}: {8 * (10**12 - 2) + 7}", 0), (f"{10**4000}: 1", 2)):
+        model.write_text(entry + "\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "revflow", "stats", str(real), "--cost-model", str(model)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == code, entry[:20]
+    assert f"{model}: cost must not decrease with more controls" in proc.stderr
+
+
 def test_width_cap_bounds_every_design_command(tmp_path, capsys):
     circuit = str(tmp_path / "d.real")
     big = str(MAX_NET_WIDTH + 1)

@@ -365,6 +365,7 @@ def test_pla_parse_errors(tmp_path):
         (".i 2\n.o 1\n11 1\n.e\n", "cube before .type esop declaration", 3),
         (head + "12 1\n.e\n", "bad input column character '2'", 4),
         (head + "11 11\n.e\n", "output pattern has 2 columns, expected 1", 4),
+        (head + "11 1\n-0 0\n.e\n", "cube drives no outputs", 5),
     ]
     # a bad column names its first bad character, inputs before outputs;
     # "\u00b2" and "\u0661" are digits to str.isdigit, and int(.., 2) reads "\u0661" as 1

@@ -606,6 +606,11 @@ def test_cost_model_overrides_and_validation():
         CostModel.parse("2: -1\n")
     with pytest.raises(ParseError):
         CostModel.parse("2: 100\n3: 1\n")       # decreasing in controls
+    # the default cost at 10^12 controls, and a cost far below it at 10^4000:
+    # a walk of every count up to the entry would not return
+    assert CostModel(((10**12, 8 * (10**12 - 2) + 7),)).t_of_controls(10**12 + 1) == 8 * (10**12 - 1) + 7
+    with pytest.raises(ValueError, match="cost must not decrease with more controls"):
+        CostModel(((10**4000, 1),))
 
 
 def test_cost_report_matches_per_gate_sum():
