@@ -20,7 +20,6 @@ from .logicnet import (
     DEFAULT_TT_LIMIT,
     EsopForm,
     ParseError,
-    TruthTable,
     Xmg,
     _check_limit,
     _decimal,
@@ -48,6 +47,15 @@ _STAMP = re.compile(r"#\s*design=(\w+)\s+n=(\d+)", re.ASCII)
 
 # the functional flow's embeddings, by the name run_flow and --embedding take
 _EMBEDDINGS = {"optimum": optimum_embed, "bennett": bennett_embed}
+
+# a design file's format is its suffix: the design it holds in memory, how
+# gen builds that from a spec under the table cap, and its reader and writer
+_FORMATS = {
+    ".xmg": (Xmg, lambda spec, limit: design_xmg(spec), read_xmg, write_xmg),
+    ".pla": (EsopForm, lambda spec, limit: esop_from_tt(design_truth_table(spec, limit)), read_pla, write_pla),
+}
+# the format each method compiles
+_METHODS = {"functional": ".pla", "esop": ".pla", "hier": ".xmg"}
 
 
 class CliError(Exception):
@@ -79,32 +87,28 @@ def tt_limit() -> int:
 # --- shared plumbing ------------------------------------------------------
 
 
-def _stamp_file(path, design: str, n: int) -> None:
-    text = Path(path).read_text(encoding="utf-8")
-    Path(path).write_text(f"# design={design} n={n}\n" + text, encoding="utf-8")
-
-
 def _sniff_stamp(path) -> tuple[str | None, int | None]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno in range(1, 4):
-                line = fh.readline()
-                if not line:
-                    break
-                m = _STAMP.search(line)
-                if m:
-                    return m.group(1), _decimal(m.group(2), "bad stamp", str(path), lineno)
-    except OSError:
-        pass
+    """gen's stamp, if one of a design file's first three lines holds it."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno in range(1, 4):
+            m = _STAMP.search(fh.readline())
+            if m:
+                return m.group(1), _decimal(m.group(2), "bad stamp", str(path), lineno)
     return None, None
 
 
-def _load_source(path: Path) -> Xmg | EsopForm:
-    if path.suffix == ".xmg":
-        return read_xmg(path)
-    if path.suffix == ".pla":
-        return read_pla(path)
-    raise CliError(f"synth reads .xmg or .pla, not {path.name!r}")
+def _format(path: Path, verb: str) -> tuple:
+    """The _FORMATS entry of a file's suffix; CliError on any other suffix."""
+    entry = _FORMATS.get(path.suffix)
+    if entry is None:
+        raise CliError(f"{verb} {' or '.join(_FORMATS)}, not {path.name!r}")
+    return entry
+
+
+def flow_source(method: str, spec: DesignSpec, limit: int | None = None) -> Xmg | EsopForm:
+    """The in-memory design ``method`` compiles, as gen writes it to the file
+    synth reads: an Xmg for hier, an EsopForm for functional and esop."""
+    return _FORMATS[_METHODS[method]][1](spec, limit)
 
 
 def _report(record: dict) -> None:
@@ -124,7 +128,7 @@ def _report_flow(circ, model: CostModel, design, n, method: str, t0: float) -> N
 
 def run_flow(
     method: str,
-    source: Xmg | EsopForm | TruthTable,
+    source: Xmg | EsopForm,
     *,
     embedding: str | None = None,
     inplace_xor: bool = False,
@@ -132,53 +136,48 @@ def run_flow(
 ) -> RevCircuit:
     """Compile an in-memory design with one synthesis flow; returns the circuit.
 
-    ``hier`` takes an Xmg; ``functional`` and ``esop`` take an EsopForm or a
-    TruthTable.  ``embedding`` (default optimum) goes only with functional and
-    ``inplace_xor`` only with hier: either raises CliError on another method.
-    esop always minimizes its cube list.  ``limit`` caps the truth-table
-    inputs, an EsopForm's input and output counts and the embedding width,
-    as REVFLOW_TT_LIMIT does on the command line.
+    ``hier`` takes an Xmg and ``functional`` and ``esop`` an EsopForm, the
+    designs synth reads (``flow_source`` builds either).  ``embedding``
+    (default optimum) goes only with functional and ``inplace_xor`` only
+    with hier: either raises CliError on another method.  esop always
+    minimizes its cube list.  ``limit`` caps the form's input and output
+    counts and the embedding width, as REVFLOW_TT_LIMIT does on the command line.
     """
     if embedding is not None and method != "functional":
         raise CliError(f"embedding goes with method functional, not {method}")
     if inplace_xor and method != "hier":
         raise CliError(f"inplace_xor goes with method hier, not {method}")
+    suffix = _METHODS.get(method)
+    if suffix is None:
+        raise CliError(f"unknown method {method!r}")
+    kind = _FORMATS[suffix][0]
+    if not isinstance(source, kind):
+        raise CliError(f"method {method} takes an {kind.__name__} ({suffix}), not {type(source).__name__}")
     if method == "hier":
-        if not isinstance(source, Xmg):
-            raise CliError("method hier needs an .xmg input")
         return hier_synth(source, inplace_xor=inplace_xor)
-    if isinstance(source, Xmg):
-        raise CliError(f"method {method} needs a .pla or truth-table input")
-    if isinstance(source, EsopForm):
-        # a .pla header sets these counts, so check them before either flow builds anything
-        _check_limit(source.num_inputs, limit)
-        _check_limit(source.num_outputs, limit)
-    if method == "functional":
-        table = source.to_truth_table(limit) if isinstance(source, EsopForm) else source
-        embed = _EMBEDDINGS.get("optimum" if embedding is None else embedding)
-        if embed is None:
-            choices = " or ".join(map(repr, _EMBEDDINGS))
-            raise CliError(f"unknown embedding {embedding!r}, expected {choices}")
-        perm, emb = embed(table, limit)
-        return tbs(perm, embedding=emb)
+    # a .pla header sets these counts, so check them before either flow builds anything
+    _check_limit(source.num_inputs, limit)
+    _check_limit(source.num_outputs, limit)
     if method == "esop":
-        esop = source if isinstance(source, EsopForm) else esop_from_tt(source)
-        return esop_synth(esop_minimize(esop))
-    raise CliError(f"unknown method {method!r}")
+        return esop_synth(esop_minimize(source))
+    embed = _EMBEDDINGS.get("optimum" if embedding is None else embedding)
+    if embed is None:
+        choices = " or ".join(map(repr, _EMBEDDINGS))
+        raise CliError(f"unknown embedding {embedding!r}, expected {choices}")
+    perm, emb = embed(source.to_truth_table(limit), limit)
+    return tbs(perm, embedding=emb)
 
 
 # --- subcommands ----------------------------------------------------------
 
 
 def cmd_gen(args) -> int:
-    spec = DesignSpec(Design(args.design), args.bits)
-    limit = tt_limit()
+    # the suffix first: a file no command reads is never built
     out = Path(args.output)
-    if args.format == "xmg":
-        write_xmg(design_xmg(spec), out)
-    else:
-        write_pla(esop_from_tt(design_truth_table(spec, limit)), out)
-    _stamp_file(out, args.design, args.bits)
+    _, build, _, write = _format(out, "gen writes")
+    write(build(DesignSpec(Design(args.design), args.bits), tt_limit()), out)
+    text = out.read_text(encoding="utf-8")
+    out.write_text(f"# design={args.design} n={args.bits}\n" + text, encoding="utf-8")
     return 0
 
 
@@ -186,8 +185,9 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     path = Path(args.input)
     limit = tt_limit()
-    design, n = _sniff_stamp(path)
-    circ = run_flow(args.method, _load_source(path), embedding=args.embedding,
+    source = _format(path, "synth reads")[2](path)
+    design, n = _sniff_stamp(path)  # after the design: the file is there and readable
+    circ = run_flow(args.method, source, embedding=args.embedding,
                     inplace_xor=args.inplace_xor, limit=limit)
     write_real(circ, args.output)
     _report_flow(circ, DEFAULT_COST_MODEL, design, n, args.method, t0)
@@ -242,8 +242,7 @@ def cmd_sweep(args) -> int:
             _check_limit(tt.num_inputs + tt.num_outputs if bennett else optimum_width(tt), limit)
     for n in args.widths:
         t0 = time.perf_counter()
-        spec = DesignSpec(Design(args.design), n)
-        source = design_xmg(spec) if args.method == "hier" else design_truth_table(spec, limit)
+        source = flow_source(args.method, DesignSpec(Design(args.design), n), limit)
         circ = run_flow(args.method, source, embedding=args.embedding,
                         inplace_xor=args.inplace_xor, limit=limit)
         _report_flow(circ, model, args.design, n, args.method, t0)
@@ -252,7 +251,7 @@ def cmd_sweep(args) -> int:
 
 def _add_flow_options(parser: argparse.ArgumentParser) -> None:
     """synth's and sweep's flow switches; an absent one is None or False, as in run_flow."""
-    parser.add_argument("--method", choices=("functional", "esop", "hier"), required=True)
+    parser.add_argument("--method", choices=tuple(_METHODS), required=True)
     parser.add_argument("--embedding", choices=tuple(_EMBEDDINGS),
                         help="functional flow: embedding (default optimum)")
     # bennett is the only cleanup left; the switch stays for scripts that name it
@@ -272,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a reciprocal design file")
     gen.add_argument("--design", choices=[d.value for d in Design], required=True)
     gen.add_argument("-n", "--bits", type=_number, required=True, help="output bit width")
-    gen.add_argument("--format", choices=("xmg", "pla"), default="xmg")
-    gen.add_argument("-o", "--output", required=True)
+    gen.add_argument("-o", "--output", required=True, help="an .xmg network or .pla cube list, by suffix")
     gen.set_defaults(func=cmd_gen)
 
     synth = sub.add_parser("synth", help="compile a design file to a REAL circuit")

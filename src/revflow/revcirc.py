@@ -158,11 +158,11 @@ class RevCircuit(_Record):
 
     @property
     def num_inputs(self) -> int:
-        return sum(1 for c in self.constants if c is None)
+        return self.constants.count(None)
 
     @property
     def num_outputs(self) -> int:
-        return sum(1 for o in self.outputs if o is not None)
+        return len(self.outputs) - self.outputs.count(None)
 
 
 def _apply(gates, planes: list, full: int) -> None:
@@ -304,24 +304,24 @@ class CostModel(_Record):
     overrides: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        seen = set()
+        # the overrides by control count, outside the fields, as RevCircuit's _mirror is
+        table = {}
         for c, t in self.overrides:
             if c < 0 or t < 0:
                 raise ValueError("cost entries must be non-negative")
-            if c in seen:
+            if c in table:
                 raise ValueError(f"duplicate cost entry for {c} controls")
-            seen.add(c)
+            table[c] = t
+        object.__setattr__(self, "_table", table)
         # the default schedule never decreases, so a decrease from c - 1 to c
         # has an override at c - 1 or at c
-        for c in {d for o, _ in self.overrides for d in (o, o + 1) if d}:
+        for c in {d for o in table for d in (o, o + 1) if d}:
             if self.t_of_controls(c) < self.t_of_controls(c - 1):
                 raise ValueError("cost must not decrease with more controls")
 
     def t_of_controls(self, controls: int) -> int:
-        for c, t in self.overrides:
-            if c == controls:
-                return t
-        return _default_t_cost(controls)
+        t = self._table.get(controls)
+        return _default_t_cost(controls) if t is None else t
 
     @classmethod
     def parse(cls, text: str, path: str = "<cost>") -> "CostModel":

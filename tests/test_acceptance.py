@@ -30,7 +30,7 @@ from revflow.arith import (
     gen_newton_xmg,
     oracle_reciprocal,
 )
-from revflow.cli import run_flow
+from revflow.cli import flow_source, run_flow
 from revflow.embedding import Permutation, optimum_embed
 from revflow.logicnet import EsopForm, TruthTable, esop_from_tt, esop_minimize, read_pla, write_pla
 from revflow.revcirc import cost_report, read_real, simulate_full, verify_circuit, write_real
@@ -75,7 +75,7 @@ def test_optimum_embedding_qubit_counts():
 def test_esop_qubit_counts():
     budget = Budget(5.0)
     for n in range(4, 9):
-        circ = run_flow("esop", design_truth_table(DesignSpec(Design.INTDIV, n)))
+        circ = run_flow("esop", flow_source("esop", DesignSpec(Design.INTDIV, n)))
         assert circ.width == 2 * n
     budget.check()
 
@@ -102,7 +102,7 @@ def test_esop_flow_exact():
     budget = Budget(30.0)
     for n in range(4, 9):
         tt = design_truth_table(DesignSpec(Design.INTDIV, n))
-        circ = run_flow("esop", tt)
+        circ = run_flow("esop", esop_from_tt(tt))
         assert all(len(controls) <= n for _, controls in circ.gates)
         assert verify_circuit(circ, tt)
     budget.check()
@@ -156,9 +156,9 @@ def test_property_suites(tmp_path):
 
     # synthesized circuits are permutations of their full state space
     for n in range(4, 7):
-        tt = design_truth_table(DesignSpec(Design.INTDIV, n))
-        assert isinstance(simulate_full(run_flow("functional", tt)), Permutation)
-        assert isinstance(simulate_full(run_flow("esop", tt)), Permutation)
+        for method in ("functional", "esop"):
+            circ = run_flow(method, flow_source(method, DesignSpec(Design.INTDIV, n)))
+            assert isinstance(simulate_full(circ), Permutation), (method, n)
 
     # every gate undoes itself
     for _ in range(200):
@@ -180,7 +180,7 @@ def test_property_suites(tmp_path):
     esop = esop_minimize(esop_from_tt(tt))
     write_pla(esop, tmp_path / "acc.pla")
     assert read_pla(tmp_path / "acc.pla") == esop
-    circuits = [run_flow("functional", tt), run_flow("esop", esop)]
+    circuits = [run_flow("functional", esop), run_flow("esop", esop)]
     circuits += [run_flow("hier", design_xmg(DesignSpec(design, 4))) for design in Design]
     for circ in circuits:
         write_real(circ, tmp_path / "acc.real")

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
 from revflow import logicnet
-from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
-from revflow.cli import CliError, main, run_flow
-from revflow.logicnet import MAX_NET_WIDTH, ParseError, TruthTable, read_pla, read_xmg
+from revflow.arith import Design, DesignSpec, design_truth_table
+from revflow.cli import _METHODS, CliError, flow_source, main, run_flow
+from revflow.logicnet import MAX_NET_WIDTH, ParseError, TruthTable, esop_from_tt, read_pla, read_xmg
 
 
 def run(capsys, *argv):
@@ -22,29 +22,43 @@ def run(capsys, *argv):
     return code, out, captured.err
 
 
-def gen_fmt(method):
-    return "xmg" if method == "hier" else "pla"
-
-
 @pytest.mark.parametrize("fmt,reader", [("xmg", read_xmg), ("pla", read_pla)])
 def test_gen_formats_parse_back(tmp_path, capsys, fmt, reader):
+    # gen writes the format its -o suffix names
     out = tmp_path / f"d.{fmt}"
-    code, _, _ = run(capsys, "gen", "--design", "intdiv", "-n", "4",
-                     "--format", fmt, "-o", str(out))
+    code, _, _ = run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(out))
     assert code == 0
     assert out.read_text().startswith("# design=intdiv n=4")
     obj = reader(out)
     assert obj.num_inputs == 4
 
 
+def test_gen_writes_only_xmg_and_pla(tmp_path, capsys):
+    """gen takes its format from -o's suffix alone: any other suffix exits 2
+    before the design is built, and leaves no file."""
+    for name in ("d.txt", "d.PLA", "d.real", "d"):
+        out = tmp_path / name
+        code, rec, err = run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(out))
+        assert code == 2 and rec is None and f"gen writes .xmg or .pla, not {name!r}" in err, name
+        assert not out.exists(), name
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--design", "intdiv", "-n", "4", "--format", "pla", "-o", str(tmp_path / "d.pla")])
+    assert exc.value.code == 2 and not (tmp_path / "d.pla").exists()
+    # NEWTON n=128 is 4.4M nodes: the timeout fails the test if gen builds them
+    out = tmp_path / "x.txt"
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "revflow", "gen", "--design", "newton", "-n", "128",
+                           "-o", str(out)], capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2 and "not 'x.txt'" in proc.stderr
+    assert time.perf_counter() - start < 5 and not out.exists()
+
+
 @pytest.mark.parametrize("design,flow", DESIGN_FLOWS, ids=DESIGN_FLOW_IDS)
 def test_gen_synth_verify_pipeline(tmp_path, capsys, design, flow):
     method, _, switches = FLOWS[flow]
-    fmt = gen_fmt(method)
-    src = tmp_path / f"d.{fmt}"
+    src = tmp_path / f"d{_METHODS[method]}"
     real = tmp_path / "d.real"
-    assert run(capsys, "gen", "--design", design.value, "-n", "4",
-               "--format", fmt, "-o", str(src))[0] == 0
+    assert run(capsys, "gen", "--design", design.value, "-n", "4", "-o", str(src))[0] == 0
     code, rec, _ = run(capsys, "synth", str(src), "--method", method, *switches, "-o", str(real))
     assert code == 0
     assert rec["design"] == design.value and rec["n"] == 4 and rec["method"] == method
@@ -56,8 +70,7 @@ def test_gen_synth_verify_pipeline(tmp_path, capsys, design, flow):
 
 def test_verify_catches_mutation(tmp_path, capsys):
     src, real = tmp_path / "d.pla", tmp_path / "d.real"
-    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla",
-        "-o", str(src))
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(src))
     run(capsys, "synth", str(src), "--method", "esop", "-o", str(real))
     lines = real.read_text().splitlines()
     k = next(i for i, ln in enumerate(lines) if ln.startswith("t"))
@@ -72,8 +85,7 @@ def test_verify_catches_mutation(tmp_path, capsys):
 
 def test_verify_shape_mismatch_is_operational(tmp_path, capsys):
     src, real = tmp_path / "d.pla", tmp_path / "d.real"
-    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla",
-        "-o", str(src))
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(src))
     run(capsys, "synth", str(src), "--method", "esop", "-o", str(real))
     code, _, err = run(capsys, "verify", str(real), "--design", "intdiv", "-n", "5")
     assert code == 2 and "inputs" in err
@@ -107,8 +119,7 @@ def test_method_input_mismatch(tmp_path, capsys):
                        "-o", str(tmp_path / "x.real"))
     assert code == 2 and ".pla" in err
     src2 = tmp_path / "d.pla"
-    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla",
-        "-o", str(src2))
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(src2))
     code, _, err = run(capsys, "synth", str(src2), "--method", "hier",
                        "-o", str(tmp_path / "y.real"))
     assert code == 2 and ".xmg" in err
@@ -116,8 +127,7 @@ def test_method_input_mismatch(tmp_path, capsys):
 
 def test_stats_file_mode(tmp_path, capsys):
     src, real = tmp_path / "d.pla", tmp_path / "d.real"
-    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla",
-        "-o", str(src))
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(src))
     _, rec, _ = run(capsys, "synth", str(src), "--method", "esop", "-o", str(real))
     _, stats, _ = run(capsys, "stats", str(real))
     assert stats["qubits"] == rec["qubits"]
@@ -128,8 +138,7 @@ def test_stats_file_mode(tmp_path, capsys):
 
 def test_stats_cost_model_override(tmp_path, capsys):
     src, real = tmp_path / "d.pla", tmp_path / "d.real"
-    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla",
-        "-o", str(src))
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(src))
     run(capsys, "synth", str(src), "--method", "esop", "-o", str(real))
     model = tmp_path / "costs.txt"
     model.write_text("# pricier doubly-controlled gates\n2: 9\n")
@@ -155,12 +164,27 @@ def test_stats_file_mode_rejects_sweep_options(tmp_path, capsys):
 
 
 def test_run_flow_rejects_an_unknown_embedding():
-    table = design_truth_table(DesignSpec(Design.INTDIV, 4))
+    form = flow_source("functional", DesignSpec(Design.INTDIV, 4))
     with pytest.raises(CliError, match="unknown embedding 'optimal', expected 'optimum' or 'bennett'"):
-        run_flow("functional", table, embedding="optimal")
+        run_flow("functional", form, embedding="optimal")
     # the two it names give 7 and 8 lines
-    assert run_flow("functional", table, embedding="optimum").width == 7
-    assert run_flow("functional", table, embedding="bennett").width == 8
+    assert run_flow("functional", form, embedding="optimum").width == 7
+    assert run_flow("functional", form, embedding="bennett").width == 8
+
+
+def test_run_flow_takes_what_synth_reads():
+    """hier compiles an Xmg and the table flows an EsopForm, the designs of
+    synth's .xmg and .pla files; anything else raises CliError naming both."""
+    spec = DesignSpec(Design.INTDIV, 4)
+    table = design_truth_table(spec)
+    for method, source, want in (("esop", table, r"EsopForm \(\.pla\), not TruthTable"),
+                                 ("functional", table, r"EsopForm \(\.pla\), not TruthTable"),
+                                 ("functional", flow_source("hier", spec), r"EsopForm \(\.pla\), not Xmg"),
+                                 ("hier", flow_source("esop", spec), r"Xmg \(\.xmg\), not EsopForm")):
+        with pytest.raises(CliError, match=f"^method {method} takes an {want}$"):
+            run_flow(method, source)
+    with pytest.raises(CliError, match="unknown method 'tbs'"):
+        run_flow("tbs", flow_source("esop", spec))
 
 
 def test_stats_sweep(capsys):
@@ -183,9 +207,8 @@ def test_sweep_matches_synth(tmp_path, capsys, method, switches):
     rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
     assert code == 0 and [r["n"] for r in rows] == [4, 5, 6]
     for row in rows:
-        src = tmp_path / f"d{row['n']}.{gen_fmt(method)}"
-        run(capsys, "gen", "--design", "intdiv", "-n", str(row["n"]),
-            "--format", gen_fmt(method), "-o", str(src))
+        src = tmp_path / f"d{row['n']}{_METHODS[method]}"
+        run(capsys, "gen", "--design", "intdiv", "-n", str(row["n"]), "-o", str(src))
         code, rec, _ = run(capsys, "synth", str(src), "--method", method, *switches,
                            "-o", str(tmp_path / "d.real"))
         assert code == 0
@@ -201,7 +224,7 @@ def test_no_minimize_switch_is_gone(tmp_path, capsys):
             main([*argv, "--method", "esop", "--no-minimize"])
         assert exc.value.code == 2
     with pytest.raises(TypeError):
-        run_flow("esop", TruthTable(1, 1, (0, 1)), minimize=False)
+        run_flow("esop", esop_from_tt(TruthTable(1, 1, (0, 1))), minimize=False)
 
 
 def test_eager_cleanup_rejected(tmp_path, capsys):
@@ -216,8 +239,7 @@ def test_functional_width_limit(tmp_path, capsys, embedding):
     # INTDIV n=11 embeds on 21 (optimum) or 22 (bennett) lines, past the
     # default limit of 20, so synth must refuse before building 2^r images
     src = tmp_path / "d.pla"
-    run(capsys, "gen", "--design", "intdiv", "-n", "11", "--format", "pla",
-        "-o", str(src))
+    run(capsys, "gen", "--design", "intdiv", "-n", "11", "-o", str(src))
     start = time.perf_counter()
     code, _, err = run(capsys, "synth", str(src), "--method", "functional",
                        "--embedding", embedding, "-o", str(tmp_path / "d.real"))
@@ -245,8 +267,7 @@ def test_network_width_cap_exits_2(tmp_path):
     src = tmp_path / "d.xmg"
     src.write_text(".xmg 99999999999999999999 0 0\n.end\n", encoding="utf-8")
     for argv in (["synth", "--method", "hier", str(src), "-o", str(tmp_path / "d.real")],
-                 ["gen", "--design", "intdiv", "-n", "100000", "--format", "xmg",
-                  "-o", str(tmp_path / "x.xmg")]):
+                 ["gen", "--design", "intdiv", "-n", "100000", "-o", str(tmp_path / "x.xmg")]):
         proc = subprocess.run([sys.executable, "-m", "revflow", *argv],
                               capture_output=True, text=True, timeout=10)
         assert proc.returncode == 2 and f"network width cap of {MAX_NET_WIDTH}" in proc.stderr, argv
@@ -265,6 +286,22 @@ def test_cost_model_of_a_large_count_exits_at_once(tmp_path):
                               capture_output=True, text=True, timeout=30)
         assert proc.returncode == code, entry[:20]
     assert f"{model}: cost must not decrease with more controls" in proc.stderr
+
+
+def test_cost_model_of_many_entries_exits_at_once(tmp_path):
+    # 100,000 entries of the default schedule: a scan of the entries for each
+    # count looked up would take minutes, so the timeout fails the test instead
+    real = tmp_path / "c.real"
+    real.write_text(".numvars 3\n.variables a b c\n.begin\nt3 a b c\n.end\n", encoding="utf-8")
+    model = tmp_path / "costs.txt"
+    entries = "".join(f"{c}: {8 * c - 9 if c > 2 else 7 * (c == 2)}\n" for c in range(100_000))
+    for tail, code, reply in (("", 0, '"t_count": 7'),
+                              ("5: 31\n", 2, "duplicate cost entry for 5 controls"),
+                              ("100000: 1\n", 2, "cost must not decrease with more controls")):
+        model.write_text(entries + tail, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "revflow", "stats", str(real), "--cost-model", str(model)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == code and reply in proc.stdout + proc.stderr, tail
 
 
 def test_width_cap_bounds_every_design_command(tmp_path, capsys):
@@ -326,11 +363,11 @@ def test_bad_sweep_range(capsys):
 def test_flow_switch_goes_with_its_method(tmp_path, capsys):
     """A flow switch either acts or exits 2: embedding only on functional,
     inplace_xor only on hier."""
-    table = design_truth_table(DesignSpec(Design.INTDIV, 4))
+    form = flow_source("esop", DesignSpec(Design.INTDIV, 4))
     with pytest.raises(CliError, match="inplace_xor goes with method hier, not esop"):
-        run_flow("esop", table, inplace_xor=True)
+        run_flow("esop", form, inplace_xor=True)
     with pytest.raises(CliError, match="embedding goes with method functional, not hier"):
-        run_flow("hier", design_xmg(DesignSpec(Design.INTDIV, 4)), embedding="bennett")
+        run_flow("hier", flow_source("hier", DesignSpec(Design.INTDIV, 4)), embedding="bennett")
     switches = {"functional": ["--embedding", "optimum"], "hier": ["--inplace-xor"]}
     for method in ("functional", "esop", "hier"):
         for owner, switch in switches.items():
@@ -339,14 +376,14 @@ def test_flow_switch_goes_with_its_method(tmp_path, capsys):
             assert (code == 0) == (method == owner), (method, switch)
             assert code == 0 or (out is None and f"not {method}" in err)
     src = tmp_path / "d.pla"
-    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla", "-o", str(src))
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(src))
     code, out, err = run(capsys, "synth", str(src), "--method", "esop", "--inplace-xor",
                          "-o", str(tmp_path / "d.real"))
     assert code == 2 and out is None and "inplace_xor" in err
 
 
 def test_gen_xmg_files_take_the_gate_run_path(tmp_path, capsys, monkeypatch):
-    """Every stamped file ``gen --format xmg`` writes, both designs at
+    """Every stamped file ``gen -o d.xmg`` writes, both designs at
     n=2..12, is read by ``_read_gate_run`` in one call, to the net the
     per-line loop alone builds."""
     runs = []
@@ -404,7 +441,7 @@ def test_overlong_number_is_a_fault_at_its_place(tmp_path):
 
 def test_stamp_takes_ascii_digits(tmp_path, capsys):
     src = tmp_path / "d.pla"
-    run(capsys, "gen", "--design", "intdiv", "-n", "4", "--format", "pla", "-o", str(src))
+    run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(src))
     body = src.read_text(encoding="utf-8").split("\n", 1)[1]
     src.write_text("# design=intdiv n=\u0664\n" + body, encoding="utf-8")
     code, rec, _ = run(capsys, "synth", str(src), "--method", "esop", "-o", str(tmp_path / "d.real"))
@@ -417,20 +454,17 @@ NOT_NUMBERS = ("+4", "1_0", " 4", "4 ", "\u0664", "-4", "\u00b2", "")
 
 def test_table_limit_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REVFLOW_TT_LIMIT", "5")
-    code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "8",
-                       "--format", "pla", "-o", str(tmp_path / "big.pla"))
+    code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "8", "-o", str(tmp_path / "big.pla"))
     assert code == 2 and "limit" in err.lower()
     for raw in NOT_NUMBERS + ("banana",):
         monkeypatch.setenv("REVFLOW_TT_LIMIT", raw)
-        code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "4",
-                           "--format", "pla", "-o", str(tmp_path / "small.pla"))
+        code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(tmp_path / "small.pla"))
         assert code == 2 and "REVFLOW_TT_LIMIT" in err, raw
 
 
 def test_bits_are_ascii_digits(tmp_path, capsys):
     for text in NOT_NUMBERS:
-        for argv in (["gen", "--design", "intdiv", "-n", text, "--format", "pla",
-                      "-o", str(tmp_path / "d.pla")],
+        for argv in (["gen", "--design", "intdiv", "-n", text, "-o", str(tmp_path / "d.pla")],
                      ["verify", str(tmp_path / "d.real"), "--design", "intdiv", "-n", text]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -440,11 +474,10 @@ def test_bits_are_ascii_digits(tmp_path, capsys):
 
 
 def test_synth_reads_only_xmg_and_pla(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--design", "intdiv", "-n", "4", "--format", "tt",
-              "-o", str(tmp_path / "d.tt")])
-    assert exc.value.code == 2
     src = tmp_path / "d.tt"
+    code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(src))
+    assert code == 2 and "gen writes .xmg or .pla, not 'd.tt'" in err
+    assert not src.exists()
     src.write_text("0\n1\n")
     code, _, err = run(capsys, "synth", str(src), "--method", "esop",
                        "-o", str(tmp_path / "d.real"))
@@ -462,8 +495,7 @@ def test_cnot_only_circuit_costs_zero_t(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     src = tmp_path / "d.pla"
     proc = subprocess.run(
-        [sys.executable, "-m", "revflow", "gen", "--design", "intdiv", "-n", "4",
-         "--format", "pla", "-o", str(src)],
+        [sys.executable, "-m", "revflow", "gen", "--design", "intdiv", "-n", "4", "-o", str(src)],
         capture_output=True, text=True)
     assert proc.returncode == 0
     proc = subprocess.run([sys.executable, "-m", "revflow"],

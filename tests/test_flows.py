@@ -5,8 +5,8 @@ import gc
 import pytest
 
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS, clean_ancillas
-from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg
-from revflow.cli import run_flow
+from revflow.arith import Design, DesignSpec, design_truth_table
+from revflow.cli import flow_source, run_flow
 from revflow.revcirc import read_real, simulate_source_batch, write_real
 
 
@@ -16,8 +16,7 @@ def test_flows_match_oracle(design, flow):
     for n in range(4, 7):
         spec = DesignSpec(design, n)
         table = design_truth_table(spec)
-        source = design_xmg(spec) if method == "hier" else table
-        circ = run_flow(method, source, **options)
+        circ = run_flow(method, flow_source(method, spec), **options)
         # one layout: inputs low, every other line a constant 0, outputs consecutive
         assert circ.constants == (None,) * n + (0,) * (circ.width - n)
         first = circ.outputs.index(0)
@@ -44,16 +43,14 @@ def test_mirror_is_the_compute_half(design, flow, tmp_path):
     else:
         ns = range(4, 9) if design is Design.NEWTON else range(4, 13)
     for n in ns:
-        spec = DesignSpec(design, n)
+        source = flow_source(method, DesignSpec(design, n))
+        circ = run_flow(method, source, **options)
         if method == "hier":
-            net = design_xmg(spec)
-            circ = run_flow(method, net, **options)
             # an output copies its node's line with a CNOT, and a NOT complements it
-            copies = sum((edge >> 1 != 0) + (edge & 1) for edge in net.outputs)
+            copies = sum((edge >> 1 != 0) + (edge & 1) for edge in source.outputs)
             mirror = (len(circ.gates) - copies) // 2
             assert mirror > 0
         else:
-            circ = run_flow(method, design_truth_table(spec), **options)
             mirror = 0
         write_real(circ, path)
         for c in (circ, read_real(path)):
@@ -82,8 +79,7 @@ def test_gates_are_untracked_pairs(design, flow, tmp_path):
     method, options, _ = FLOWS[flow]
     path = tmp_path / "c.real"
     for n in range(4, 6):
-        spec = DesignSpec(design, n)
-        circ = run_flow(method, design_xmg(spec) if method == "hier" else design_truth_table(spec), **options)
+        circ = run_flow(method, flow_source(method, DesignSpec(design, n)), **options)
         write_real(circ, path)
         back = read_real(path)
         assert back == circ

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
 from revflow.arith import Design, DesignSpec, design_truth_table, design_xmg, newton_trace
-from revflow.cli import run_flow
+from revflow.cli import flow_source, run_flow
 from revflow.logicnet import esop_from_tt, esop_minimize, write_pla, write_xmg
 from revflow.revcirc import cost_report, read_real, write_real
 
@@ -54,9 +54,7 @@ def test_real_output_unchanged(design, flow, tmp_path):
     method, options, _ = FLOWS[flow]
     path = tmp_path / "circuit.real"
     for n in range(4, 7):
-        spec = DesignSpec(design, n)
-        source = design_xmg(spec) if method == "hier" else design_truth_table(spec)
-        circ = run_flow(method, source, **options)
+        circ = run_flow(method, flow_source(method, DesignSpec(design, n)), **options)
         write_real(circ, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == GOLDEN[design.value, flow, n], n
@@ -71,13 +69,13 @@ def test_qor_matches_the_roadmap_baseline():
         table = design_truth_table(DesignSpec(Design.INTDIV, n))
         esop = esop_from_tt(table)
         assert (len(esop.cubes), len(esop_minimize(esop).cubes)) == cubes, n
-        assert cost_report(run_flow("esop", table)).t_count == t_count, n
+        assert cost_report(run_flow("esop", esop)).t_count == t_count, n
     for n, t_count, qubits in ((6, 1_064, 139), (8, 1_876, 249), (10, 2_912, 391)):
         report = cost_report(run_flow("hier", design_xmg(DesignSpec(Design.INTDIV, n))))
         assert (report.t_count, report.qubits) == (t_count, qubits), n
     for n, qubits in ((6, 4_849), (8, 11_018), (10, 16_755)):
         assert run_flow("hier", design_xmg(DesignSpec(Design.NEWTON, n))).width == qubits, n
-    circ = run_flow("functional", design_truth_table(DesignSpec(Design.INTDIV, 8)))
+    circ = run_flow("functional", flow_source("functional", DesignSpec(Design.INTDIV, 8)))
     assert len(circ.gates) == 235_431
 
 
