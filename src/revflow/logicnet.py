@@ -655,30 +655,6 @@ class Xmg:
     def outputs(self) -> tuple[int, ...]:
         return tuple(self._outputs)
 
-    # -- evaluation --------------------------------------------------------
-
-    def to_truth_table(self, limit: int | None = None) -> TruthTable:
-        """Tabulate all assignments at once, one bit-parallel pass per node."""
-        n = self.num_inputs
-        _check_limit(n, limit)
-        ones = (1 << (1 << n)) - 1
-        values = [0] * len(self.fanins)
-        for i in range(n):
-            values[1 + i] = _input_pattern(i, n)
-
-        def edge(literal: int) -> int:
-            v = values[literal >> 1]
-            return v ^ ones if literal & 1 else v
-
-        for node, fi in enumerate(self.fanins[1 + n:], start=1 + n):
-            if len(fi) == 2:
-                values[node] = edge(fi[0]) ^ edge(fi[1])
-            else:
-                va, vb, vc = (edge(f) for f in fi)
-                values[node] = (va & vb) | (va & vc) | (vb & vc)
-        cols = [edge(out) for out in self._outputs]
-        return TruthTable(n, self.num_outputs, tuple(_transpose(cols, 1 << n)))
-
 
 def _bits(word: int):
     """Positions of the set bits of a non-negative word, ascending."""

@@ -2,13 +2,15 @@
 
 A circuit is a fixed set of lines and an ordered gate cascade.  Line metadata
 records which lines are primary inputs versus constants and which lines carry
-function outputs at the end; everything else is garbage.  Every flow lays its
-lines out the same way, through ``RevCircuit.layout``: inputs on the low
-lines, a constant 0 on every other line, and the outputs on consecutive
-lines.  ``read_real`` accepts any roles a REAL file declares.  Simulation
-works on whole input batches at once by keeping one bit-plane per line, in
-the convention of ``logicnet`` (bit x is the line's value under assignment
-x); ``logicnet._transpose`` turns planes into words and back.
+function outputs at the end; everything else is garbage.  Every circuit a
+flow builds lays its lines out the same way, through ``RevCircuit.layout``:
+inputs on the low lines, a constant 0 on every other line, and the outputs
+on consecutive lines; ``tbs`` of a bare permutation makes every line an
+input and an output.  ``read_real`` accepts any roles a REAL file declares.
+Simulation works on whole input batches at once by keeping one bit-plane
+per line, in the convention of ``logicnet`` (bit x is the line's value
+under assignment x); ``logicnet._transpose`` turns planes into words and
+back.
 
 A gate is the pair ``(target, controls)``: the target line, and the controls
 as one tuple of line literals, ``line << 1 | neg`` (the edge encoding of
@@ -42,11 +44,16 @@ from itertools import compress, count, islice, repeat
 from operator import is_not, itemgetter, ne
 
 from .embedding import Permutation
-from .logicnet import ParseError, TruthTable, _Record, _decimal, _input_pattern, _transpose, _uncomment
-
-# Widths beyond this make full permutation extraction explode; callers that
-# only need input-side behaviour should use simulate_source_batch instead.
-FULL_SIM_MAX_WIDTH = 24
+from .logicnet import (
+    DEFAULT_TT_LIMIT,
+    ParseError,
+    TruthTable,
+    _Record,
+    _decimal,
+    _input_pattern,
+    _transpose,
+    _uncomment,
+)
 
 
 def _first_bad_name(names) -> "str | None":
@@ -151,11 +158,6 @@ class RevCircuit(_Record):
             outputs=(None,) * first_output + tuple(range(num_outputs)) + (None,) * tail,
         )
 
-    @classmethod
-    def generic(cls, width: int, gates: Iterable[tuple]) -> "RevCircuit":
-        """All lines primary inputs, all lines outputs in place."""
-        return cls.layout(width, gates, (f"l{i}" for i in range(width)), width, width, 0)
-
     @property
     def num_inputs(self) -> int:
         return self.constants.count(None)
@@ -243,9 +245,14 @@ def simulate_source_batch(circ: RevCircuit) -> list:
 
 
 def simulate_full(circ: RevCircuit) -> Permutation:
-    """The permutation the cascade performs on all r-bit words."""
+    """The permutation the cascade performs on all r-bit words.
+
+    r is held to the table cap, ``DEFAULT_TT_LIMIT``: a wider circuit raises
+    ValueError before any plane is built.  A caller that needs only the
+    behaviour on the source inputs uses ``simulate_source_batch``.
+    """
     r = circ.width
-    if r > FULL_SIM_MAX_WIDTH:
+    if r > DEFAULT_TT_LIMIT:
         raise ValueError(f"width {r} too large for full simulation")
     planes = [_input_pattern(i, r) for i in range(r)]
     _run_planes(circ, planes, 1 << r)
@@ -326,15 +333,16 @@ class CostModel(_Record):
     @classmethod
     def parse(cls, text: str, path: str = "<cost>") -> "CostModel":
         entries = []
-        for lineno, raw in enumerate(_uncomment(text).split("\n"), start=1):
-            line = raw.strip()
+        for lineno, line in enumerate(map(str.strip, _uncomment(text).split("\n")), start=1):
             if not line:
                 continue
             head, sep, tail = line.partition(":")
             if not sep:
                 raise ParseError("expected 'controls: t-cost'", path, lineno)
-            fault = f"bad cost entry {line!r}"
-            entries.append(tuple(_decimal(f.strip(), fault, path, lineno) for f in (head, tail)))
+            c, t = head.strip(), tail.strip()
+            # the entry's text goes into a message only when a field may not be digits
+            fault = "" if line.isascii() and c.isdigit() and t.isdigit() else f"bad cost entry {line!r}"
+            entries.append((_decimal(c, fault, path, lineno), _decimal(t, fault, path, lineno)))
         try:
             return cls(tuple(entries))
         except ValueError as exc:

@@ -46,9 +46,10 @@ def _controls_of(literals: list, mask: int) -> tuple[int, ...]:
 def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
     """Synthesize an exact circuit for the permutation.
 
-    When an embedding is given the result takes its line layout: inputs
-    x0.. on the low lines, constants c<line> above them, outputs on the top
-    m lines.  Without one every line is an input and an output.
+    The result takes the embedding's line layout: inputs x0.. on the low
+    lines, constants c<line> above them, outputs on the top m lines.  A
+    bare permutation is its own embedding, n = m = r: every line x<i> is an
+    input and an output.
     """
     r = perm.width
     # bit k of planes[b] is bit b of row base + k's image
@@ -112,8 +113,6 @@ def tbs(perm: Permutation, embedding: Embedding | None = None) -> RevCircuit:
                 planes[b] ^= fire
         i += 1
 
-    if embedding is None:
-        return RevCircuit.generic(r, reversed(emitted))
-    n, m = embedding.source_inputs, embedding.source_outputs
+    n, m = (r, r) if embedding is None else (embedding.source_inputs, embedding.source_outputs)
     names = [f"x{i}" for i in range(n)] + [f"c{line}" for line in range(n, r)]
     return RevCircuit.layout(r, reversed(emitted), names, n, m, r - m)

@@ -1,16 +1,17 @@
-"""Shared test helpers: the flow table, random nets and permutations, and
-the independent references the library is checked against (scalar
-simulator, a plane simulator that runs every gate, scalar TBS, naive XMG
-and ESOP evaluators, a position-scanning ESOP minimizer, a plain strash
-builder, reachable gate counts, per-bit transpose, a row-word Reed-Muller
-butterfly, per-cube PLA and per-node XMG writers, a per-character PLA
-reader and the gate checks)."""
+"""Shared test helpers: the flow table, random nets and permutations, a
+circuit of all-input lines, and the independent references the library is
+checked against (scalar simulator, a plane simulator that runs every gate,
+scalar TBS, a bit-parallel and a naive XMG evaluator, a naive ESOP
+evaluator, a position-scanning ESOP minimizer, a plain strash builder,
+reachable gate counts, per-bit transpose, a row-word Reed-Muller butterfly,
+per-cube PLA and per-node XMG writers, a per-character PLA reader and the
+gate checks)."""
 
 import random
 
 from revflow.arith import Design
 from revflow.embedding import Permutation
-from revflow.logicnet import EsopForm, ParseError, TruthTable, Xmg, _input_pattern
+from revflow.logicnet import EsopForm, ParseError, TruthTable, Xmg, _input_pattern, _transpose
 from revflow.revcirc import RevCircuit
 
 # the hier flow's variants, by test id: the inplace_xor switch of hier_synth
@@ -73,6 +74,28 @@ def xmg_kind(net: Xmg, node: int) -> str:
     if node <= net.num_inputs:
         return "input"
     return {2: "xor", 3: "maj"}[len(net.fanins[node])]
+
+
+def xmg_truth_table(net: Xmg) -> TruthTable:
+    """The network's table: all assignments at once, one bit-parallel pass per node."""
+    n = net.num_inputs
+    ones = (1 << (1 << n)) - 1
+    values = [0] * net.num_nodes
+    for i in range(n):
+        values[1 + i] = _input_pattern(i, n)
+
+    def edge(literal: int) -> int:
+        v = values[literal >> 1]
+        return v ^ ones if literal & 1 else v
+
+    for node, fi in enumerate(net.fanins[1 + n:], start=1 + n):
+        if len(fi) == 2:
+            values[node] = edge(fi[0]) ^ edge(fi[1])
+        else:
+            va, vb, vc = (edge(f) for f in fi)
+            values[node] = (va & vb) | (va & vc) | (vb & vc)
+    cols = [edge(out) for out in net.outputs]
+    return TruthTable(n, net.num_outputs, tuple(_transpose(cols, 1 << n)))
 
 
 def naive_xmg_eval(net: Xmg, x: int) -> int:
@@ -383,6 +406,11 @@ def reachable_gate_counts(net: Xmg) -> tuple:
             todo.extend(e >> 1 for e in net.fanins[node])
     maj = sum(1 for node in reached if xmg_kind(net, node) == "maj")
     return maj, len(reached) - maj
+
+
+def generic(width: int, gates) -> RevCircuit:
+    """A circuit whose every line l<i> is a primary input and an output in place."""
+    return RevCircuit.layout(width, gates, (f"l{i}" for i in range(width)), width, width, 0)
 
 
 def cnot(control: int, target: int) -> tuple:

@@ -21,6 +21,7 @@ from conftest import (
     reachable_gate_counts,
     simulate,
     toffoli_count,
+    xmg_truth_table,
 )
 from revflow.arith import (
     Design,
@@ -143,7 +144,7 @@ def test_hierarchical_flow_exact(variant):
 def test_newton_accuracy():
     budget = Budget(30.0)
     for n in range(4, 9):
-        tt = gen_newton_xmg(DesignSpec(Design.NEWTON, n)).to_truth_table()
+        tt = xmg_truth_table(gen_newton_xmg(DesignSpec(Design.NEWTON, n)))
         assert tt.rows[1] == 0                       # 1/1 wraps the n-bit field
         for x in range(1, 1 << n):
             assert abs(tt.rows[x] - oracle_reciprocal(n, x)) <= 1

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import random_xmg
+from conftest import random_xmg, xmg_truth_table
 from revflow.logicnet import (
     EsopForm,
     ParseError,
@@ -141,10 +141,10 @@ def test_comments_and_line_breaks_by_example(tmp_path):
     assert info.value.line == 5
     p = tmp_path / "f.xmg"
     p.write_text(".xmg 2 1 1\nmaj 0 2 4 # an AND\nout 6\n.end\n")
-    assert read_xmg(p).to_truth_table().rows == (0, 0, 0, 1)
+    assert xmg_truth_table(read_xmg(p)).rows == (0, 0, 0, 1)
     # U+2028 inside a comment does not end the line
     p.write_text(".xmg 2 1 1\nmaj 0 2 4 # an\u2028AND\nout 6\n.end\n", encoding="utf-8")
-    assert read_xmg(p).to_truth_table().rows == (0, 0, 0, 1)
+    assert xmg_truth_table(read_xmg(p)).rows == (0, 0, 0, 1)
     assert CostModel.parse("2: 9 # dearer\u2028Toffolis\r\n3: 20\r") == CostModel(((2, 9), (3, 20)))
 
 

@@ -3,6 +3,7 @@
 import os
 import random
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     apply_gate,
     clean_ancillas,
     cnot,
+    generic,
     random_permutation,
     random_xmg,
     reference_gate_error,
@@ -22,7 +24,7 @@ from conftest import (
 )
 from revflow.arith import Design, DesignSpec, design_xmg
 from revflow.embedding import Permutation, optimum_embed
-from revflow.logicnet import ParseError, TruthTable
+from revflow.logicnet import DEFAULT_TT_LIMIT, ParseError, TruthTable
 from revflow.revcirc import (
     DEFAULT_COST_MODEL,
     CostModel,
@@ -44,19 +46,19 @@ def test_gate_validation():
                  (2, (1 << 1, 1 << 1 | 1)),      # both polarities
                  (-1, ())):
         with pytest.raises(ValueError):
-            RevCircuit.generic(3, [gate])
+            generic(3, [gate])
 
 
 def test_gate_is_immutable():
     # read_real and hier's reversed compute phase put one gate object in
     # several places of a cascade, so a gate and its controls are tuples
     g = (2, (0 << 1, 1 << 1 | 1))
-    assert type(RevCircuit.generic(3, [g]).gates[0]) is tuple
+    assert type(generic(3, [g]).gates[0]) is tuple
     with pytest.raises(TypeError):
         g[0] = 3
     assert g == (2, (0, 3)) and hash(g) == hash((2, (0, 3)))
     with pytest.raises(ValueError, match="gate controls must be a tuple"):
-        RevCircuit.generic(3, [(2, [0 << 1, 1 << 1 | 1])])
+        generic(3, [(2, [0 << 1, 1 << 1 | 1])])
 
 
 def test_gate_checks_match_reference():
@@ -107,11 +109,11 @@ def test_gate_checks_match_reference():
             want = reference_gate_error(target, controls, width)
             gates = good + [(target, controls)]
             if want is None:
-                assert RevCircuit.generic(width, gates).gates[-1][1] is controls
+                assert generic(width, gates).gates[-1][1] is controls
                 good = gates
             else:
                 with pytest.raises(ValueError) as info:
-                    RevCircuit.generic(width, gates)
+                    generic(width, gates)
                 assert str(info.value) == want
 
 
@@ -202,7 +204,7 @@ def test_simulate_agrees_with_full(tmp_path):
             pos = frozenset(others[: k // 2])
             neg = frozenset(others[k // 2 : k])
             gates.append((t, tuple(sorted([c << 1 for c in pos] + [c << 1 | 1 for c in neg]))))
-        circ = RevCircuit.generic(width, gates)
+        circ = generic(width, gates)
         perm = simulate_full(circ)
         for w in range(1 << width):
             assert simulate(circ, w) == perm.images[w]
@@ -254,8 +256,8 @@ def test_run_planes_reuses_fire_exactly():
                 pairs["same"] += 1
             elif g[1] == h[1]:
                 pairs["equal"] += 1
-        perm = simulate_full(RevCircuit.generic(width, gates))
-        assert perm.images == tuple(simulate(RevCircuit.generic(width, gates), w) for w in range(1 << width))
+        perm = simulate_full(generic(width, gates))
+        assert perm.images == tuple(simulate(generic(width, gates), w) for w in range(1 << width))
         # every line's final plane, with the inputs on random lines and the
         # other lines held at random constants
         n = rng.randrange(width + 1)
@@ -471,7 +473,7 @@ def test_mirror_cost_report_counts_every_gate():
         width = rng.randrange(3, 8)
         a, b = random_mirrored(rng, width, rng.choice((None, "control", "target")))
         gates = rng.choice((a + b + a[::-1], a + a[::-1], a + b[:1] + a[::-1], a + b))
-        circuits.append(RevCircuit.generic(width, gates))
+        circuits.append(generic(width, gates))
     for circ in circuits:
         hist = Counter(len(controls) for _, controls in circ.gates)
         for m in (DEFAULT_COST_MODEL, model):
@@ -491,7 +493,7 @@ def test_mirror_gate_check_names_the_first_fault():
         bad = rng.choice(bad_gates)
         a.insert(rng.randrange(len(a) + 1), bad)
         with pytest.raises(ValueError) as info:
-            RevCircuit.generic(3, a + b + a[::-1])
+            generic(3, a + b + a[::-1])
         assert str(info.value) == reference_gate_error(*bad, 3)
 
 
@@ -505,7 +507,7 @@ def test_mirror_ends_at_controls_of_another_type():
     so the circuit fails as a full check fails, naming the first such gate,
     on either side of the mirror."""
     with pytest.raises(ValueError, match="gate controls must be a tuple"):
-        RevCircuit.generic(2, [(1, (0,)), (1, _Controls((0,)))])
+        generic(2, [(1, (0,)), (1, _Controls((0,)))])
     rng = random.Random(29)
     for _ in range(60):
         width = rng.randrange(3, 7)
@@ -516,7 +518,7 @@ def test_mirror_ends_at_controls_of_another_type():
         gates[place] = (target, _Controls(controls))
         assert reference_mirror(gates) >= len(a)
         with pytest.raises(ValueError) as info:
-            RevCircuit.generic(width, gates)
+            generic(width, gates)
         assert str(info.value) == next(filter(None, (reference_gate_error(*g, width) for g in gates)))
 
 
@@ -529,9 +531,13 @@ def test_simulate_full_is_bijective_by_construction():
 
 
 def test_simulate_full_width_guard():
-    circ = RevCircuit.generic(30, [])
-    with pytest.raises(ValueError):
-        simulate_full(circ)
+    # past the table cap it raises before it builds a plane, at once
+    for width in (DEFAULT_TT_LIMIT + 1, 30):
+        circ = generic(width, [])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^width {width} too large for full simulation$"):
+            simulate_full(circ)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_verify_circuit_positive_and_negative():
@@ -623,7 +629,7 @@ def test_cost_report_matches_per_gate_sum():
         others = [l for l in range(width) if l != t]
         ctl = rng.sample(others, rng.randrange(len(others) + 1))
         gates.append((t, tuple(sorted(c << 1 | rng.randrange(2) for c in ctl))))
-    circ = RevCircuit.generic(width, gates)
+    circ = generic(width, gates)
     rep = cost_report(circ, model)
     assert rep.t_count == sum(model.t_of_controls(len(controls)) for _, controls in gates)
     assert sum(k for _, k in rep.control_histogram) == rep.gate_count == len(gates)
@@ -632,7 +638,7 @@ def test_cost_report_matches_per_gate_sum():
 
 
 def test_cost_report_counts():
-    circ = RevCircuit.generic(3, [(0, ()), cnot(1, 0), (2, (0 << 1, 1 << 1)),
+    circ = generic(3, [(0, ()), cnot(1, 0), (2, (0 << 1, 1 << 1)),
                                   (0, (1 << 1, 2 << 1))])
     rep = cost_report(circ)
     assert rep.qubits == 3
@@ -653,7 +659,7 @@ def test_real_roundtrip_exact(tmp_path):
 
 
 def test_real_negative_controls_roundtrip(tmp_path):
-    circ = RevCircuit.generic(3, [(2, (0 << 1, 1 << 1 | 1))])
+    circ = generic(3, [(2, (0 << 1, 1 << 1 | 1))])
     path = tmp_path / "neg.real"
     write_real(circ, path)
     back = read_real(path)
@@ -829,7 +835,7 @@ def test_real_from_a_pipe_is_read_checked(tmp_path):
 
 def test_real_equal_controls_share_one_tuple(tmp_path):
     ab = (0 << 1, 1 << 1)
-    circ = RevCircuit.generic(4, [(2, ab), (3, ab), (3, (0 << 1 | 1,)), (2, ab)])
+    circ = generic(4, [(2, ab), (3, ab), (3, (0 << 1 | 1,)), (2, ab)])
     p = tmp_path / "shared.real"
     write_real(circ, p)
     back = read_real(p)
@@ -1069,6 +1075,6 @@ def test_reversed_gates_inverts():
     rng = random.Random(41)
     perm = Permutation(4, random_permutation(rng, 4))
     circ = tbs(perm)
-    inv = RevCircuit.generic(circ.width, reversed(circ.gates))
+    inv = generic(circ.width, reversed(circ.gates))
     for w in range(16):
         assert simulate(inv, simulate(circ, w)) == w

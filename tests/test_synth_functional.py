@@ -6,8 +6,8 @@ import pytest
 
 from conftest import assert_tbs_settles_rows, random_permutation, reference_tbs, simulate
 from revflow.arith import Design, DesignSpec, design_truth_table
-from revflow.embedding import Permutation, bennett_embed, optimum_embed
-from revflow.revcirc import simulate_full, verify_circuit
+from revflow.embedding import Embedding, Permutation, bennett_embed, optimum_embed
+from revflow.revcirc import read_real, simulate_full, verify_circuit, write_real
 from revflow.synth_functional import tbs
 
 
@@ -124,6 +124,20 @@ def test_embedding_roles_stamped():
     for x in range(8):
         assert simulate(circ, x) >> (r - m) == tt.rows[x]
     assert verify_circuit(circ, tt)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+def test_bare_permutation_is_its_own_embedding(width, tmp_path):
+    # every line x<i> an input and an output, as the embedding n = m = r lays it out
+    perm = Permutation(width, random_permutation(random.Random(300 + width), width))
+    circ = tbs(perm)
+    assert circ == tbs(perm, Embedding(width, width, width))
+    assert circ.constants == (None,) * width
+    assert circ.outputs == tuple(range(width))
+    assert circ.line_names == tuple(f"x{i}" for i in range(width))
+    path = tmp_path / "c.real"
+    write_real(circ, path)
+    assert read_real(path) == circ
 
 
 @pytest.mark.parametrize("embed", [optimum_embed, bennett_embed])
