@@ -45,10 +45,10 @@ from operator import is_not, itemgetter, ne
 
 from .embedding import Permutation
 from .logicnet import (
-    DEFAULT_TT_LIMIT,
     ParseError,
     TruthTable,
     _Record,
+    _check_limit,
     _decimal,
     _input_pattern,
     _transpose,
@@ -248,12 +248,12 @@ def simulate_full(circ: RevCircuit) -> Permutation:
     """The permutation the cascade performs on all r-bit words.
 
     r is held to the table cap, ``DEFAULT_TT_LIMIT``: a wider circuit raises
-    ValueError before any plane is built.  A caller that needs only the
-    behaviour on the source inputs uses ``simulate_source_batch``.
+    ``TableLimitError`` (a ValueError) before any plane is built.  A caller
+    that needs only the behaviour on the source inputs uses
+    ``simulate_source_batch``.
     """
     r = circ.width
-    if r > DEFAULT_TT_LIMIT:
-        raise ValueError(f"width {r} too large for full simulation")
+    _check_limit(r, None)
     planes = [_input_pattern(i, r) for i in range(r)]
     _run_planes(circ, planes, 1 << r)
     return Permutation(r, tuple(_transpose(planes, 1 << r)))
@@ -333,16 +333,15 @@ class CostModel(_Record):
     @classmethod
     def parse(cls, text: str, path: str = "<cost>") -> "CostModel":
         entries = []
-        for lineno, line in enumerate(map(str.strip, _uncomment(text).split("\n")), start=1):
+        for lineno, raw in enumerate(_uncomment(text).split("\n"), start=1):
+            line = raw.strip()
             if not line:
                 continue
             head, sep, tail = line.partition(":")
             if not sep:
                 raise ParseError("expected 'controls: t-cost'", path, lineno)
-            c, t = head.strip(), tail.strip()
-            # the entry's text goes into a message only when a field may not be digits
-            fault = "" if line.isascii() and c.isdigit() and t.isdigit() else f"bad cost entry {line!r}"
-            entries.append((_decimal(c, fault, path, lineno), _decimal(t, fault, path, lineno)))
+            fault = f"bad cost entry {line!r}"
+            entries.append(tuple(_decimal(f.strip(), fault, path, lineno) for f in (head, tail)))
         try:
             return cls(tuple(entries))
         except ValueError as exc:

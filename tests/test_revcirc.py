@@ -24,7 +24,7 @@ from conftest import (
 )
 from revflow.arith import Design, DesignSpec, design_xmg
 from revflow.embedding import Permutation, optimum_embed
-from revflow.logicnet import DEFAULT_TT_LIMIT, ParseError, TruthTable
+from revflow.logicnet import DEFAULT_TT_LIMIT, ParseError, TableLimitError, TruthTable
 from revflow.revcirc import (
     DEFAULT_COST_MODEL,
     CostModel,
@@ -535,7 +535,7 @@ def test_simulate_full_width_guard():
     for width in (DEFAULT_TT_LIMIT + 1, 30):
         circ = generic(width, [])
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"^width {width} too large for full simulation$"):
+        with pytest.raises(TableLimitError, match=f"^width {width} exceeds the truth-table limit of {DEFAULT_TT_LIMIT};"):
             simulate_full(circ)
         assert time.perf_counter() - start < 1.0
 
