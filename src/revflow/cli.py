@@ -8,21 +8,20 @@ unreadable files, size limits).
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
 from pathlib import Path
 
 from .arith import Design, DesignSpec, design_truth_table, design_xmg
-from .embedding import bennett_embed, optimum_embed, optimum_width
+from .embedding import bennett_embed, bennett_width, optimum_embed, optimum_width
 from .logicnet import (
-    DEFAULT_TT_LIMIT,
     EsopForm,
     ParseError,
     Xmg,
     _check_limit,
     _decimal,
+    _table_cap,
     esop_from_tt,
     esop_minimize,
     read_pla,
@@ -51,8 +50,8 @@ _EMBEDDINGS = {"optimum": optimum_embed, "bennett": bennett_embed}
 # a design file's format is its suffix: the design it holds in memory, how
 # gen builds that from a spec under the table cap, and its reader and writer
 _FORMATS = {
-    ".xmg": (Xmg, lambda spec, limit: design_xmg(spec), read_xmg, write_xmg),
-    ".pla": (EsopForm, lambda spec, limit: esop_from_tt(design_truth_table(spec, limit)), read_pla, write_pla),
+    ".xmg": (Xmg, design_xmg, read_xmg, write_xmg),
+    ".pla": (EsopForm, lambda spec: esop_from_tt(design_truth_table(spec)), read_pla, write_pla),
 }
 # the format each method compiles
 _METHODS = {"functional": ".pla", "esop": ".pla", "hier": ".xmg"}
@@ -69,19 +68,6 @@ def _number(text: str) -> int:
         return _decimal(text, f"expected ASCII decimal digits, got {text!r}")
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def tt_limit() -> int:
-    raw = os.environ.get("REVFLOW_TT_LIMIT")
-    if raw is None:
-        return DEFAULT_TT_LIMIT
-    try:
-        value = _number(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise CliError(f"REVFLOW_TT_LIMIT: {exc}") from None
-    if value < 1:
-        raise CliError("REVFLOW_TT_LIMIT must be positive")
-    return value
 
 
 # --- shared plumbing ------------------------------------------------------
@@ -105,10 +91,10 @@ def _format(path: Path, verb: str) -> tuple:
     return entry
 
 
-def flow_source(method: str, spec: DesignSpec, limit: int | None = None) -> Xmg | EsopForm:
+def flow_source(method: str, spec: DesignSpec) -> Xmg | EsopForm:
     """The in-memory design ``method`` compiles, as gen writes it to the file
     synth reads: an Xmg for hier, an EsopForm for functional and esop."""
-    return _FORMATS[_METHODS[method]][1](spec, limit)
+    return _FORMATS[_METHODS[method]][1](spec)
 
 
 def _report(record: dict) -> None:
@@ -132,7 +118,6 @@ def run_flow(
     *,
     embedding: str | None = None,
     inplace_xor: bool = False,
-    limit: int | None = None,
 ) -> RevCircuit:
     """Compile an in-memory design with one synthesis flow; returns the circuit.
 
@@ -140,8 +125,8 @@ def run_flow(
     designs synth reads (``flow_source`` builds either).  ``embedding``
     (default optimum) goes only with functional and ``inplace_xor`` only
     with hier: either raises CliError on another method.  esop always
-    minimizes its cube list.  ``limit`` caps the form's input and output
-    counts and the embedding width, as REVFLOW_TT_LIMIT does on the command line.
+    minimizes its cube list.  The table cap bounds the form's input and
+    output counts and the embedding width, bennett's before the form is tabulated.
     """
     if embedding is not None and method != "functional":
         raise CliError(f"embedding goes with method functional, not {method}")
@@ -156,15 +141,17 @@ def run_flow(
     if method == "hier":
         return hier_synth(source, inplace_xor=inplace_xor)
     # a .pla header sets these counts, so check them before either flow builds anything
-    _check_limit(source.num_inputs, limit)
-    _check_limit(source.num_outputs, limit)
+    _check_limit(source.num_inputs)
+    _check_limit(source.num_outputs)
     if method == "esop":
         return esop_synth(esop_minimize(source))
     embed = _EMBEDDINGS.get("optimum" if embedding is None else embedding)
     if embed is None:
         choices = " or ".join(map(repr, _EMBEDDINGS))
         raise CliError(f"unknown embedding {embedding!r}, expected {choices}")
-    perm, emb = embed(source.to_truth_table(limit), limit)
+    if embed is bennett_embed:
+        _check_limit(bennett_width(source))
+    perm, emb = embed(source.to_truth_table())
     return tbs(perm, embedding=emb)
 
 
@@ -175,7 +162,7 @@ def cmd_gen(args) -> int:
     # the suffix first: a file no command reads is never built
     out = Path(args.output)
     _, build, _, write = _format(out, "gen writes")
-    write(build(DesignSpec(Design(args.design), args.bits), tt_limit()), out)
+    write(build(DesignSpec(Design(args.design), args.bits)), out)
     text = out.read_text(encoding="utf-8")
     out.write_text(f"# design={args.design} n={args.bits}\n" + text, encoding="utf-8")
     return 0
@@ -184,11 +171,9 @@ def cmd_gen(args) -> int:
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     path = Path(args.input)
-    limit = tt_limit()
     source = _format(path, "synth reads")[2](path)
     design, n = _sniff_stamp(path)  # after the design: the file is there and readable
-    circ = run_flow(args.method, source, embedding=args.embedding,
-                    inplace_xor=args.inplace_xor, limit=limit)
+    circ = run_flow(args.method, source, embedding=args.embedding, inplace_xor=args.inplace_xor)
     write_real(circ, args.output)
     _report_flow(circ, DEFAULT_COST_MODEL, design, n, args.method, t0)
     return 0
@@ -196,7 +181,7 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     # the table first: a bad width or size fails before the circuit is read
-    table = design_truth_table(DesignSpec(Design(args.design), args.bits), tt_limit())
+    table = design_truth_table(DesignSpec(Design(args.design), args.bits))
     circ = read_real(args.circuit)
     mismatch = first_mismatch(circ, table)
     counterexample = None if mismatch is None else dict(zip(("x", "output", "got", "want"), mismatch))
@@ -227,24 +212,21 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    limit = tt_limit()
     model = CostModel.from_file(args.cost_model) if args.cost_model else DEFAULT_COST_MODEL
     # the widest spec first, so a range past the width cap, or the table cap
     # of a flow that tabulates, fails before any work
     DesignSpec(Design(args.design), args.widths[-1])
     if args.method != "hier":
-        _check_limit(args.widths[-1], limit)
+        _check_limit(args.widths[-1])
     if args.method == "functional":
         # an embedding adds lines to the table's: check each before the first record
-        bennett = args.embedding == "bennett"
+        width = bennett_width if args.embedding == "bennett" else optimum_width
         for n in args.widths:
-            tt = design_truth_table(DesignSpec(Design(args.design), n), limit)
-            _check_limit(tt.num_inputs + tt.num_outputs if bennett else optimum_width(tt), limit)
+            _check_limit(width(design_truth_table(DesignSpec(Design(args.design), n))))
     for n in args.widths:
         t0 = time.perf_counter()
-        source = flow_source(args.method, DesignSpec(Design(args.design), n), limit)
-        circ = run_flow(args.method, source, embedding=args.embedding,
-                        inplace_xor=args.inplace_xor, limit=limit)
+        source = flow_source(args.method, DesignSpec(Design(args.design), n))
+        circ = run_flow(args.method, source, embedding=args.embedding, inplace_xor=args.inplace_xor)
         _report_flow(circ, model, args.design, n, args.method, t0)
     return 0
 
@@ -303,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _table_cap()  # a malformed REVFLOW_TT_LIMIT fails every command, before it starts
         return args.func(args)
     except (CliError, OSError, ValueError) as exc:  # ParseError and TableLimitError are ValueErrors
         print(f"revflow: {exc}", file=sys.stderr)

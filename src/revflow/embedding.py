@@ -12,7 +12,7 @@ in its top m bits.
 
 from collections import Counter
 
-from .logicnet import TruthTable, _Record, _check_limit
+from .logicnet import EsopForm, TruthTable, _Record, _check_limit
 
 
 class Permutation(_Record):
@@ -58,17 +58,22 @@ def optimum_width(tt: TruthTable) -> int:
     return max(tt.num_inputs, tt.num_outputs + min_additional_lines(tt))
 
 
-def bennett_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation, Embedding]:
+def bennett_width(f: TruthTable | EsopForm) -> int:
+    """``bennett_embed``'s width, n + m, of a table or of a form: it needs no table."""
+    return f.num_inputs + f.num_outputs
+
+
+def bennett_embed(tt: TruthTable) -> tuple[Permutation, Embedding]:
     """Width n+m embedding where line n+j returns its own value xor f_j(x).
 
     Always valid regardless of the function's collision structure; with the
     added lines held at 0 the outputs are exactly f(x) and the inputs pass
     through unchanged as garbage.  Raises TableLimitError before building
-    the 2^r images when r exceeds ``limit`` (default DEFAULT_TT_LIMIT).
+    the 2^r images when r exceeds the table cap.
     """
     n, m = tt.num_inputs, tt.num_outputs
-    r = n + m
-    _check_limit(r, limit)
+    r = bennett_width(tt)
+    _check_limit(r)
     images = []
     for w in range(1 << r):
         x = w & ((1 << n) - 1)
@@ -76,19 +81,19 @@ def bennett_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation
     return Permutation(r, tuple(images)), Embedding(n, m, r)
 
 
-def optimum_embed(tt: TruthTable, limit: int | None = None) -> tuple[Permutation, Embedding]:
+def optimum_embed(tt: TruthTable) -> tuple[Permutation, Embedding]:
     """Minimum-width embedding: r = max(n, m + min_additional_lines).
 
     Outputs occupy the top m lines and garbage the rest.  Each output value's
     preimages receive garbage words counting up from 0 in input order, and the
     codomain words left unclaimed are matched to the domain words with nonzero
     constants in increasing order to complete the bijection.  Raises
-    TableLimitError before building the 2^r images when r exceeds ``limit``
-    (default DEFAULT_TT_LIMIT).
+    TableLimitError before building the 2^r images when r exceeds the table
+    cap.
     """
     n, m = tt.num_inputs, tt.num_outputs
     r = optimum_width(tt)
-    _check_limit(r, limit)
+    _check_limit(r)
     g = r - m
     size = 1 << r
     images = [0] * size

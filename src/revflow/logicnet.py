@@ -12,14 +12,15 @@ minimizer, the .pla reader) checks none of them; ``EsopForm`` checks each
 cube once, when a form is made.
 """
 
+import os
 import re
 import sys
 from array import array
 from bisect import bisect_left, insort
 from itertools import chain, islice
 
-# Truth-table expansion guard: 2^n rows get expensive fast.  The CLI can raise
-# this via the REVFLOW_TT_LIMIT environment variable.
+# Table cap: the widest 2^n step (a table, a form to tabulate, an embedding, a
+# simulation).  REVFLOW_TT_LIMIT, when set, replaces it for every step.
 DEFAULT_TT_LIMIT = 20
 
 # Network width cap: the most inputs a read .xmg may declare and the widest
@@ -71,15 +72,24 @@ class TableLimitError(ValueError):
     """Raised when a truth-table expansion would exceed the configured input limit."""
 
 
-def _check_limit(width: int, limit: int | None) -> None:
-    """Raise TableLimitError when a width (a table's inputs, a form's inputs
-    or outputs, an embedding's lines) exceeds the limit."""
-    cap = DEFAULT_TT_LIMIT if limit is None else limit
+def _table_cap() -> int:
+    """REVFLOW_TT_LIMIT when it is set, a positive number by ``_decimal``'s rule; else DEFAULT_TT_LIMIT."""
+    raw = os.environ.get("REVFLOW_TT_LIMIT")
+    if raw is None:
+        return DEFAULT_TT_LIMIT
+    value = _decimal(raw, f"expected ASCII decimal digits, got {raw!r}", "REVFLOW_TT_LIMIT")
+    if value < 1:
+        raise ParseError("REVFLOW_TT_LIMIT must be positive")
+    return value
+
+
+def _check_limit(width: int, limit: int | None = None) -> None:
+    """Raise TableLimitError when the width of a 2^n step exceeds ``limit``,
+    by default the table cap."""
+    cap = _table_cap() if limit is None else limit
     if width > cap:
-        raise TableLimitError(
-            f"width {width} exceeds the truth-table limit of {cap}; "
-            "raise the limit explicitly to proceed"
-        )
+        raise TableLimitError(f"width {width} exceeds the truth-table limit of {cap}; "
+                              "raise REVFLOW_TT_LIMIT to proceed")
 
 
 class _Record:
@@ -568,10 +578,9 @@ class Xmg:
 
     def add_xor(self, a: int, b: int) -> int:
         bound = len(self.fanins) << 1
-        if not 0 <= a < bound:
-            raise ValueError(f"literal {a} references an unknown node")
-        if not 0 <= b < bound:
-            raise ValueError(f"literal {b} references an unknown node")
+        if not (0 <= a < bound and 0 <= b < bound):
+            self._check_lit(a)
+            self._check_lit(b)
         neg = (a ^ b) & 1
         a &= ~1
         b &= ~1

@@ -228,8 +228,10 @@ def simulate_source_batch(circ: RevCircuit) -> list:
 
     Bit x of entry L is line L's final value when the primary inputs (taken
     in ascending line order) spell x and constant lines hold their values.
+    Past the table cap on inputs, raises TableLimitError before any plane.
     """
     n = circ.num_inputs
+    _check_limit(n)
     batch = 1 << n
     full = (1 << batch) - 1
     planes = []
@@ -247,13 +249,12 @@ def simulate_source_batch(circ: RevCircuit) -> list:
 def simulate_full(circ: RevCircuit) -> Permutation:
     """The permutation the cascade performs on all r-bit words.
 
-    r is held to the table cap, ``DEFAULT_TT_LIMIT``: a wider circuit raises
-    ``TableLimitError`` (a ValueError) before any plane is built.  A caller
-    that needs only the behaviour on the source inputs uses
-    ``simulate_source_batch``.
+    r is held to the table cap: a wider circuit raises ``TableLimitError``
+    (a ValueError) before any plane is built.  A caller that needs only the
+    behaviour on the source inputs uses ``simulate_source_batch``.
     """
     r = circ.width
-    _check_limit(r, None)
+    _check_limit(r)
     planes = [_input_pattern(i, r) for i in range(r)]
     _run_planes(circ, planes, 1 << r)
     return Permutation(r, tuple(_transpose(planes, 1 << r)))
@@ -265,7 +266,7 @@ def first_mismatch(circ: RevCircuit, tt: TruthTable) -> "tuple[int, int, int, in
     Constant lines hold their values and every source assignment is checked
     at once.  The smallest failing assignment x wins, then the smallest
     output index; None means the circuit computes the table.  Raises
-    ValueError when the input or output counts differ.
+    ValueError when the input or output counts differ or pass the table cap.
     """
     if circ.num_inputs != tt.num_inputs or circ.num_outputs != tt.num_outputs:
         raise ValueError(

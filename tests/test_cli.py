@@ -12,7 +12,15 @@ from conftest import DESIGN_FLOW_IDS, DESIGN_FLOWS, FLOWS
 from revflow import logicnet
 from revflow.arith import Design, DesignSpec, design_truth_table
 from revflow.cli import _METHODS, CliError, flow_source, main, run_flow
-from revflow.logicnet import MAX_NET_WIDTH, ParseError, TruthTable, esop_from_tt, read_pla, read_xmg
+from revflow.logicnet import (
+    MAX_NET_WIDTH,
+    ParseError,
+    TableLimitError,
+    TruthTable,
+    esop_from_tt,
+    read_pla,
+    read_xmg,
+)
 
 
 def run(capsys, *argv):
@@ -247,6 +255,33 @@ def test_functional_width_limit(tmp_path, capsys, embedding):
     assert time.perf_counter() - start < 5
 
 
+def test_bennett_width_is_checked_before_the_table():
+    """bennett's width, n + m, needs no table: INTDIV n=17's form (34 lines)
+    is refused before its 2^17 rows are tabulated."""
+    source = flow_source("functional", DesignSpec(Design.INTDIV, 17))
+    start = time.perf_counter()
+    with pytest.raises(TableLimitError, match="^width 34 exceeds the truth-table limit"):
+        run_flow("functional", source, embedding="bennett")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_variable_caps_every_command_that_tabulates(tmp_path, capsys, monkeypatch):
+    """With REVFLOW_TT_LIMIT=8, every command that builds a 9-input table or
+    reads a 9-input form exits 2 before it writes anything."""
+    pla = tmp_path / "d.pla"
+    assert main(["gen", "--design", "intdiv", "-n", "9", "-o", str(pla)]) == 0
+    monkeypatch.setenv("REVFLOW_TT_LIMIT", "8")
+    commands = [["gen", "--design", "intdiv", "-n", "9", "-o", str(tmp_path / "new.pla")],
+                ["verify", str(tmp_path / "absent.real"), "--design", "intdiv", "-n", "9"]]
+    for method in ("esop", "functional"):
+        commands += [["synth", str(pla), "--method", method, "-o", str(tmp_path / "new.real")],
+                     ["sweep", "9..9", "--design", "intdiv", "--method", method]]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out is None and "width 9 exceeds the truth-table limit of 8;" in err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.pla"]
+
+
 def test_oversized_pla_header_exits_2(tmp_path, capsys):
     # a cube-less form past the limit: 2^n must never be built, nor n lines laid out
     src = tmp_path / "d.pla"
@@ -460,6 +495,29 @@ def test_table_limit_env(tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REVFLOW_TT_LIMIT", raw)
         code, _, err = run(capsys, "gen", "--design", "intdiv", "-n", "4", "-o", str(tmp_path / "small.pla"))
         assert code == 2 and "REVFLOW_TT_LIMIT" in err, raw
+
+
+def test_malformed_variable_fails_every_command(tmp_path, capsys, monkeypatch):
+    """A malformed REVFLOW_TT_LIMIT exits 2 before any command starts, stats
+    and hier included, though neither builds a table."""
+    pla, real = tmp_path / "d.pla", tmp_path / "d.real"
+    assert main(["gen", "--design", "intdiv", "-n", "4", "-o", str(pla)]) == 0
+    assert main(["synth", str(pla), "--method", "esop", "-o", str(real)]) == 0
+    capsys.readouterr()
+    commands = [["gen", "--design", "intdiv", "-n", "4", "-o", str(tmp_path / "new.xmg")],
+                ["synth", str(pla), "--method", "esop", "-o", str(tmp_path / "new.real")],
+                ["verify", str(real), "--design", "intdiv", "-n", "4"],
+                ["stats", str(real)],
+                ["sweep", "4..4", "--design", "intdiv", "--method", "hier"]]
+    cases = (("banana", "REVFLOW_TT_LIMIT: expected ASCII decimal digits, got 'banana'"),
+             ("0", "REVFLOW_TT_LIMIT must be positive"),
+             ("9" * 5000, "REVFLOW_TT_LIMIT: number of 5000 digits is too long"))
+    for raw, message in cases:
+        monkeypatch.setenv("REVFLOW_TT_LIMIT", raw)
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out is None and err == f"revflow: {message}\n", (raw[:8], argv)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.pla", "d.real"]
 
 
 def test_bits_are_ascii_digits(tmp_path, capsys):

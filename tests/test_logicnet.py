@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     ReferenceXmg,
+    generic,
     naive_esop_eval,
     naive_transpose,
     naive_xmg_eval,
@@ -23,7 +24,7 @@ from conftest import (
 )
 from revflow import logicnet
 from revflow.arith import Design, DesignSpec, NewtonTrace, design_truth_table
-from revflow.embedding import Embedding, Permutation
+from revflow.embedding import Embedding, Permutation, bennett_embed, optimum_embed
 from revflow.logicnet import (
     EsopForm,
     ParseError,
@@ -39,7 +40,7 @@ from revflow.logicnet import (
     write_pla,
     write_xmg,
 )
-from revflow.revcirc import CostModel, CostReport, RevCircuit
+from revflow.revcirc import CostModel, CostReport, RevCircuit, simulate_full, simulate_source_batch
 
 
 def test_truth_table_validation():
@@ -123,6 +124,38 @@ def test_table_limit_guard():
     with pytest.raises(TableLimitError):
         design_truth_table(spec, limit=4)
     assert design_truth_table(spec, limit=5).num_inputs == 5
+
+
+def test_the_variable_caps_every_call_that_passes_no_limit(monkeypatch):
+    """REVFLOW_TT_LIMIT is the cap of every 2^n step a library caller makes
+    without an explicit limit, as it is on the command line."""
+    monkeypatch.setenv("REVFLOW_TT_LIMIT", "8")
+    # each builds width 9: 9 + 0 optimum lines, 5 + 4 bennett lines, 9 lines or inputs
+    steps = [
+        (optimum_embed, TruthTable(9, 9, tuple(range(512))), TruthTable(8, 8, tuple(range(256)))),
+        (bennett_embed, TruthTable(5, 4, tuple(range(16)) * 2), TruthTable(4, 4, tuple(range(16)))),
+        (simulate_full, generic(9, []), generic(8, [])),
+        (simulate_source_batch, generic(9, []), generic(8, [])),
+        (design_truth_table, DesignSpec(Design.INTDIV, 9), DesignSpec(Design.INTDIV, 8)),
+        (EsopForm.to_truth_table, EsopForm(9, 1, ()), EsopForm(8, 1, ())),
+    ]
+    for step, wide, narrow in steps:
+        with pytest.raises(TableLimitError, match="^width 9 exceeds the truth-table limit of 8; raise REVFLOW_TT_LIMIT"):
+            step(wide)
+        step(narrow)
+
+
+def test_an_explicit_limit_wins_over_the_variable(monkeypatch):
+    """design_truth_table and EsopForm.to_truth_table take the limit they are
+    given, and then do not read the variable at all."""
+    spec, form = DesignSpec(Design.INTDIV, 6), EsopForm(6, 1, ((0, 0, 1),))
+    for raw in ("5", "7", "banana"):
+        monkeypatch.setenv("REVFLOW_TT_LIMIT", raw)
+        assert design_truth_table(spec, 6) == design_truth_table(spec, limit=6)
+        assert form.to_truth_table(6).rows == (1,) * 64
+        for build, arg in ((design_truth_table, spec), (EsopForm.to_truth_table, form)):
+            with pytest.raises(TableLimitError, match="^width 6 exceeds the truth-table limit of 5;"):
+                build(arg, 5)
 
 
 def test_cube_matching():

@@ -45,6 +45,35 @@ def test_one_public_list():
     assert assigners == ["__init__.py"]
 
 
+def _scoped(scope, owner: str):
+    """(owner, node) of every node under scope, where owner is the qualified
+    name of the innermost def, lambda or class that holds the node."""
+    for node in ast.iter_child_nodes(scope):
+        yield owner, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scoped(node, f"{owner}.{node.name}")
+        else:
+            yield from _scoped(node, f"{owner}.<lambda>" if isinstance(node, ast.Lambda) else owner)
+
+
+def test_one_table_cap():
+    """One function reads the environment, for REVFLOW_TT_LIMIT; ``limit`` is
+    a parameter only of the check that defaults to it and of the two table
+    builders the benchmark passes one to."""
+    package = Path(revflow.__file__).resolve().parent
+    nodes = [pair for path in sorted(package.glob("*.py"))
+             for pair in _scoped(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    readers = {owner for owner, node in nodes
+               if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+               or isinstance(node, ast.Name) and node.id in ("environ", "getenv")
+               or isinstance(node, ast.Constant) and node.value == "REVFLOW_TT_LIMIT"}
+    assert readers == {"logicnet._table_cap"}
+    takers = sorted(f"{owner}.{getattr(node, 'name', '<lambda>')}" for owner, node in nodes
+                    if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                    and "limit" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs})
+    assert takers == ["arith.design_truth_table", "logicnet.EsopForm.to_truth_table", "logicnet._check_limit"]
+
+
 def test_import_loads_no_unused_stdlib():
     """``import revflow`` loads no standard-library module that revflow never
     calls, or calls in one reader only.  ``-S`` keeps site from preloading

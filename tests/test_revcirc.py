@@ -540,6 +540,18 @@ def test_simulate_full_width_guard():
         assert time.perf_counter() - start < 1.0
 
 
+def test_simulate_source_batch_input_guard():
+    # every plane holds all 2^n source assignments: past the cap on inputs it
+    # raises before it builds one, and at the cap it runs
+    start = time.perf_counter()
+    with pytest.raises(TableLimitError, match=f"^width {DEFAULT_TT_LIMIT + 1} exceeds the truth-table limit"):
+        simulate_source_batch(generic(DEFAULT_TT_LIMIT + 1, []))
+    assert time.perf_counter() - start < 1.0
+    planes = simulate_source_batch(generic(DEFAULT_TT_LIMIT, []))
+    half = 1 << (DEFAULT_TT_LIMIT - 1)
+    assert len(planes) == DEFAULT_TT_LIMIT and planes[-1] == ((1 << half) - 1) << half
+
+
 def test_verify_circuit_positive_and_negative():
     tt = TruthTable(2, 2, (1, 3, 0, 2))
     perm, emb = optimum_embed(tt)
